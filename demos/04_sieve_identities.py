@@ -1,5 +1,7 @@
 """The e-free sieve: indicators, the character identity, and the lower
-bound that powers sieved certificates.
+bound that powers sieved certificates.  Both are checked exactly: the
+character sums are Ramanujan sums (Hölder's formula), so every slack is an
+exact rational and no float tolerance is involved.
 
 Run:  python demos/04_sieve_identities.py
 """
@@ -20,16 +22,16 @@ print("\ne-freeness of 2 for each even divisor e | 60:")
 for e in ctx.divisors_of_pm1():
     if e % 2 == 0:
         print(f"  e={e:3d}: e_free(2) = {e_free(ctx, e, 2)}, "
-              f"identity slack over all n = {fe_identity_worst_slack(ctx, e):.2e}")
+              f"exact identity slack over all n = {fe_identity_worst_slack(ctx, e)}")
 
-print("\nadmissible sieve configurations (delta > 0) and the bound slack:")
+print("\nadmissible sieve configurations (delta > 0) and the exact bound slack:")
 for cfg in admissible_configs(ctx):
     slack = sieve_lower_bound_worst_slack(cfg)
     print(
         f"  e={cfg.e:3d} excluded={str(cfg.excluded):10s} delta={cfg.delta} "
-        f"factor={float(cfg.sieve_factor):7.3f} worst slack={slack:+.2e}"
+        f"factor={float(cfg.sieve_factor):7.3f} worst slack={slack}"
     )
 
 cfg = SieveConfig.build(ctx, 4)
 print(f"\nconfig e=4: excluding {cfg.excluded} leaves density delta = {cfg.delta}")
-print("the inequality is tight (slack ~ 0) exactly at primitive roots")
+print("the inequality is tight (slack exactly 0) at primitive roots")

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .ntcore import (
     PrimeContext,
-    euler_phi,
-    moebius,
     multiplicative_order,
+    phi_of_factorization,
+    squarefree_divisors,
 )
 
 _EPS = np.finfo(float).eps
@@ -87,57 +87,77 @@ def char_values_all(chi: CharacterIndex) -> np.ndarray:
     return vals
 
 
-def sum_over_order(ctx: PrimeContext, d: int, n: int) -> complex:
-    """Sum of chi(n) over the phi(d) characters of exact order d."""
-    table = order_sum_table(ctx, d)
-    return complex(table[ctx.dlog(n)])
+def ramanujan_sum(d: int, k: int, primes: tuple[int, ...]) -> int:
+    """c_d(k): the sum of chi(g^k) over the phi(d) characters of exact order d.
+
+    Those characters are j = m (p-1)/d with gcd(m, d) = 1, so the sum is the
+    Ramanujan sum of exp(2 pi i m k/d) over m coprime to d.  It is computed
+    in integers by Hölder's formula c_d(k) = mu(q) phi(d)/phi(q) with
+    q = d/gcd(d, k).  `primes` must hold every prime factor of d; the primes
+    of p-1 do for every d | p-1, so nothing is factorized.
+    """
+    g = math.gcd(d, k)
+    q = d // g
+    # phi(d)/phi(q) = g prod_{r | d, r not | q} (1 - 1/r), signed by mu(q)
+    value = g
+    for r in primes:
+        if d % r:
+            continue
+        if q % r:
+            value = value // r * (r - 1)
+        elif q % (r * r) == 0:
+            return 0
+        else:
+            value = -value
+    return value
+
+
+def _require_order(ctx: PrimeContext, d: int) -> None:
+    if (ctx.p - 1) % d != 0:
+        raise DomainError(f"{d} does not divide p-1")
+
+
+def sum_over_order(ctx: PrimeContext, d: int, n: int) -> int:
+    """Sum of chi(n) over the phi(d) characters of exact order d, exactly."""
+    _require_order(ctx, d)
+    return ramanujan_sum(d, ctx.dlog(n), ctx.pm1_factors.primes)
 
 
 def order_sum_table(ctx: PrimeContext, d: int) -> np.ndarray:
-    """Vector over k in [0, p-1) of sum_{ord(chi)=d} chi(g^k), cached per context.
+    """int64 vector over k in [0, p-1) of sum_{ord(chi)=d} chi(g^k) = c_d(k).
 
-    Characters of order d are exactly j = m (p-1)/d with gcd(m, d) = 1; the
-    enumeration count is asserted to be phi(d).
+    c_d(k) depends only on gcd(k, d), so each distinct gcd is evaluated once.
     """
-    if (ctx.p - 1) % d != 0:
-        raise DomainError(f"{d} does not divide p-1")
-    cached = ctx._order_sums.get(d)
-    if cached is not None:
-        return cached
-    p = ctx.p
-    step = (p - 1) // d
-    js = np.array([m * step for m in range(d) if math.gcd(m, d) == 1], dtype=np.int64)
-    assert len(js) == euler_phi(d)
-    k = np.arange(p - 1, dtype=np.int64)
-    total = np.zeros(p - 1, dtype=complex)
-    pows = ctx.root_powers()
-    for j in js:
-        total += pows[(j * k) % (p - 1)]
-    ctx._order_sums[d] = total
-    return total
+    _require_order(ctx, d)
+    gcds, where = np.unique(np.gcd(np.arange(ctx.p - 1, dtype=np.int64), d),
+                            return_inverse=True)
+    primes = ctx.pm1_factors.primes
+    values = [ramanujan_sum(d, int(t), primes) for t in gcds]
+    return np.array(values, dtype=np.int64)[where]
 
 
 def indicator_primitive_root(ctx: PrimeContext, n: int) -> int:
     """Primitive-root indicator f(n), evaluated two independent ways.
 
     Route (a): order test.  Route (b): the character identity
-    f(n) = (phi(p-1)/(p-1)) sum_{d|p-1} (mu(d)/phi(d)) sum_{ord(chi)=d} chi(n).
-    Both must agree within 1e-6 or a ConsistencyError is raised.
+    f(n) = (phi(p-1)/(p-1)) sum_{d|p-1} (mu(d)/phi(d)) sum_{ord(chi)=d} chi(n),
+    in exact rationals (only squarefree d have mu(d) != 0).  The routes must
+    agree exactly or a ConsistencyError is raised.
     """
     p = ctx.p
     if not 1 <= n % p <= p - 1:
         raise DomainError("n must be nonzero mod p")
     by_order = int(multiplicative_order(n, p, ctx.pm1_factors) == p - 1)
 
-    acc = 0j
-    for d in ctx.divisors_of_pm1():
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        acc += Fraction(mu, euler_phi(d)) * sum_over_order(ctx, d, n)
-    lead = Fraction(euler_phi(p - 1), p - 1)
-    by_chars = float(lead) * acc
-    if abs(by_chars.real - by_order) + abs(by_chars.imag) > 1e-6:
+    k = ctx.dlog(n)
+    primes = ctx.pm1_factors.primes
+    acc = sum(
+        (Fraction(mu, phi) * ramanujan_sum(d, k, primes)
+         for d, mu, phi in squarefree_divisors(primes)),
+        Fraction(0),
+    )
+    by_chars = Fraction(phi_of_factorization(ctx.pm1_factors), p - 1) * acc
+    if by_chars != by_order:
         raise ConsistencyError(
             f"indicator mismatch at p={p}, n={n}: order test {by_order}, "
             f"character identity {by_chars}"

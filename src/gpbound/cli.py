@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import certify as cert
 from .characters import character_orders, moment_sums_all, stirling_sandwich, weil_bound
-from .errors import GpboundError
+from .errors import ConsistencyError, GpboundError
 from .intervals import (
     build_intervals,
     count_points,
@@ -262,8 +262,11 @@ def _verify_intervals(args, bits) -> int:
 
 
 def _verify_sieve(args) -> int:
+    """Exact checks: every identity slack must be 0 and every lower-bound
+    slack >= 0; each (p, e) that fails, or raises, is reported."""
     worst = 0.0
     lb_worst = None
+    failures = []
     primes_checked = 0
     configs_checked = 0
     for p in iter_primes(3, args.pmax + 1):
@@ -272,10 +275,19 @@ def _verify_sieve(args) -> int:
         for e in ctx.divisors_of_pm1():
             if e % 2 != 0:
                 continue
-            worst = max(worst, fe_identity_worst_slack(ctx, e))
+            slack = fe_identity_worst_slack(ctx, e)
+            worst = max(worst, slack)
+            if slack != 0:
+                failures.append({"p": p, "e": e, "check": "identity", "slack": slack})
         for config in admissible_configs(ctx):
             configs_checked += 1
-            slack = sieve_lower_bound_worst_slack(config)
+            try:
+                slack = sieve_lower_bound_worst_slack(config)
+            except ConsistencyError as exc:
+                failures.append(
+                    {"p": p, "e": config.e, "check": "lower_bound", "error": str(exc)}
+                )
+                continue
             if lb_worst is None or slack < lb_worst:
                 lb_worst = slack
     payload = {
@@ -283,7 +295,8 @@ def _verify_sieve(args) -> int:
         "configs_checked": configs_checked,
         "worst_slack": worst,
         "lower_bound_worst_slack": lb_worst,
-        "pass": worst <= 1e-6,
+        "failures": failures,
+        "pass": not failures,
     }
     _emit(args, payload)
     return 0 if payload["pass"] else 1

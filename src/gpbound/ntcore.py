@@ -322,6 +322,18 @@ def theta(n: int) -> Fraction:
     return Fraction(euler_phi(n), n)
 
 
+def squarefree_divisors(primes) -> list[tuple[int, int, int]]:
+    """(d, mu(d), phi(d)) for every squarefree d over the given distinct primes.
+
+    These are the only divisors a Moebius-weighted sum sees; taking them from
+    known primes avoids factorizing each divisor again.
+    """
+    out = [(1, 1, 1)]
+    for q in primes:
+        out += [(d * q, -mu, phi * (q - 1)) for d, mu, phi in out]
+    return out
+
+
 def phi_of_factorization(f: Factorization) -> int:
     result = f.n
     for p in f.primes:
@@ -394,13 +406,14 @@ def primorial(k: int) -> int:
 
 
 class PrimeContext:
-    """An odd prime p with factored p-1, a fixed primitive root, and a lazy
-    discrete-log table.
+    """An odd prime p with factored p-1, a fixed primitive root, and two lazy
+    tables: discrete logs and the (p-1)-th roots of unity.
 
     The fixed root is the canonical basis for all character indexing; the
     dlog table is built only on demand and only when p is small enough to
-    enumerate (huge-p certification never needs it).  Instances are
-    immutable after construction and safe to share.
+    enumerate (huge-p certification never needs it).  Apart from filling
+    `_dlog` and `_root_powers` on first use, instances are immutable after
+    construction and safe to share.
     """
 
     DLOG_CAP = 10**7
@@ -429,7 +442,6 @@ class PrimeContext:
         self._dlog_cap = dlog_cap
         self._dlog = None
         self._root_powers = None
-        self._order_sums: dict[int, object] = {}
 
     @classmethod
     def from_factorization(cls, p: int, entries, **kw) -> "PrimeContext":

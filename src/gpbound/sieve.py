@@ -15,27 +15,33 @@ the bound itself:
         + sum_{d|e, d>1} (mu(d)/phi(d)) sum_{ord = d} chi(n)
 
 (the excluded-prime inner sum deliberately includes d = 1, as displayed).
+
+Every check is exact, with no float tolerance.  At n = g^k the sum over the
+characters of exact order d is the Ramanujan sum c_d(k), an integer given by
+Hölder's formula c_d(k) = mu(d/(d,k)) phi(d)/phi(d/(d,k)) (O. Hölder,
+Prace Mat.-Fiz. 43 (1936) 13-23; see characters.ramanujan_sum).  Only
+squarefree d carry weight, and for those c_d(k) depends only on which
+primes of d divide k.  So each right-hand side takes one exact rational
+value per class of k, the set of relevant primes dividing k.  The worst-slack
+checks still visit every n: one strided pass over k in [0, p-1) pairs each
+k's class with its independently computed indicator, and every
+(class, indicator) pair that occurs is checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .characters import order_sum_table
+from .characters import ramanujan_sum
 from .errors import ConfigError, ConsistencyError, DomainError
-from .ntcore import (
-    Factorization,
-    PrimeContext,
-    euler_phi,
-    factorize,
-    moebius,
-    theta,
-)
+from .ntcore import PrimeContext, squarefree_divisors
 
-IDENTITY_TOL = 1e-6
+# A right-hand side as (weight w, character order d): sum_j w_j c_{d_j}(k).
+Terms = list[tuple[Fraction, int]]
 
 
 @dataclass(frozen=True)
@@ -96,155 +102,192 @@ def admissible_configs(ctx: PrimeContext) -> list[SieveConfig]:
     return out
 
 
-def e_free(ctx: PrimeContext, e: int, n: int) -> int:
-    """Indicator that n is e-free: via discrete log, no prime of e divides k."""
+def _primes_of(ctx: PrimeContext, e: int) -> tuple[int, ...]:
+    """The primes of e, taken from the factorization of p-1."""
     if (ctx.p - 1) % e != 0:
         raise DomainError(f"e = {e} must divide p-1")
+    return tuple(q for q in ctx.pm1_factors.primes if e % q == 0)
+
+
+def _theta(primes: tuple[int, ...]) -> Fraction:
+    """phi(e)/e for the e whose primes these are."""
+    return math.prod((Fraction(q - 1, q) for q in primes), start=Fraction(1))
+
+
+def e_free(ctx: PrimeContext, e: int, n: int) -> int:
+    """Indicator that n is e-free: via discrete log, no prime of e divides k."""
+    primes = _primes_of(ctx, e)
     k = ctx.dlog(n)
-    return int(all(k % q != 0 for q in factorize(e).primes))
+    return int(all(k % q != 0 for q in primes))
 
 
 def e_free_all(ctx: PrimeContext, e: int) -> np.ndarray:
     """e-free indicator for all k in [0, p-1), indexed by discrete log."""
-    k = np.arange(ctx.p - 1, dtype=np.int64)
     mask = np.ones(ctx.p - 1, dtype=bool)
-    for q in factorize(e).primes:
-        mask &= k % q != 0
+    for q in _primes_of(ctx, e):
+        mask[::q] = False
     return mask
 
 
-def _mu_over_phi(n: int) -> Fraction:
-    m = moebius(n)
-    return Fraction(0) if m == 0 else Fraction(m, euler_phi(n))
+def _identity_terms(primes_e: tuple[int, ...]) -> Terms:
+    """1 + sum_{d|e, d>1} (mu(d)/phi(d)) c_d: d = 1 is the leading 1, and
+    non-squarefree d have mu(d) = 0."""
+    return [(Fraction(mu, phi), d) for d, mu, phi in squarefree_divisors(primes_e)]
 
 
-def _identity_rhs_table(ctx: PrimeContext, e: int, efac: Factorization) -> np.ndarray:
-    """Vector over k of 1 + sum_{d|e, d>1} (mu(d)/phi(d)) sum_{ord=d} chi(g^k)."""
-    rhs = np.ones(ctx.p - 1, dtype=complex)
-    for d in efac.divisors():
-        if d == 1:
-            continue
-        w = _mu_over_phi(d)
-        if w == 0:
-            continue
-        rhs = rhs + float(w) * order_sum_table(ctx, d)
-    return rhs
+def _excluded_terms(p_i: int, primes_e: tuple[int, ...]) -> Terms:
+    """sum_{d|e} (mu(p_i d)/phi(p_i d)) c_{p_i d}, d = 1 included; p_i does
+    not divide e, so mu(p_i d) = -mu(d) and phi(p_i d) = (p_i - 1) phi(d)."""
+    return [
+        (Fraction(-mu, (p_i - 1) * phi), p_i * d)
+        for d, mu, phi in squarefree_divisors(primes_e)
+    ]
+
+
+def _lower_bound_terms(config: SieveConfig, primes_e: tuple[int, ...]) -> Terms:
+    terms = _identity_terms(primes_e)
+    for p_i in config.excluded:
+        scale = Fraction(p_i - 1, p_i) / config.delta  # theta(p_i)/delta
+        terms += [(scale * w, d) for w, d in _excluded_terms(p_i, primes_e)]
+    return terms
+
+
+def _class_rhs(coefs: list[tuple[int, int]], k: int, primes: tuple[int, ...]) -> int:
+    """sum_j a_j c_{d_j}(k) for integer weights a_j."""
+    return sum(a * ramanujan_sum(d, k, primes) for a, d in coefs)
+
+
+def _scaled(terms: Terms, *extra: Fraction) -> tuple[int, list[tuple[int, int]]]:
+    """One common denominator for the weights (and the extra values), with
+    the weights as integer numerators over it."""
+    den = math.lcm(*(w.denominator for w, _ in terms), *(x.denominator for x in extra))
+    return den, [(w.numerator * (den // w.denominator), d) for w, d in terms]
+
+
+def _evaluate(ctx: PrimeContext, terms: Terms, k: int) -> Fraction:
+    den, coefs = _scaled(terms)
+    return Fraction(_class_rhs(coefs, k, ctx.pm1_factors.primes), den)
+
+
+def _slacks_by_class(
+    ctx: PrimeContext,
+    key_primes: tuple[int, ...],
+    terms: Terms,
+    lhs_unit: Fraction,
+    mask: np.ndarray,
+) -> tuple[dict[int, int], int, np.ndarray]:
+    """Exact lhs - rhs for every (class, f) pair that occurs over k in [0, p-1).
+
+    k is coded 2 class + f, with f = mask[k] and bit i of the class set iff
+    key_primes[i] divides k; the lhs is f lhs_unit.  Every order d in the
+    terms is squarefree over key_primes, so the rhs is constant on a class
+    and is evaluated at the product of the class's primes.  Slacks are
+    integer numerators over one common denominator, which is returned with
+    them and with the code of every k.
+    """
+    codes = mask.astype(np.intp)
+    for i, q in enumerate(key_primes):
+        codes[::q] |= 2 << i
+    den, coefs = _scaled(terms, lhs_unit)
+    lhs = lhs_unit.numerator * (den // lhs_unit.denominator)
+    primes = ctx.pm1_factors.primes
+    slacks = {}
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
+        rep = math.prod(q for i, q in enumerate(key_primes) if code >> (i + 1) & 1)
+        slacks[code] = (code & 1) * lhs - _class_rhs(coefs, rep, primes)
+    return slacks, den, codes
 
 
 def fe_character_identity_check(ctx: PrimeContext, e: int, n: int) -> float:
-    """|f_e(n)/theta(e) - Re RHS| + |Im RHS| for the displayed identity;
-    raises ConsistencyError beyond 1e-6."""
-    efac = factorize(e)
-    k = ctx.dlog(n)
-    lhs = float(Fraction(e_free(ctx, e, n), 1) / theta(e))
-    rhs = complex(_identity_rhs_table(ctx, e, efac)[k])
-    slack = abs(lhs - rhs.real) + abs(rhs.imag)
-    if slack > IDENTITY_TOL:
+    """|f_e(n)/theta(e) - RHS| for the displayed identity, exactly (so 0.0);
+    raises ConsistencyError if it is not zero."""
+    primes_e = _primes_of(ctx, e)
+    lhs = e_free(ctx, e, n) / _theta(primes_e)
+    slack = abs(lhs - _evaluate(ctx, _identity_terms(primes_e), ctx.dlog(n)))
+    if slack != 0:
         raise ConsistencyError(
-            f"f_e identity violated at p={ctx.p}, e={e}, n={n}: slack={slack:.3e}"
+            f"f_e identity violated at p={ctx.p}, e={e}, n={n}: slack={slack}"
         )
-    return slack
+    return float(slack)
 
 
 def fe_identity_worst_slack(ctx: PrimeContext, e: int) -> float:
-    """Worst identity slack over every n in [1, p-1] (vectorized)."""
-    efac = factorize(e)
-    lhs = e_free_all(ctx, e).astype(float) / float(theta(e))
-    rhs = _identity_rhs_table(ctx, e, efac)
-    slack = np.abs(lhs - rhs.real) + np.abs(rhs.imag)
-    return float(slack.max())
-
-
-def _lower_bound_rhs_table(config: SieveConfig) -> np.ndarray:
-    """Vector over k of the sieve bound's right-hand side."""
-    ctx = config.ctx
-    efac = factorize(config.e)
-    rhs = _identity_rhs_table(ctx, config.e, efac).copy()
-    inv_delta = float(1 / config.delta)
-    for p_i in config.excluded:
-        inner = np.zeros(ctx.p - 1, dtype=complex)
-        for d in efac.divisors():  # d = 1 included here
-            w = _mu_over_phi(p_i * d)
-            if w == 0:
-                continue
-            inner = inner + float(w) * order_sum_table(ctx, p_i * d)
-        rhs = rhs + inv_delta * float(theta(p_i)) * inner
-    return rhs
+    """Worst |f_e(n)/theta(e) - RHS| over every n in [1, p-1], exactly:
+    0.0 unless the identity fails."""
+    primes_e = _primes_of(ctx, e)
+    slacks, den, _ = _slacks_by_class(
+        ctx, primes_e, _identity_terms(primes_e), 1 / _theta(primes_e), e_free_all(ctx, e)
+    )
+    return float(Fraction(max(abs(s) for s in slacks.values()), den))
 
 
 def sieve_lower_bound_check(config: SieveConfig, n: int) -> float:
-    """Slack f(n)/(delta theta(e)) - Re RHS (>= -1e-6 required); also checks
-    the RHS is real to tolerance."""
+    """Slack f(n)/(delta theta(e)) - RHS, exactly; raises ConsistencyError
+    if it is negative."""
     config.require_positive_delta()
     ctx = config.ctx
-    k = ctx.dlog(n)
+    primes_e = _primes_of(ctx, config.e)
     f = e_free(ctx, ctx.p - 1, n)
-    lhs = float(Fraction(f) / (config.delta * theta(config.e)))
-    rhs = complex(_lower_bound_rhs_table(config)[k])
-    if abs(rhs.imag) > IDENTITY_TOL:
-        raise ConsistencyError(f"sieve RHS not real at p={ctx.p}, n={n}: {rhs.imag}")
-    slack = lhs - rhs.real
-    if slack < -IDENTITY_TOL:
+    lhs = f / (config.delta * _theta(primes_e))
+    rhs = _evaluate(ctx, _lower_bound_terms(config, primes_e), ctx.dlog(n))
+    slack = lhs - rhs
+    if slack < 0:
         raise ConsistencyError(
             f"sieve lower bound violated at p={ctx.p}, e={config.e}, n={n}: "
-            f"lhs={lhs:.6f} rhs={rhs.real:.6f}"
+            f"lhs={lhs} rhs={rhs}"
         )
-    return slack
+    return float(slack)
 
 
 def sieve_lower_bound_worst_slack(config: SieveConfig) -> float:
-    """min over n of f(n)/(delta theta(e)) - Re RHS, vectorized; raises on breach."""
+    """min over every n of f(n)/(delta theta(e)) - RHS, exactly; raises
+    ConsistencyError on a breach."""
     config.require_positive_delta()
     ctx = config.ctx
-    lhs = e_free_all(ctx, ctx.p - 1).astype(float) / float(
-        config.delta * theta(config.e)
+    primes_e = _primes_of(ctx, config.e)
+    slacks, den, codes = _slacks_by_class(
+        ctx,
+        ctx.pm1_factors.primes,
+        _lower_bound_terms(config, primes_e),
+        1 / (config.delta * _theta(primes_e)),
+        e_free_all(ctx, ctx.p - 1),
     )
-    rhs = _lower_bound_rhs_table(config)
-    if float(np.abs(rhs.imag).max()) > IDENTITY_TOL:
-        raise ConsistencyError(f"sieve RHS not real at p={ctx.p}, e={config.e}")
-    slack = lhs - rhs.real
-    worst = float(slack.min())
-    if worst < -IDENTITY_TOL:
-        k = int(slack.argmin())
+    code = min(slacks, key=slacks.__getitem__)
+    worst = Fraction(slacks[code], den)
+    if worst < 0:
+        k = int(np.flatnonzero(codes == code)[0])
         n = pow(ctx.generator, k, ctx.p)
         raise ConsistencyError(
             f"sieve lower bound violated at p={ctx.p}, e={config.e}, n={n}: "
-            f"slack={worst:.3e}"
+            f"slack={worst}"
         )
-    return worst
+    return float(worst)
 
 
 def intermediate_identities_check(config: SieveConfig, n: int) -> dict:
-    """Check the two proof-level displays at one n.
+    """Check the two proof-level displays at one n, both in exact rationals.
 
-    (a) exact rational: f_{p-1}(n) >= sum_i (f_{p_i e}(n) - theta(p_i) f_e(n))
-        + delta f_e(n)
-    (b) float: f_{p_i e}(n) - theta(p_i) f_e(n)
+    (a) f_{p-1}(n) >= sum_i (f_{p_i e}(n) - theta(p_i) f_e(n)) + delta f_e(n)
+    (b) f_{p_i e}(n) - theta(p_i) f_e(n)
         = theta(p_i e) sum_{d|e} (mu(p_i d)/phi(p_i d)) sum_{ord = p_i d} chi(n)
     """
     ctx = config.ctx
     e = config.e
-    efac = factorize(e)
+    primes_e = _primes_of(ctx, e)
     k = ctx.dlog(n)
     f_full = e_free(ctx, ctx.p - 1, n)
     f_e_val = e_free(ctx, e, n)
 
     rhs_exact = Fraction(0)
-    worst_expansion = 0.0
+    worst_expansion = Fraction(0)
     for p_i in config.excluded:
-        f_pe = e_free(ctx, p_i * e, n)
-        term = Fraction(f_pe) - theta(p_i) * f_e_val
+        theta_i = Fraction(p_i - 1, p_i)
+        term = e_free(ctx, p_i * e, n) - theta_i * f_e_val
         rhs_exact += term
-
-        expansion = 0j
-        for d in efac.divisors():
-            w = _mu_over_phi(p_i * d)
-            if w == 0:
-                continue
-            expansion += float(w) * complex(order_sum_table(ctx, p_i * d)[k])
-        expansion *= float(theta(p_i * e))
-        err = abs(float(term) - expansion.real) + abs(expansion.imag)
-        worst_expansion = max(worst_expansion, err)
+        expansion = theta_i * _theta(primes_e) * _evaluate(
+            ctx, _excluded_terms(p_i, primes_e), k
+        )
+        worst_expansion = max(worst_expansion, abs(term - expansion))
     rhs_exact += config.delta * f_e_val
 
     combinatorial_ok = Fraction(f_full) >= rhs_exact
@@ -252,13 +295,13 @@ def intermediate_identities_check(config: SieveConfig, n: int) -> dict:
         raise ConsistencyError(
             f"combinatorial sieve inequality violated at p={ctx.p}, e={e}, n={n}"
         )
-    if worst_expansion > IDENTITY_TOL:
+    if worst_expansion != 0:
         raise ConsistencyError(
-            f"character expansion of f_pe - theta f_e off by {worst_expansion:.3e}"
+            f"character expansion of f_pe - theta f_e off by {worst_expansion}"
         )
     return {
         "n": n,
         "combinatorial_ok": combinatorial_ok,
         "combinatorial_margin": float(Fraction(f_full) - rhs_exact),
-        "expansion_worst_error": worst_expansion,
+        "expansion_worst_error": float(worst_expansion),
     }

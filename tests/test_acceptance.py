@@ -135,7 +135,7 @@ def test_criterion_4_sieve_correctness():
             configs += 1
             worst_lb = min(worst_lb, sieve_lower_bound_worst_slack(config))
     elapsed = time.time() - t0
-    ok = worst_identity < 1e-6 and worst_lb > -1e-6 and elapsed < 600
+    ok = worst_identity == 0 and worst_lb >= 0 and elapsed < 600
     assert _verdict(
         4,
         ok,

@@ -8,6 +8,7 @@ values frozen below were computed with it.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from gpbound.characters import (
@@ -20,7 +21,9 @@ from gpbound.characters import (
     indicator_primitive_root,
     moment_sum_exact,
     moment_sums_all,
+    order_sum_table,
     principal_moment_exact,
+    ramanujan_sum,
     stirling_sandwich,
     sum_over_order,
     w_factor,
@@ -84,9 +87,25 @@ def test_sum_over_order_counts(ctx13):
     total = 0
     for d in ctx13.divisors_of_pm1():
         val = sum_over_order(ctx13, d, 1)
-        assert abs(val - euler_phi(d)) < 1e-9
-        total += val.real
-    assert abs(total - 12) < 1e-9
+        assert val == euler_phi(d)
+        total += val
+    assert total == 12
+
+
+def test_ramanujan_sum_matches_character_enumeration():
+    # Independent route: sum exp(2 pi i j k/(p-1)) over the characters of
+    # exact order d, j = m (p-1)/d with gcd(m, d) = 1, against Hölder's formula.
+    for p in primes_upto(300)[1:]:
+        ctx = PrimeContext(p)
+        primes = ctx.pm1_factors.primes
+        k = np.arange(p - 1)
+        for d in ctx.divisors_of_pm1():
+            js = np.array([m * (p - 1) // d for m in range(d) if math.gcd(m, d) == 1])
+            assert len(js) == euler_phi(d)
+            explicit = np.exp(2j * np.pi * np.outer(js, k) / (p - 1)).sum(axis=0)
+            exact = [ramanujan_sum(d, int(kk), primes) for kk in k]
+            assert np.abs(explicit - exact).max() < 1e-9, (p, d)
+            assert order_sum_table(ctx, d).tolist() == exact, (p, d)
 
 
 def test_indicator_both_routes():

@@ -80,8 +80,30 @@ def test_verify_sieve_small():
     code, out, _ = run_cli("verify", "sieve", "--pmax", "100")
     assert code == 0
     blob = json.loads(out)
-    assert blob["primes_checked"] == 24  # odd primes 3..97 inclusive of 2? counted below
-    assert blob["worst_slack"] <= 1e-6
+    assert blob["primes_checked"] == 24  # the odd primes 3..97; p = 2 is skipped
+    assert blob["worst_slack"] == 0
+    assert blob["lower_bound_worst_slack"] >= 0
+    assert blob["failures"] == []
+    assert blob["pass"] is True
+
+
+def test_verify_sieve_reports_failures(monkeypatch):
+    # Perturb the exact right-hand side of the class of k = 1 (the e-free
+    # class, and the primitive roots): every (p, e) must be reported failed.
+    from gpbound import sieve
+
+    original = sieve._class_rhs
+    monkeypatch.setattr(
+        sieve, "_class_rhs", lambda coefs, k, primes: original(coefs, k, primes) + (k == 1)
+    )
+    code, out, _ = run_cli("verify", "sieve", "--pmax", "7")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["pass"] is False
+    assert blob["worst_slack"] > 0
+    failed = {(f["p"], f["e"], f["check"]) for f in blob["failures"]}
+    assert {(3, 2, "identity"), (3, 2, "lower_bound"), (7, 6, "lower_bound")} <= failed
+    assert all("error" in f for f in blob["failures"] if f["check"] == "lower_bound")
 
 
 def test_verify_intervals_small():

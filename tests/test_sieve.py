@@ -1,12 +1,15 @@
 """Sieve: e-free indicators, the character identity, and the lower-bound
-inequality, with the order-test oracle as the independent route."""
+inequality, with the order-test oracle as the independent route.  Every
+identity and bound is checked exactly: slacks are compared with 0, not with
+a tolerance."""
 
 from fractions import Fraction
 
 import pytest
 
 from gpbound.characters import indicator_primitive_root
-from gpbound.errors import ConfigError
+from gpbound import sieve
+from gpbound.errors import ConfigError, ConsistencyError
 from gpbound.ntcore import PrimeContext, primes_upto
 from gpbound.sieve import (
     SieveConfig,
@@ -86,9 +89,9 @@ def test_config_factor_s0(ctx13):
 
 
 def test_identity_examples(ctx13):
-    assert fe_character_identity_check(ctx13, 2, 2) < 1e-6
-    assert fe_character_identity_check(ctx13, 12, 2) < 1e-6
-    assert fe_character_identity_check(ctx13, 4, 1) < 1e-6
+    assert fe_character_identity_check(ctx13, 2, 2) == 0
+    assert fe_character_identity_check(ctx13, 12, 2) == 0
+    assert fe_character_identity_check(ctx13, 4, 1) == 0
 
 
 def test_identity_all_even_divisors_to_300():
@@ -98,7 +101,7 @@ def test_identity_all_even_divisors_to_300():
         ctx = PrimeContext(p)
         for e in ctx.divisors_of_pm1():
             if e % 2 == 0:
-                assert fe_identity_worst_slack(ctx, e) < 1e-6, (p, e)
+                assert fe_identity_worst_slack(ctx, e) == 0, (p, e)
 
 
 def test_lower_bound_examples(ctx13, ctx61):
@@ -107,14 +110,14 @@ def test_lower_bound_examples(ctx13, ctx61):
         sieve_lower_bound_check(cfg, n)  # raises on breach
     cfg61 = SieveConfig.build(ctx61, 4)
     assert cfg61.delta == Fraction(7, 15)
-    assert sieve_lower_bound_worst_slack(cfg61) > -1e-6
+    assert sieve_lower_bound_worst_slack(cfg61) >= 0
 
 
 def test_lower_bound_s0_reduces_to_identity(ctx13):
     # empty excluded set: equality with the f_e identity at e = p-1
     cfg = SieveConfig.build(ctx13, 12)
     worst = sieve_lower_bound_worst_slack(cfg)
-    assert abs(worst) < 1e-9
+    assert worst == 0
 
 
 def test_lower_bound_all_admissible_to_300():
@@ -123,7 +126,7 @@ def test_lower_bound_all_admissible_to_300():
             continue
         ctx = PrimeContext(p)
         for cfg in admissible_configs(ctx):
-            assert sieve_lower_bound_worst_slack(cfg) > -1e-6, (p, cfg.e)
+            assert sieve_lower_bound_worst_slack(cfg) >= 0, (p, cfg.e)
 
 
 def test_intermediate_identities(ctx61):
@@ -134,4 +137,51 @@ def test_intermediate_identities(ctx61):
     for n in (2, 3, 17, 59):
         rep = intermediate_identities_check(cfg, n)
         assert rep["combinatorial_margin"] >= 0
-        assert rep["expansion_worst_error"] < 1e-6
+        assert rep["expansion_worst_error"] == 0
+
+
+def _perturb_coprime_class(monkeypatch):
+    """Add 1 to the right-hand-side numerator of the class of k coprime to
+    every key prime: the e-free class of the identity, and the primitive
+    roots, where the lower bound is tight."""
+    original = sieve._class_rhs
+
+    def perturbed(coefs, k, primes):
+        return original(coefs, k, primes) + (k == 1)
+
+    monkeypatch.setattr(sieve, "_class_rhs", perturbed)
+
+
+def test_exact_checks_catch_a_perturbed_class(ctx61, monkeypatch):
+    cfg = SieveConfig.build(ctx61, 4)
+    assert fe_identity_worst_slack(ctx61, 4) == 0
+    assert sieve_lower_bound_worst_slack(cfg) >= 0
+    _perturb_coprime_class(monkeypatch)
+    assert fe_identity_worst_slack(ctx61, 4) != 0
+    with pytest.raises(ConsistencyError):
+        sieve_lower_bound_worst_slack(cfg)
+    g = ctx61.generator  # dlog 1
+    with pytest.raises(ConsistencyError):
+        fe_character_identity_check(ctx61, 4, g)
+    with pytest.raises(ConsistencyError):
+        sieve_lower_bound_check(cfg, g)
+
+
+def test_sieve_checks_leave_context_unchanged():
+    ctx = PrimeContext(61)
+    before = dict(vars(ctx))
+    lazy = {"_dlog", "_root_powers"}
+    for e in ctx.divisors_of_pm1():
+        if e % 2 == 0:
+            fe_identity_worst_slack(ctx, e)
+            for n in range(1, ctx.p):
+                fe_character_identity_check(ctx, e, n)
+    for cfg in admissible_configs(ctx):
+        sieve_lower_bound_worst_slack(cfg)
+        for n in range(1, ctx.p):
+            sieve_lower_bound_check(cfg, n)
+            intermediate_identities_check(cfg, n)
+            indicator_primitive_root(ctx, n)
+    after = vars(ctx)
+    assert set(after) == set(before)
+    assert all(after[key] is before[key] for key in set(before) - lazy)
