@@ -12,6 +12,7 @@ from gpbound.sieve import (
     admissible_configs,
     e_free,
     fe_identity_worst_slack,
+    sieve_factor,
     sieve_lower_bound_worst_slack,
 )
 
@@ -29,7 +30,7 @@ for cfg in admissible_configs(ctx):
     slack = sieve_lower_bound_worst_slack(cfg)
     print(
         f"  e={cfg.e:3d} excluded={str(cfg.excluded):10s} delta={cfg.delta} "
-        f"factor={float(cfg.sieve_factor):7.3f} worst slack={slack}"
+        f"factor={float(sieve_factor(ctx.omega, cfg.s, cfg.delta)):7.3f} worst slack={slack}"
     )
 
 cfg = SieveConfig.build(ctx, 4)

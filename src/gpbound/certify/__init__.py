@@ -4,13 +4,8 @@ All comparisons go through guaranteed enclosures so that verdicts are
 rigorous even at astronomically large thresholds.
 """
 
-from ..enclosure import (
-    CertifiedReal,
-    enclose,
-    pow_frac,
-    set_precision,
-    working_precision,
-)
+from ..enclosure import CertifiedReal, enclose, pow_frac, working_precision
+from ..sieve import sieve_factor
 from .bounds import (
     BURGESS_C,
     BoundComparison,
@@ -19,7 +14,6 @@ from .bounds import (
     bound_log_free,
     burgess_comparison_bound,
     compare_with_burgess,
-    sieve_factor,
 )
 from .cases import CaseReport, case_engine, worst_case_delta
 from .search import (
@@ -69,7 +63,6 @@ __all__ = [
     "optimize_params",
     "optimize_threshold",
     "pow_frac",
-    "set_precision",
     "sieve_factor",
     "soundness_crosscheck",
     "certify_bound",

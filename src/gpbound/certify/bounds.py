@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..enclosure import CertifiedReal, enclose, pow_frac, working_precision
-from ..errors import ConfigError, DomainError
+from ..errors import DomainError
+from ..sieve import sieve_factor
 from .certifier import Threshold
 
 # Burgess-inequality constants C(r), C(r)^r for p >= 1e15 (best published).
@@ -28,10 +29,6 @@ BURGESS_C = {
     9: ("1.5857", "63.3855"),
     10: ("1.5410", "75.5139"),
 }
-
-
-def _decimal_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _p_value(p_spec) -> int:
@@ -52,17 +49,6 @@ class BoundValue:
             "exponent": str(self.exponent),
             "vacuous_vs_sqrt": self.vacuous_vs_sqrt,
         }
-
-
-def sieve_factor(omega: int, s: int, delta: Fraction) -> Fraction:
-    """F = (2 + (s-1)/delta) 2^(omega-s); exact rational, F = 2^omega at s=0."""
-    if s == 0:
-        return Fraction(2**omega)
-    if delta <= 0:
-        raise ConfigError(f"delta = {delta} <= 0")
-    if s > omega:
-        raise ConfigError(f"s = {s} exceeds omega = {omega}")
-    return (2 + Fraction(s - 1) / delta) * 2 ** (omega - s)
 
 
 def bound_sieved(
@@ -94,7 +80,7 @@ def burgess_comparison_bound(
     p = _p_value(p_spec)
     if p < 10**15:
         raise DomainError("comparison constants hold for p >= 1e15")
-    c_r_pow = _decimal_fraction(BURGESS_C[r][1])
+    c_r_pow = Fraction(BURGESS_C[r][1])
     expo = Fraction(1, 4) + Fraction(1, 4 * r)
     with working_precision(precision_bits):
         pe = enclose(p)

@@ -34,8 +34,8 @@ from ..enclosure import (
     working_precision,
 )
 from ..errors import DomainError
-from ..ntcore import first_primes, primorial
-from .bounds import sieve_factor
+from ..ntcore import first_primes, iter_primes, primorial
+from ..sieve import sieve_factor
 
 ROBIN_OMEGA_COEFF = Fraction(139, 100)  # omega(p-1) <= 1.39 log p / log log p
 ROBIN_P_MIN = 10**1000
@@ -155,14 +155,13 @@ def _case_row(regime, omega, s, delta_lo, const: Fraction, p_min: int, root: int
 
 def _max_omega_below(p_cap: int) -> int:
     """Largest omega with primorial(omega) <= p_cap."""
-    omega = 1
-    prod = 2
-    while True:
-        nxt = prod * first_primes(omega + 1)[-1]
-        if nxt > p_cap:
+    omega, prod = 0, 1
+    for q in iter_primes(2, p_cap + 1):
+        prod *= q
+        if prod > p_cap:
             return omega
         omega += 1
-        prod = nxt
+    return omega
 
 
 def _robin_check(const: Fraction, root: int, precision_bits: int) -> CheckRow:

@@ -29,7 +29,7 @@ from ..enclosure import (
     working_precision,
 )
 from ..errors import ConfigError, ParameterError
-from ..sieve import SieveConfig
+from ..sieve import SieveConfig, sieve_factor
 
 MAX_PRECISION = 1024
 
@@ -122,11 +122,7 @@ class SieveSummary:
 
     @property
     def factor(self) -> Fraction:
-        if self.s == 0:
-            return Fraction(2**self.omega)
-        if self.delta <= 0:
-            raise ConfigError(f"delta = {self.delta} <= 0")
-        return (2 + Fraction(self.s - 1) / self.delta) * 2 ** (self.omega - self.s)
+        return sieve_factor(self.omega, self.s, self.delta)
 
     def to_json(self) -> dict:
         return {"e_desc": self.e_desc, "s": self.s, "delta": str(self.delta)}

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ..characters import w_factor
 from ..errors import DomainError
+from ..intervals import envelopes
 from ..ntcore import Factorization, factorize, least_primitive_root
 from .cases import worst_case_delta
 from .certifier import Certificate, PowerShape, SieveSummary, Threshold, certify_bound
@@ -93,17 +95,15 @@ def _min_certified_H(
 ) -> tuple[Fraction, Certificate] | None:
     """Smallest certifiable H for fixed (p, sieve, r, h), or None."""
     F = summary.factor
-    base = (math.pi**2 / 6) * float(F) ** (2 * r) * h * math.sqrt(p) * _w_float(p, h, r)
+    base = (math.pi**2 / 6) * float(F) ** (2 * r) * h * math.sqrt(p) * w_factor(p, h, r)
     if base <= 0:
         return None
     H = math.sqrt(base)
     for _ in range(4):  # B^(2r-1)/A^(2r) correction settles in a few rounds
-        X = max(H / h, 2.0000001)
-        a = 1 - 2 * math.pi**2 / (9 * X)
-        if a <= 0:
+        env = envelopes(max(H / h, 2.0000001), h)
+        if env.a_factor <= 0:
             return None
-        b = 1 + 2 * math.pi**2 / (9 * X) + 1 / h + (math.pi**2 / (3 * h)) * math.log(X) / X
-        H = math.sqrt(base * b ** (2 * r - 1) / a ** (2 * r))
+        H = math.sqrt(base * env.b_factor ** (2 * r - 1) / env.a_factor ** (2 * r))
     H = max(H, 2 * h)
     for bump in (1e-9, 1e-6, 1e-3):
         H_try = max(Fraction(H * (1 + bump)).limit_denominator(10**12), Fraction(2 * h))
@@ -113,13 +113,6 @@ def _min_certified_H(
         if cert.certified:
             return H_try, cert
     return None
-
-
-def _w_float(p: int, h: int, r: int) -> float:
-    general = math.sqrt(2) * (2 * r / (math.e * h)) ** r * math.sqrt(p) + (2 * r - 1)
-    if r == 2:
-        general = min(general, 3 * (1 + math.sqrt(p) / h**2))
-    return general
 
 
 def optimize_params(

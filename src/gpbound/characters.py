@@ -77,14 +77,17 @@ def char_value(chi: CharacterIndex, n: int) -> complex:
     return complex(chi.ctx.root_powers()[(chi.j * k) % (p - 1)])
 
 
+def _char_table(ctx: PrimeContext, j) -> np.ndarray:
+    """chi_j(x) for x = 0..p-1: one complex vector for an int j, one row per
+    index for an array of them."""
+    vals = ctx.root_powers()[np.multiply.outer(j, ctx.dlog_array()) % (ctx.p - 1)]
+    vals[..., 0] = 0.0
+    return vals
+
+
 def char_values_all(chi: CharacterIndex) -> np.ndarray:
     """chi(x) for x = 0..p-1 as one complex vector."""
-    p = chi.ctx.p
-    dlog = chi.ctx.dlog_array()
-    vals = chi.ctx.root_powers()[(chi.j * dlog) % (p - 1)]
-    vals = np.asarray(vals, dtype=complex).copy()
-    vals[0] = 0.0
-    return vals
+    return _char_table(chi.ctx, chi.j)
 
 
 def ramanujan_sum(d: int, k: int, primes: tuple[int, ...]) -> int:
@@ -166,21 +169,21 @@ def indicator_primitive_root(ctx: PrimeContext, n: int) -> int:
 
 
 def _window_sums(vals: np.ndarray, h: int) -> np.ndarray:
-    """W(x) = sum_{n=0}^{h-1} vals[(x+n) mod p] for all x, by blocked prefix sums.
+    """W(x) = sum_{n=0}^{h-1} vals[..., (x+n) mod p] for all x, along the last
+    axis, by blocked prefix sums.
 
     Each block restarts the accumulation so rounding drift stays bounded by
     the block length, not by p.
     """
-    p = len(vals)
+    p = vals.shape[-1]
     reps = 1 + (h - 1 + p - 1) // p
-    ext = np.tile(vals, reps)[: p + h - 1]
-    out = np.empty(p, dtype=complex)
+    ext = np.tile(vals, reps)[..., : p + h - 1]
+    out = np.empty(vals.shape, dtype=complex)
     for start in range(0, p, _RESYNC_BLOCK):
         stop = min(start + _RESYNC_BLOCK, p)
-        seg = ext[start : stop + h - 1]
-        c = np.cumsum(seg)
-        out[start] = c[h - 1]
-        out[start + 1 : stop] = c[h:] - c[: stop - start - 1]
+        c = np.cumsum(ext[..., start : stop + h - 1], axis=-1)
+        out[..., start] = c[..., h - 1]
+        out[..., start + 1 : stop] = c[..., h:] - c[..., : stop - start - 1]
     return out
 
 
@@ -214,18 +217,11 @@ def moment_sums_all(ctx: PrimeContext, h: int, r_values: tuple[int, ...]) -> dic
 
     Returns {r: vector indexed by j}.  Index 0 is the principal character.
     """
-    p = ctx.p
-    dlog = ctx.dlog_array()
-    pows = ctx.root_powers()
-    j = np.arange(p - 1, dtype=np.int64)
-    v = pows[(j[:, None] * dlog[None, :]) % (p - 1)]
-    v[:, 0] = 0.0
-    reps = 1 + (h - 1 + p - 1) // p
-    ext = np.tile(v, (1, reps))[:, : p + h - 1]
-    c = np.cumsum(ext, axis=1)
-    w = np.empty((p - 1, p), dtype=complex)
-    w[:, 0] = c[:, h - 1]
-    w[:, 1:] = c[:, h:] - c[:, : p - 1]
+    # the table lives until return: freed inside the window pass, it changed
+    # how the allocator trims the heap and slowed the sieve work run after
+    # this call by about 20% in the sweep-small benchmark
+    vals = _char_table(ctx, np.arange(ctx.p - 1, dtype=np.int64))
+    w = _window_sums(vals, h)
     m2 = (w * w.conj()).real
     out = {}
     acc = None

@@ -18,9 +18,6 @@ from mpmath import iv
 
 from .errors import DomainError
 
-DEFAULT_PRECISION = 128
-
-
 @contextmanager
 def working_precision(bits: int):
     """Temporarily set the interval working precision."""
@@ -30,10 +27,6 @@ def working_precision(bits: int):
         yield
     finally:
         iv.prec = old
-
-
-def set_precision(bits: int) -> None:
-    iv.prec = bits
 
 
 class CertifiedReal:
@@ -217,9 +210,14 @@ def envelope_a(x) -> CertifiedReal:
 def envelope_b(x, h) -> CertifiedReal:
     """Upper envelope factor 1 + 2 pi^2/(9X) + 1/h + (pi^2/3h) log(X)/X."""
     x = enclose(x)
+    return _envelope_b(x, h, x.log() / x)
+
+
+def _envelope_b(x: CertifiedReal, h, log_ratio: CertifiedReal) -> CertifiedReal:
+    """envelope_b with `log_ratio` enclosing the value used for log(X)/X."""
     h = enclose(h)
     pi2 = CertifiedReal.pi() ** 2
-    return CertifiedReal(1) + 2 * pi2 / (9 * x) + 1 / h + (pi2 / (3 * h)) * x.log() / x
+    return CertifiedReal(1) + 2 * pi2 / (9 * x) + 1 / h + (pi2 / (3 * h)) * log_ratio
 
 
 def envelope_b_sup(x_min, h_min) -> CertifiedReal:
@@ -230,12 +228,10 @@ def envelope_b_sup(x_min, h_min) -> CertifiedReal:
     x_min < e else log(x_min)/x_min.
     """
     x = enclose(x_min)
-    h = enclose(h_min)
-    pi2 = CertifiedReal.pi() ** 2
     ratio = x.log() / x
     if x.lo < math.e:
         ratio = emax(ratio, 1 / CertifiedReal.euler_e())
-    return CertifiedReal(1) + 2 * pi2 / (9 * x) + 1 / h + (pi2 / (3 * h)) * ratio
+    return _envelope_b(x, h_min, ratio)
 
 
 def w_factor_enclosure(p, h, r: int) -> CertifiedReal:

@@ -60,13 +60,6 @@ def first_primes(k: int) -> list[int]:
     return ps[:k]
 
 
-def nth_prime(i: int) -> int:
-    """The i-th prime, 1-indexed (nth_prime(1) == 2)."""
-    if i < 1:
-        raise DomainError("prime index must be >= 1")
-    return first_primes(i)[-1]
-
-
 def _mr_witness_composite(n: int, a: int, d: int, s: int) -> bool:
     """True if witness a proves n composite."""
     x = pow(a, d, n)
@@ -443,10 +436,6 @@ class PrimeContext:
         self._dlog = None
         self._root_powers = None
 
-    @classmethod
-    def from_factorization(cls, p: int, entries, **kw) -> "PrimeContext":
-        return cls(p, Factorization(tuple(sorted(tuple(map(int, t)) for t in entries))), **kw)
-
     def dlog_array(self):
         """numpy int64 array d with generator^d[n] = n mod p; d[0] = -1."""
         if self._dlog is None:
@@ -490,8 +479,6 @@ def iter_primes(start: int, stop: int) -> Iterator[int]:
     """Primes in [start, stop), deterministic test per candidate."""
     n = max(start, 2)
     if n % 2 == 0 and n > 2:
-        if n == 2:
-            yield 2
         n += 1
     while n < stop:
         if is_prime(n):

@@ -44,6 +44,17 @@ from .ntcore import PrimeContext, squarefree_divisors
 Terms = list[tuple[Fraction, int]]
 
 
+def sieve_factor(omega: int, s: int, delta: Fraction) -> Fraction:
+    """F = (2 + (s-1)/delta) 2^(omega-s); exact rational, F = 2^omega at s=0."""
+    if s == 0:
+        return Fraction(2**omega)
+    if delta <= 0:
+        raise ConfigError(f"delta = {delta} <= 0")
+    if s > omega:
+        raise ConfigError(f"s = {s} exceeds omega = {omega}")
+    return (2 + Fraction(s - 1) / delta) * 2 ** (omega - s)
+
+
 @dataclass(frozen=True)
 class SieveConfig:
     """An even divisor e of p-1 with the excluded primes and their density.
@@ -67,15 +78,6 @@ class SieveConfig:
         excluded = tuple(q for q in ctx.pm1_factors.primes if e % q != 0)
         delta = 1 - sum(Fraction(1, q) for q in excluded)
         return cls(ctx=ctx, e=e, excluded=excluded, s=len(excluded), delta=delta)
-
-    @property
-    def sieve_factor(self) -> Fraction:
-        """(2 + (s-1)/delta) 2^(omega-s), exact; 2^omega when s = 0."""
-        if self.s == 0:
-            return Fraction(2**self.ctx.omega)
-        if self.delta <= 0:
-            raise ConfigError(f"delta = {self.delta} <= 0; config unusable in bounds")
-        return (2 + Fraction(self.s - 1) / self.delta) * 2 ** (self.ctx.omega - self.s)
 
     def require_positive_delta(self) -> None:
         if self.delta <= 0:

@@ -1,0 +1,201 @@
+"""Verification suites, run by both the CLI `verify` subcommand and the
+acceptance criteria.
+
+Each suite takes its sizes and returns the payload the CLI prints: a dict,
+keys in output order (`--format human` keeps it), whose `pass` entry is the
+verdict.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+
+from .characters import character_orders, moment_sums_all, stirling_sandwich, weil_bound
+from .errors import ConsistencyError, GpboundError
+from .intervals import (
+    build_intervals,
+    count_points,
+    envelope_bounds_enclosure,
+    verify_external_inputs,
+    verify_S_envelope,
+    verify_T_envelope,
+)
+from .ntcore import PrimeContext, is_prime, iter_primes
+from .sieve import admissible_configs, fe_identity_worst_slack, sieve_lower_bound_worst_slack
+
+_GRID_PRIMES = (10007, 65537, 10**6 + 3)
+
+
+def charsum(pmax: int, hmax: int, rmax: int, emit_all: bool = False) -> dict:
+    """Nonprincipal S_chi(p,h,r) against its explicit bound (at r = 2 the
+    smaller of the general and the order-class bound) for 5 <= p <= pmax,
+    2 <= h <= hmax, r <= rmax; `emit_all` lists the worst case of each
+    (p, h, r)."""
+    worst = None
+    records = []
+    violations = 0
+    cases = 0
+    for p in iter_primes(5, pmax + 1):
+        ctx = PrimeContext(p)
+        orders = character_orders(p)
+        for h in range(2, hmax + 1):
+            sums = moment_sums_all(ctx, h, tuple(range(1, rmax + 1)))
+            for r, values in sums.items():
+                bound = np.full(p - 2, weil_bound(p, h, r))
+                if r == 2:
+                    quad = weil_bound(p, h, 2, "quadratic")
+                    high = weil_bound(p, h, 2, "higher")
+                    bound = np.minimum(bound, np.where(orders[1:] == 2, quad, high))
+                slack = (bound - values[1:]) / bound
+                cases += p - 2
+                violations += int((slack < -1e-6).sum())
+                j = int(slack.argmin()) + 1
+                record = {
+                    "p": p,
+                    "j": j,
+                    "order": int(orders[j]),
+                    "h": h,
+                    "r": r,
+                    "exact": float(values[j]),
+                    "bound": float(bound[j - 1]),
+                    "slack": float(slack[j - 1]),
+                }
+                if worst is None or record["slack"] < worst["slack"]:
+                    worst = record
+                if emit_all:
+                    records.append(record)
+    payload = {
+        "cases": cases,
+        "violations": violations,
+        "worst": worst,
+        "pass": violations == 0,
+    }
+    if records:
+        payload["records"] = records
+    return payload
+
+
+def interval_grid(grid: int, seed: int) -> dict:
+    """The point count N(X) of the interval family between its envelopes,
+    on `grid` seeded (p, H, h) triples with X in [2, 50]."""
+    violations = 0
+    checked = 0
+    rng = random.Random(seed)
+    while checked < grid:
+        p = _GRID_PRIMES[checked % len(_GRID_PRIMES)]
+        x = rng.randint(2, 50)
+        h = rng.choice([2, 3, 5, 10, 20])
+        H = Fraction(x * h) + Fraction(rng.randint(0, 9), 10)
+        if 2 * H * H / h >= p:
+            continue
+        system = build_intervals(p, H, h)
+        n_pts = count_points(system)
+        lo, hi = envelope_bounds_enclosure(system.X, h)
+        checked += 1
+        if not (lo.hi <= n_pts <= hi.lo):
+            violations += 1
+    return {
+        "claim": "A(X)(6/pi^2)X^2 h <= N(X) <= B(X)(6/pi^2)X^2 h",
+        "X_range": [2, 50],
+        "checked": checked,
+        "violations": violations,
+        "pass": violations == 0,
+    }
+
+
+def intervals(xmax: int, grid: int, seed: int, precision_bits: int) -> dict:
+    """The S and T sweeps, the external estimates up to xmax, and the grid."""
+    reports = [
+        verify_S_envelope(precision_bits=precision_bits).to_json(),
+        verify_T_envelope(precision_bits=precision_bits).to_json(),
+    ]
+    reports += [r.to_json() for r in verify_external_inputs(xmax)]
+    reports.append(interval_grid(grid, seed))
+    return {"reports": reports, "pass": all(r["pass"] for r in reports)}
+
+
+def sieve(pmax: int) -> dict:
+    """Exact sieve checks for every odd prime p <= pmax: each identity slack
+    must be 0 and each lower-bound slack >= 0; a (p, e) that fails, or
+    raises, is listed in `failures`."""
+    worst = 0.0
+    lb_worst = None
+    failures = []
+    primes_checked = 0
+    configs_checked = 0
+    for p in iter_primes(3, pmax + 1):
+        ctx = PrimeContext(p)
+        primes_checked += 1
+        for e in ctx.divisors_of_pm1():
+            if e % 2 != 0:
+                continue
+            slack = fe_identity_worst_slack(ctx, e)
+            worst = max(worst, slack)
+            if slack != 0:
+                failures.append({"p": p, "e": e, "check": "identity", "slack": slack})
+        for config in admissible_configs(ctx):
+            configs_checked += 1
+            try:
+                slack = sieve_lower_bound_worst_slack(config)
+            except ConsistencyError as exc:
+                failures.append(
+                    {"p": p, "e": config.e, "check": "lower_bound", "error": str(exc)}
+                )
+                continue
+            if lb_worst is None or slack < lb_worst:
+                lb_worst = slack
+    return {
+        "primes_checked": primes_checked,
+        "configs_checked": configs_checked,
+        "worst_slack": worst,
+        "lower_bound_worst_slack": lb_worst,
+        "failures": failures,
+        "pass": not failures,
+    }
+
+
+def stirling(rmax: int) -> dict:
+    """The Stirling sandwich for r = 1..rmax, with its last finite triple."""
+    last_finite = None
+    ok = True
+    checked = 0
+    for r in range(1, rmax + 1):
+        try:
+            lower, mid, upper = stirling_sandwich(r)  # asserts ordering in logs
+        except GpboundError:
+            ok = False
+            break
+        checked += 1
+        if math.isfinite(upper):
+            if not lower < mid < upper:
+                ok = False
+                break
+            last_finite = {"r": r, "lower": lower, "mid": mid, "upper": upper}
+    return {"checked": checked, "pass": ok, "last_finite": last_finite}
+
+
+def scan_primes(start: int, stop: int, shape: str, limit: int, seed: int) -> list[int]:
+    """Up to `limit` primes in [start, stop) for `scan`: the first safe
+    primes, or (shape "random") seeded draws of distinct odd candidates,
+    which stop once every one has been drawn."""
+    if shape == "safe-prime":
+        safe = (p for p in iter_primes(start, stop) if is_prime((p - 1) // 2))
+        return list(itertools.islice(safe, max(limit, 0)))
+    primes = []
+    rng = random.Random(seed)
+    span = stop - start
+    odd_candidates = len(range(start | 1, stop, 2))
+    seen = set()
+    while len(primes) < limit and len(seen) < odd_candidates:
+        n = start + rng.randrange(span) | 1
+        if n >= stop or n in seen:
+            continue
+        seen.add(n)
+        if is_prime(n):
+            primes.append(n)
+    return primes

@@ -16,11 +16,10 @@ as stated in the source analysis; the engine reports both verbatim.  The
 failure is asserted against the criterion as written, not weakened.
 """
 
-import math
 import random
 import time
-from fractions import Fraction
 
+from gpbound import verify
 from gpbound.certify import (
     BURGESS_C,
     compare_with_burgess,
@@ -29,20 +28,8 @@ from gpbound.certify import (
     Threshold,
     win_chain_sweep,
 )
-from gpbound.characters import character_orders, moment_sums_all, weil_bound
-from gpbound.intervals import (
-    build_intervals,
-    count_points,
-    envelope_bounds_enclosure,
-    verify_S_envelope,
-    verify_T_envelope,
-)
-from gpbound.ntcore import PrimeContext, is_prime, iter_primes, primes_upto
-from gpbound.sieve import (
-    admissible_configs,
-    fe_identity_worst_slack,
-    sieve_lower_bound_worst_slack,
-)
+from gpbound.intervals import verify_S_envelope, verify_T_envelope
+from gpbound.ntcore import is_prime, iter_primes
 
 
 def _verdict(num, ok, detail):
@@ -52,60 +39,24 @@ def _verdict(num, ok, detail):
 
 def test_criterion_1_character_bound_dominance():
     t0 = time.time()
-    cases = violations = 0
-    worst = math.inf
-    for p in primes_upto(500):
-        if p < 5:
-            continue
-        ctx = PrimeContext(p)
-        orders = character_orders(p)
-        for h in range(2, 9):
-            sums = moment_sums_all(ctx, h, (1, 2, 3, 4))
-            for r, values in sums.items():
-                general = weil_bound(p, h, r)
-                rel = (general - values[1:]) / general
-                cases += len(values) - 1
-                violations += int((rel < -1e-6).sum())
-                worst = min(worst, float(rel.min()))
-                if r == 2:
-                    quad = weil_bound(p, h, 2, "quadratic")
-                    high = weil_bound(p, h, 2, "higher")
-                    import numpy as np
-
-                    bound = np.where(orders[1:] == 2, quad, high)
-                    rel2 = (bound - values[1:]) / bound
-                    cases += len(values) - 1
-                    violations += int((rel2 < -1e-6).sum())
-                    worst = min(worst, float(rel2.min()))
+    report = verify.charsum(pmax=500, hmax=8, rmax=4)
     elapsed = time.time() - t0
-    ok = violations == 0 and elapsed < 300
+    ok = report["pass"] and elapsed < 300
     assert _verdict(
-        1, ok, f"{cases} cases, {violations} violations, worst rel slack "
-        f"{worst:.4f}, {elapsed:.1f}s"
+        1, ok, f"{report['cases']} cases, {report['violations']} violations, worst rel "
+        f"slack {report['worst']['slack']:.4f}, {elapsed:.1f}s"
     )
 
 
 def test_criterion_2_interval_envelopes():
     t0 = time.time()
-    rng = random.Random(0)
-    checked = violations = 0
-    primes = (10007, 65537, 1000003)
-    while checked < 200:
-        p = primes[checked % 3]
-        x = rng.randint(2, 50)
-        h = rng.choice([2, 3, 5, 10, 20])
-        H = Fraction(x * h) + Fraction(rng.randint(0, 9), 10)
-        if 2 * H * H / h >= p:
-            continue
-        system = build_intervals(p, H, h)
-        n = count_points(system)
-        lo, hi = envelope_bounds_enclosure(system.X, h)
-        checked += 1
-        if not (lo.hi <= n <= hi.lo):
-            violations += 1
+    report = verify.interval_grid(grid=200, seed=0)
     elapsed = time.time() - t0
-    ok = violations == 0 and elapsed < 120
-    assert _verdict(2, ok, f"{checked} triples, {violations} violations, {elapsed:.1f}s")
+    ok = report["pass"] and report["checked"] == 200 and elapsed < 120
+    assert _verdict(
+        2, ok, f"{report['checked']} triples, {report['violations']} violations, "
+        f"{elapsed:.1f}s"
+    )
 
 
 def test_criterion_3_computational_sweeps():
@@ -122,25 +73,17 @@ def test_criterion_3_computational_sweeps():
 
 def test_criterion_4_sieve_correctness():
     t0 = time.time()
-    worst_identity = 0.0
-    worst_lb = math.inf
-    primes_checked = configs = 0
-    for p in iter_primes(3, 2001):
-        ctx = PrimeContext(p)
-        primes_checked += 1
-        for e in ctx.divisors_of_pm1():
-            if e % 2 == 0:
-                worst_identity = max(worst_identity, fe_identity_worst_slack(ctx, e))
-        for config in admissible_configs(ctx):
-            configs += 1
-            worst_lb = min(worst_lb, sieve_lower_bound_worst_slack(config))
+    report = verify.sieve(pmax=2000)
     elapsed = time.time() - t0
-    ok = worst_identity == 0 and worst_lb >= 0 and elapsed < 600
+    worst_identity = report["worst_slack"]
+    worst_lb = report["lower_bound_worst_slack"]
+    ok = report["pass"] and worst_identity == 0 and worst_lb >= 0 and elapsed < 600
     assert _verdict(
         4,
         ok,
-        f"{primes_checked} primes, {configs} configs, identity slack "
-        f"{worst_identity:.2e}, lower-bound slack {worst_lb:.2e}, {elapsed:.1f}s",
+        f"{report['primes_checked']} primes, {report['configs_checked']} configs, "
+        f"identity slack {worst_identity:.2e}, lower-bound slack {worst_lb}, "
+        f"failures {report['failures']}, {elapsed:.1f}s",
     )
 
 

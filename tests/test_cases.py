@@ -97,10 +97,12 @@ def test_cor2_robin_branch(cor2):
     assert len(robin) == 1 and robin[0].passed
 
 
-def test_cor2_coverage_note(cor2):
+def test_cor2_coverage_note(cor2, lonely):
     assert any("coverage gap" in n for n in cor2.notes)
     # the true omega capacity below 1e1000 exceeds the stated 199 cutoff
-    assert primorial(350) < 10**1000 < primorial(360)
+    assert primorial(350) < 10**1000 < primorial(351)
+    for report in (cor2, lonely):
+        assert any("can have omega up to 350, " in n for n in report.notes)
 
 
 def test_lonely_per_omega_cases_pass(lonely):

@@ -33,15 +33,17 @@ def test_sieve_factor_values():
 
 
 def test_sieve_factor_implementations_agree():
-    # the exact factor is computed in three layers; they must coincide
+    # one definition of the exact factor, in the sieve layer; the certify
+    # name and a certificate's summary both go through it
+    from gpbound import sieve
     from gpbound.ntcore import PrimeContext
     from gpbound.sieve import SieveConfig
 
+    assert sieve_factor is sieve.sieve_factor
     ctx = PrimeContext(61)
     for e in (2, 4, 6, 12, 60):
         cfg = SieveConfig.build(ctx, e)
         summary = SieveSummary.from_config(cfg)
-        assert summary.factor == cfg.sieve_factor
         assert summary.factor == sieve_factor(ctx.omega, cfg.s, cfg.delta)
 
 

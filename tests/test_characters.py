@@ -194,6 +194,20 @@ def test_moment_blocked_window_across_resync():
         assert res.value == pytest.approx(principal_moment_exact(p, h, r), rel=1e-12)
 
 
+@pytest.mark.parametrize("length, h", [(70_001, 7), (70_001, 70_010), (11, 30)])
+def test_window_sums_stack_matches_rows(length, h):
+    # the batch path runs _window_sums on a 2-D stack; each row must equal the
+    # 1-D call bit for bit, across the 2^16 resync block and when h > length
+    # makes the window wrap more than once
+    from gpbound.characters import _RESYNC_BLOCK, _window_sums
+
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((3, length)) + 1j * rng.standard_normal((3, length))
+    assert length > _RESYNC_BLOCK or h > length
+    rows = np.stack([_window_sums(row, h) for row in stack])
+    assert np.array_equal(_window_sums(stack, h), rows)
+
+
 def test_char_ops_refuse_unenumerable_context():
     from gpbound.errors import UnsupportedRangeError
 

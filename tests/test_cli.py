@@ -178,6 +178,64 @@ def test_scan_random_shape_seeded():
     assert json.loads(out)["primes_checked"] == 4
 
 
+def test_scan_limit_zero_checks_no_prime():
+    # 5 is a safe prime, so a limit checked only after appending would take it
+    for shape in ("safe-prime", "random"):
+        code, out, _ = run_cli(
+            "scan", "--from", "5", "--to", "100", "--shape", shape, "--limit", "0"
+        )
+        assert code == 0
+        assert json.loads(out)["primes_checked"] == 0
+
+
+def test_scan_random_stops_when_range_is_exhausted():
+    # [24, 28) holds no prime: the draw ends once 25 and 27 have been tried
+    code, out, _ = run_cli(
+        "scan", "--from", "24", "--to", "28", "--shape", "random", "--limit", "2"
+    )
+    assert code == 0
+    assert json.loads(out)["primes_checked"] == 0
+    # fewer primes than --limit: the four in [10, 23) are reported, and the
+    # prime 23 = 22 | 1, just past the range, is never drawn
+    code, out, _ = run_cli(
+        "scan", "--from", "10", "--to", "23", "--shape", "random", "--limit", "5"
+    )
+    assert code == 0
+    assert json.loads(out)["primes_checked"] == 4
+
+
+def test_scan_empty_range_is_usage_error():
+    code, out, err = run_cli(
+        "scan", "--from", "28", "--to", "24", "--shape", "random", "--limit", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "empty range" in err
+
+
+def test_malformed_p_is_usage_error():
+    code, out, err = run_cli("bound", "thm1", "--p", "abc", "--r", "2", "--omega", "3")
+    assert code == 2
+    assert out == ""
+    assert "--p must be an integer" in err
+
+
+def test_malformed_H_is_usage_error():
+    code, out, err = run_cli(
+        "certify", "--p", "1000000007", "--r", "2", "--h", "360", "--H", "1/0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "not an exact rational: '1/0'" in err
+
+
+def test_negative_threshold_exponent_is_usage_error():
+    code, out, err = run_cli("bound", "thm1", "--p", "1e-5", "--r", "2", "--omega", "3")
+    assert code == 2
+    assert out == ""
+    assert "powers of ten" in err
+
+
 def test_deterministic_output():
     argv = ("verify", "charsum", "--pmax", "40", "--hmax", "3", "--rmax", "2")
     a = run_cli(*argv)

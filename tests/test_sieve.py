@@ -19,6 +19,7 @@ from gpbound.sieve import (
     fe_character_identity_check,
     fe_identity_worst_slack,
     intermediate_identities_check,
+    sieve_factor,
     sieve_lower_bound_check,
     sieve_lower_bound_worst_slack,
 )
@@ -72,7 +73,8 @@ def test_config_recomputes_excluded(ctx61):
     assert cfg.excluded == (3, 5)
     assert cfg.s == 2
     assert cfg.delta == Fraction(7, 15)
-    assert cfg.sieve_factor == (2 + Fraction(1) / Fraction(7, 15)) * 2
+    factor = sieve_factor(ctx61.omega, cfg.s, cfg.delta)
+    assert factor == (2 + Fraction(1) / Fraction(7, 15)) * 2
 
 
 def test_config_rejects_bad_e(ctx61):
@@ -85,7 +87,7 @@ def test_config_rejects_bad_e(ctx61):
 def test_config_factor_s0(ctx13):
     cfg = SieveConfig.build(ctx13, 12)
     assert cfg.s == 0 and cfg.delta == 1
-    assert cfg.sieve_factor == 2**ctx13.omega
+    assert sieve_factor(ctx13.omega, cfg.s, cfg.delta) == 2**ctx13.omega
 
 
 def test_identity_examples(ctx13):
