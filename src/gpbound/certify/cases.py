@@ -35,7 +35,7 @@ from ..enclosure import (
 )
 from ..errors import DomainError
 from ..ntcore import first_primes, iter_primes, primorial
-from ..sieve import sieve_factor
+from ..sieve import sieve_density, sieve_factor
 
 ROBIN_OMEGA_COEFF = Fraction(139, 100)  # omega(p-1) <= 1.39 log p / log log p
 ROBIN_P_MIN = 10**1000
@@ -49,7 +49,7 @@ def worst_case_delta(omega: int, s: int) -> Fraction:
     if not 0 <= s < omega:
         raise DomainError(f"need 0 <= s < omega, got s={s}, omega={omega}")
     qs = first_primes(omega)
-    return 1 - sum(Fraction(1, q) for q in qs[omega - s :])
+    return sieve_density(qs[omega - s :])
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from ..characters import w_factor
 from ..errors import DomainError
 from ..intervals import envelopes
 from ..ntcore import Factorization, factorize, least_primitive_root
+from ..sieve import sieve_density
 from .cases import worst_case_delta
 from .certifier import Certificate, PowerShape, SieveSummary, Threshold, certify_bound
 
@@ -56,7 +57,7 @@ def _sieve_candidates(pm1: Factorization) -> list[SieveSummary]:
     excluded: list[int] = []
     for q in odd_desc:
         excluded.append(q)
-        delta = 1 - sum(Fraction(1, x) for x in excluded)
+        delta = sieve_density(excluded)
         if delta <= 0:
             break
         kept = [x for x in pm1.primes if x not in excluded]

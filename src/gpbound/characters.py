@@ -208,7 +208,11 @@ def moment_sum_exact(chi: CharacterIndex, h: int, r: int) -> MomentSumResult:
     vals = char_values_all(chi)
     w = _window_sums(vals, h)
     m2 = (w * w.conj()).real
-    value = float(np.sum(m2**r))
+    # repeated products, as in moment_sums_all, so the two agree bit for bit
+    acc = m2
+    for _ in range(r - 1):
+        acc = acc * m2
+    value = float(np.sum(acc))
     return MomentSumResult(value, _moment_error_bound(chi.ctx.p, h, r), chi.ctx.p, h, r)
 
 

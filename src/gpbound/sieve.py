@@ -55,6 +55,11 @@ def sieve_factor(omega: int, s: int, delta: Fraction) -> Fraction:
     return (2 + Fraction(s - 1) / delta) * 2 ** (omega - s)
 
 
+def sieve_density(excluded) -> Fraction:
+    """delta = 1 - sum 1/q over the excluded primes q; exact rational."""
+    return 1 - sum(Fraction(1, q) for q in excluded)
+
+
 @dataclass(frozen=True)
 class SieveConfig:
     """An even divisor e of p-1 with the excluded primes and their density.
@@ -76,7 +81,7 @@ class SieveConfig:
         if (ctx.p - 1) % e != 0:
             raise ConfigError(f"e = {e} does not divide p-1 = {ctx.p - 1}")
         excluded = tuple(q for q in ctx.pm1_factors.primes if e % q != 0)
-        delta = 1 - sum(Fraction(1, q) for q in excluded)
+        delta = sieve_density(excluded)
         return cls(ctx=ctx, e=e, excluded=excluded, s=len(excluded), delta=delta)
 
     def require_positive_delta(self) -> None:

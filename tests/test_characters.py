@@ -161,10 +161,13 @@ def test_moment_conjugation_symmetry():
 
 
 def test_moment_batch_agrees_with_single(ctx13):
-    batch = moment_sums_all(ctx13, 3, (1, 2))
-    for j in range(1, 12):
-        single = moment_sum_exact(CharacterIndex(ctx13, j), 3, 2)
-        assert batch[2][j] == pytest.approx(single.value, rel=1e-10)
+    # both paths share the table, the windows and the power recipe
+    for h in (3, 16):
+        batch = moment_sums_all(ctx13, h, (1, 2, 3, 4))
+        for r in (1, 2, 3, 4):
+            for j in range(12):
+                single = moment_sum_exact(CharacterIndex(ctx13, j), h, r)
+                assert batch[r][j] == single.value, (h, r, j)
 
 
 def test_orthogonality_identity_exact():

@@ -7,13 +7,21 @@ division, full power enumeration, direct coprime counting.
 
 import math
 
+import numpy as np
 import pytest
 
-from gpbound.errors import BudgetExceededError, DomainError, UnsupportedRangeError
+from gpbound.errors import (
+    BudgetExceededError,
+    ConsistencyError,
+    DomainError,
+    UnsupportedRangeError,
+)
 from gpbound.ntcore import (
+    _DLOG_INT64_P_MAX,
     Factorization,
     MR_DETERMINISTIC_LIMIT,
     PrimeContext,
+    _dlog_table,
     euler_phi,
     factorize,
     first_primes,
@@ -53,6 +61,15 @@ def order_by_enumeration(a: int, p: int) -> int:
 
 def phi_by_count(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def dlog_by_power_loop(p: int, g: int) -> list[int]:
+    table = [-1] * p
+    x = 1
+    for k in range(p - 1):
+        table[x] = k
+        x = x * g % p
+    return table
 
 
 # -- primality ----------------------------------------------------------------
@@ -248,6 +265,46 @@ def test_context_rejects_bad_input():
 def test_context_dlog_cap():
     ctx = PrimeContext(101, dlog_cap=50)
     with pytest.raises(UnsupportedRangeError):
+        ctx.dlog_array()
+
+
+def test_dlog_table_matches_power_loop():
+    # covers p-1 a perfect square (17, 37, ..., 2917) and ragged last giant rows
+    for p in primes_upto(3000)[1:]:
+        ctx = PrimeContext(p)
+        assert ctx.dlog_array().tolist() == dlog_by_power_loop(p, ctx.generator), p
+
+
+def test_dlog_table_matches_power_loop_near_1e6():
+    for p in (960961, 1000003):
+        ctx = PrimeContext(p)
+        table = ctx.dlog_array()
+        assert table.dtype == np.int64
+        assert np.array_equal(table, dlog_by_power_loop(p, ctx.generator)), p
+
+
+def test_dlog_table_rejects_non_generator():
+    for p in primes_upto(60)[1:]:
+        for a in range(1, p):
+            if not is_primitive_root(a, p):
+                with pytest.raises(ConsistencyError):
+                    _dlog_table(p, a)
+    ctx = PrimeContext(13)
+    ctx.generator = 3  # order 3 mod 13
+    with pytest.raises(ConsistencyError):
+        ctx.dlog_array()
+
+
+def test_dlog_table_int64_guard(monkeypatch):
+    assert (_DLOG_INT64_P_MAX - 1) ** 2 < 2**63 <= _DLOG_INT64_P_MAX**2
+    ctx = PrimeContext(3037000507, dlog_cap=10**10)  # first prime past the limit
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("array allocated before the int64 check")
+
+    for name in ("array", "full", "arange"):
+        monkeypatch.setattr(np, name, no_alloc)
+    with pytest.raises(UnsupportedRangeError, match="int64"):
         ctx.dlog_array()
 
 
