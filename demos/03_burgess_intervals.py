@@ -21,10 +21,10 @@ p, H, h = 10007, Fraction(100), 10
 system = build_intervals(p, H, h)
 n = count_points(system)
 lo, hi = envelope_bounds_enclosure(system.X, h)
-pair = envelopes(system.X, h)
+a, b = envelopes(system.X, h)
 print(f"p={p}, H={H}, h={h}  (X = {float(system.X)}):")
 print(f"  {len(system.entries)} (q,t) pairs, N(X) = {n} integer points")
-print(f"  envelope: [{lo.lo_str(8)}, {hi.hi_str(8)}]  A={pair.a_factor:.5f} B={pair.b_factor:.5f}")
+print(f"  envelope: [{lo.lo_str(8)}, {hi.hi_str(8)}]  A={a:.5f} B={b:.5f}")
 print(f"  midline sums: S = {float(sum_S(system.X)):.4f}, T = {sum_T(system.X)}")
 print(f"  2hS = {float(2*h*sum_S(system.X)):.2f} <= {n} < 2hS + 4T ✓")
 

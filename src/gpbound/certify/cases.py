@@ -36,9 +36,20 @@ from ..enclosure import (
 from ..errors import DomainError
 from ..ntcore import first_primes, iter_primes, primorial
 from ..sieve import sieve_density, sieve_factor
+from .certifier import PowerShape, main_coefficient
 
 ROBIN_OMEGA_COEFF = Fraction(139, 100)  # omega(p-1) <= 1.39 log p / log log p
 ROBIN_P_MIN = 10**1000
+
+# The omega regimes: (omegas, s offset, primorial floor).  Each row excludes
+# s = omega - offset primes (s = 0 when the offset is None) and checks
+# against p_base, or against max(p_base, primorial(omega)) with the floor.
+REGIMES = (
+    (range(1, 9), None, False),
+    (range(9, 18), 3, False),
+    (range(18, 51), 3, True),
+    (range(51, 200), 5, True),
+)
 
 
 def worst_case_delta(omega: int, s: int) -> Fraction:
@@ -135,9 +146,11 @@ class CaseReport:
         }
 
 
-def _case_row(regime, omega, s, delta_lo, const: Fraction, p_min: int, root: int):
-    """Exact check const * F^4 < p_min^(1/root); root in {2, 4}."""
-    F = sieve_factor(omega, s, delta_lo if delta_lo is not None else Fraction(1))
+def _case_row(regime, omega, s, const: Fraction, p_min: int, root: int):
+    """Exact check const * F^4 < p_min^(1/root), at the worst-case delta;
+    root in {2, 4}."""
+    delta_lo = worst_case_delta(omega, s)
+    F = sieve_factor(omega, s, delta_lo)
     lhs = const * F**4
     ok = lhs**root < p_min
     margin = math.log10(p_min) / root - math.log10(float(lhs))
@@ -194,14 +207,29 @@ def _robin_check(const: Fraction, root: int, precision_bits: int) -> CheckRow:
     )
 
 
+def _reduction_envelopes(p0: int, h_shape: PowerShape, H_shape: PowerShape):
+    """h_min, H_min, X_min = H_min/(h_min+1), A(X_min) and sup B at p0."""
+    h_min, H_min = h_shape.lower_at(p0), H_shape.lower_at(p0)
+    x_min = H_min / h_shape.upper_at(p0)
+    return h_min, H_min, x_min, envelope_a(x_min), envelope_b_sup(x_min, h_min)
+
+
+def _reduction_constant(a_min, b_sup, w_cap, p0: int, h_shape, H_shape) -> CertifiedReal:
+    """kappa = (pi^2/6)(B^3/A^4) W (c + p0^(-1/4)) / H_coef^2 at r = 2, F = 1:
+    h <= c p^(1/4) + 1 bounds h sqrt(p) by (c + p^(-1/4)) p^(3/4)."""
+    coef = main_coefficient(a_min, b_sup, Fraction(1), 2) * w_cap
+    return coef * (h_shape.coef + pow_frac(p0, -h_shape.expo)) / H_shape.coef**2
+
+
 def _reduction_checks_cor2(precision_bits: int) -> list[CheckRow]:
     """Certify that 13 F^4 < sqrt(p) suffices for the main condition with
     H = p^(5/8), h = ceil(2 p^(1/4)), r = 2, p >= 1e20."""
     p0 = 10**20
+    h_shape = PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True)
+    H_shape = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
     out = []
     with working_precision(precision_bits):
-        h_min = 2 * pow_frac(p0, Fraction(1, 4))
-        x_min = pow_frac(p0, Fraction(5, 8)) / (h_min + 1)
+        h_min, _, x_min, a_min, b_sup = _reduction_envelopes(p0, h_shape, H_shape)
         out.append(
             CheckRow(
                 "X >= 1e7 at p_min",
@@ -217,8 +245,6 @@ def _reduction_checks_cor2(precision_bits: int) -> list[CheckRow]:
                 16 * p0 >= (2 * 10**5) ** 4,
             )
         )
-        a_min = envelope_a(x_min)
-        b_sup = envelope_b_sup(x_min, h_min)
         out.append(
             CheckRow(
                 "A(X) >= 1 - 1e-6",
@@ -246,13 +272,7 @@ def _reduction_checks_cor2(precision_bits: int) -> list[CheckRow]:
         out.append(
             CheckRow("2H^2 < hp", "strict via ceil of an irrational power", True)
         )
-        kappa = (
-            CertifiedReal.pi() ** 2
-            / 6
-            * (b_sup**3 / a_min**4)
-            * Fraction(15, 4)
-            * (2 + pow_frac(p0, Fraction(-1, 4)))
-        )
+        kappa = _reduction_constant(a_min, b_sup, Fraction(15, 4), p0, h_shape, H_shape)
         out.append(
             CheckRow(
                 "reduction constant <= 13",
@@ -270,29 +290,20 @@ def _reduction_checks_lonely(precision_bits: int) -> tuple[list[CheckRow], Fract
 
     Returns (checks, constant actually used for the per-omega table)."""
     p0 = 10**56
+    h_shape = PowerShape(coef=Fraction(1), expo=Fraction(1, 4), ceil=True)
+    H_shape = PowerShape(coef=Fraction(999, 1000), expo=Fraction(1, 2))
     used = Fraction(99, 10)
     out = []
     with working_precision(precision_bits):
-        h_min = pow_frac(p0, Fraction(1, 4))
-        H_min = Fraction(999, 1000) * pow_frac(p0, Fraction(1, 2))
-        x_min = H_min / (h_min + 1)
+        h_min, H_min, _, a_min, b_sup = _reduction_envelopes(p0, h_shape, H_shape)
         out.append(
             CheckRow("H >= 2h at p_min", f"H_min = {H_min.lo_str(8)}", H_min.ge(2 * (h_min + 1)) is True)
         )
         out.append(
             CheckRow("2H^2 < hp at p_min", "2*(0.999)^2 p < p^(5/4) for p >= 1e56", True)
         )
-        a_min = envelope_a(x_min)
-        b_sup = envelope_b_sup(x_min, h_min)
         # W <= 6: h >= p^(1/4) gives sqrt(p)/h^2 <= 1 exactly
-        kappa = (
-            CertifiedReal.pi() ** 2
-            / 6
-            * (b_sup**3 / a_min**4)
-            * 6
-            * (1 + pow_frac(p0, Fraction(-1, 4)))
-            / Fraction(999, 1000) ** 2
-        )
+        kappa = _reduction_constant(a_min, b_sup, Fraction(6), p0, h_shape, H_shape)
         out.append(
             CheckRow(
                 "stated reduction constant 7 is sufficient",
@@ -329,32 +340,21 @@ def case_engine(target: str, precision_bits: int = 128) -> CaseReport:
 
     report = CaseReport(target=target, condition=condition, reduction=reduction)
 
-    for omega in range(1, 9):
-        report.rows.append(_case_row("s=0", omega, 0, None, const, p_base, root))
-    for omega in range(9, 18):
-        delta = worst_case_delta(omega, omega - 3)
-        report.rows.append(
-            _case_row("s=omega-3", omega, omega - 3, delta, const, p_base, root)
-        )
-    for omega in range(18, 51):
-        delta = worst_case_delta(omega, omega - 3)
-        p_min = max(p_base, primorial(omega))
-        report.rows.append(
-            _case_row("s=omega-3, primorial", omega, omega - 3, delta, const, p_min, root)
-        )
-    for omega in range(51, 200):
-        delta = worst_case_delta(omega, omega - 5)
-        p_min = max(p_base, primorial(omega))
-        report.rows.append(
-            _case_row("s=omega-5, primorial", omega, omega - 5, delta, const, p_min, root)
-        )
+    for omegas, offset, floor in REGIMES:
+        regime = "s=0" if offset is None else f"s=omega-{offset}"
+        regime += ", primorial" if floor else ""
+        for omega in omegas:
+            s = 0 if offset is None else omega - offset
+            p_min = max(p_base, primorial(omega)) if floor else p_base
+            report.rows.append(_case_row(regime, omega, s, const, p_min, root))
     report.reduction.append(_robin_check(const, root, precision_bits))
 
     omega_cap = _max_omega_below(ROBIN_P_MIN)
-    if omega_cap > 199:
+    last_omega = REGIMES[-1][0][-1]
+    if omega_cap > last_omega:
         report.notes.append(
             f"coverage gap: primes below 1e1000 can have omega up to {omega_cap}, "
-            "but the stated case splits stop at omega = 199"
+            f"but the stated case splits stop at omega = {last_omega}"
         )
     report.notes.append(
         "worst-case delta excludes the s largest primes: "

@@ -28,7 +28,8 @@ from ..enclosure import (
     w_factor_enclosure,
     working_precision,
 )
-from ..errors import ConfigError, ParameterError
+from ..errors import ConfigError, DomainError, ParameterError
+from ..ntcore import is_prime
 from ..sieve import SieveConfig, sieve_factor
 
 MAX_PRECISION = 1024
@@ -177,7 +178,8 @@ def certify_bound(
 ) -> Certificate:
     """Certificate for g(p) < H via the main inequality.
 
-    Exact mode: p_spec is a prime int, h an int, H an exact number.
+    Exact mode: p_spec is a prime int (proved prime, else DomainError), h an
+    int, H an exact number.
     Threshold mode: p_spec is a Threshold and h, H are PowerShapes; the
     verdict then covers every p >= p_min with the given omega, using
     worst-case monotonicity in p.
@@ -189,7 +191,18 @@ def certify_bound(
         if not (isinstance(h, PowerShape) and isinstance(H, PowerShape)):
             raise ParameterError("threshold certification needs PowerShape h and H")
         return _certify_threshold(p_spec, summary, r, h, H, precision_bits)
-    return _certify_exact(int(p_spec), summary, r, h, H, precision_bits)
+    p = int(p_spec)
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    return _certify_exact(p, summary, r, h, H, precision_bits)
+
+
+def main_coefficient(a, b, factor: Fraction, r: int) -> CertifiedReal:
+    """(pi^2/6) B^(2r-1)/A^(2r) F^(2r): the main inequality's left side
+    without h sqrt(p) W, for envelope enclosures a = A(X), b = B(X) and
+    sieve factor F."""
+    pi2 = CertifiedReal.pi() ** 2
+    return pi2 / 6 * (b ** (2 * r - 1) / a ** (2 * r)) * enclose(factor) ** (2 * r)
 
 
 def _escalate(evaluate, precision_bits: int) -> Certificate:
@@ -230,16 +243,7 @@ def _certify_exact(p, summary, r, h, H, precision_bits) -> Certificate:
             # B evaluated at the exact X (no sup needed: X is a point)
             b = envelope_b(x, h)
             w = w_factor_enclosure(p, h, r)
-            f2r = enclose(summary.factor) ** (2 * r)
-            lhs = (
-                CertifiedReal.pi() ** 2
-                / 6
-                * (b ** (2 * r - 1) / a ** (2 * r))
-                * f2r
-                * h
-                * pe.sqrt()
-                * w
-            )
+            lhs = main_coefficient(a, b, summary.factor, r) * h * pe.sqrt() * w
             rhs = He**2
             checks.append(("condition", lhs.lt(rhs)))
             verdict, failed = _verdict_from(checks)
@@ -320,14 +324,7 @@ def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape, precision_bi
                 checks.append((w_note, False))
                 w_max = enclose(0)
 
-            f2r = enclose(summary.factor) ** (2 * r)
-            coeff = (
-                CertifiedReal.pi() ** 2
-                / 6
-                * (b_max ** (2 * r - 1) / a_min ** (2 * r))
-                * f2r
-                * w_max
-            )
+            coeff = main_coefficient(a_min, b_max, summary.factor, r) * w_max
             # condition for all p >= p0:
             #   coeff * (c_h p^e_h + [ceil]) * sqrt(p) < c_H^2 p^(2 e_H)
             # normalized so every p-power has nonpositive exponent

@@ -13,13 +13,20 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..characters import w_factor
+from ..characters import w_factor, window_recipe
 from ..errors import DomainError
 from ..intervals import envelopes
-from ..ntcore import Factorization, factorize, least_primitive_root
+from ..ntcore import Factorization, factorize, is_prime, least_primitive_root
 from ..sieve import sieve_density
 from .cases import worst_case_delta
-from .certifier import Certificate, PowerShape, SieveSummary, Threshold, certify_bound
+from .certifier import (
+    Certificate,
+    PowerShape,
+    SieveSummary,
+    Threshold,
+    _certify_exact,
+    certify_bound,
+)
 
 R_SEARCH_RANGE = tuple(range(2, 21))
 
@@ -74,12 +81,7 @@ def _sieve_candidates(pm1: Factorization) -> list[SieveSummary]:
 
 def _h_candidates(p: int, r: int) -> list[int]:
     """The recipe value and a small neighborhood, deterministic order."""
-    recipe = (
-        (2 * r / math.e)
-        * (2 * p) ** (1 / (2 * r))
-        * ((r - 1) / (2 * r - 1)) ** (1 / r)
-    )
-    base = max(2, math.ceil(recipe))
+    base = max(2, math.ceil(window_recipe(p, r)))
     cands = [base, base - 1, base + 1, base + 2]
     if r == 2:
         cands.append(math.ceil(2 * p**0.25))
@@ -101,16 +103,16 @@ def _min_certified_H(
         return None
     H = math.sqrt(base)
     for _ in range(4):  # B^(2r-1)/A^(2r) correction settles in a few rounds
-        env = envelopes(max(H / h, 2.0000001), h)
-        if env.a_factor <= 0:
+        a, b = envelopes(max(H / h, 2.0000001), h)
+        if a <= 0:
             return None
-        H = math.sqrt(base * env.b_factor ** (2 * r - 1) / env.a_factor ** (2 * r))
+        H = math.sqrt(base * b ** (2 * r - 1) / a ** (2 * r))
     H = max(H, 2 * h)
     for bump in (1e-9, 1e-6, 1e-3):
         H_try = max(Fraction(H * (1 + bump)).limit_denominator(10**12), Fraction(2 * h))
         if 2 * H_try * H_try >= h * p:
             return None
-        cert = certify_bound(p, summary, r, h, H_try, precision_bits)
+        cert = _certify_exact(p, summary, r, h, H_try, precision_bits)
         if cert.certified:
             return H_try, cert
     return None
@@ -127,7 +129,7 @@ def optimize_params(
     Deterministic: candidates are enumerated in a fixed order and ties on H
     break toward smaller r, then smaller s.
     """
-    if p < 3 or p % 2 == 0:
+    if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError("optimize_params needs an odd prime")
     pm1 = pm1_factors or factorize(p - 1)
     best: tuple[Fraction, int, int, int, Certificate] | None = None
@@ -185,7 +187,7 @@ class ThresholdOptimizeResult:
 
 def _threshold_h_shape(r: int) -> PowerShape:
     """Rational-coefficient version of the window recipe h ~ c p^(1/(2r))."""
-    c = (2 * r / math.e) * 2 ** (1 / (2 * r)) * ((r - 1) / (2 * r - 1)) ** (1 / r)
+    c = window_recipe(1, r)
     return PowerShape(
         coef=Fraction(round(c * 10**6), 10**6), expo=Fraction(1, 2 * r), ceil=True
     )

@@ -22,6 +22,7 @@ recorded in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from ..enclosure import (
@@ -79,12 +80,13 @@ class ChainReport:
         }
 
 
-def _recipe_h_lower(p, r) -> CertifiedReal:
-    """(2r/e) (2p)^(1/(2r)) ((r-1)/(2r-1))^(1/r); h = ceil of this."""
+def _recipe_coefficient(r: int) -> CertifiedReal:
+    """c = (1/e) 2^(1/(2r)) ((r-1)/(2r-1))^(1/r), so that the window recipe
+    (2r/e) (2p)^(1/(2r)) ((r-1)/(2r-1))^(1/r) is 2r c p^(1/(2r))."""
     return (
-        (2 * r / CertifiedReal.euler_e())
-        * pow_frac(enclose(2) * p, Fraction(1, 2 * r))
+        pow_frac(2, Fraction(1, 2 * r))
         * pow_frac(Fraction(r - 1, 2 * r - 1), Fraction(1, r))
+        / CertifiedReal.euler_e()
     )
 
 
@@ -130,10 +132,8 @@ def _chain(kind: str, r: int, p_min: int, omega_min: int, precision_bits: int,
                 )
             )
             report.notes.append(
-                f"main chain evaluated at worst case p = 2^(8r) = {2 ** (8 * r):.3e}"
+                f"main chain evaluated at worst case p = 2^(8r) = {Decimal(2 ** (8 * r)):.3e}"
             )
-        p = enclose(p_regime)
-
         # p^(1/(2r)) >= 16 iff p >= 2^(8r): exact, and equality only at the
         # closed evaluation endpoint of the open regime
         p_2r = pow_frac(p_regime, Fraction(1, 2 * r))
@@ -146,16 +146,13 @@ def _chain(kind: str, r: int, p_min: int, omega_min: int, precision_bits: int,
             )
         )
 
-        h_lo = _recipe_h_lower(p, r)
+        # h = ceil(recipe) with recipe = 2r c p^(1/(2r))
+        c = _recipe_coefficient(r)
+        h_lo = 2 * r * c * p_2r
         add(ChainCheck("h >= 33", h_lo.lo_str(10), ">= 33 (recipe grows in p)", h_lo.gt(32) is True))
 
-        # h >= (r/2) p^(1/(2r)): coefficient check (4/e) 2^(1/(2r)) ((r-1)/(2r-1))^(1/r) >= 1
-        coeff_lo = (
-            4
-            / CertifiedReal.euler_e()
-            * pow_frac(2, Fraction(1, 2 * r))
-            * pow_frac(Fraction(r - 1, 2 * r - 1), Fraction(1, r))
-        )
+        # h >= (r/2) p^(1/(2r)): coefficient check 4c >= 1
+        coeff_lo = 4 * c
         add(
             ChainCheck(
                 "h >= (r/2) p^(1/(2r))",
@@ -167,12 +164,7 @@ def _chain(kind: str, r: int, p_min: int, omega_min: int, precision_bits: int,
 
         # h <= ceil(recipe) <= 1.031 recipe (needs recipe >= 1/0.031) <= r p^(1/(2r))
         ceil_ok = h_lo.gt(Fraction(1000, 31)) is True
-        upper_coeff = (
-            Fraction(1031, 1000)
-            * (2 / CertifiedReal.euler_e())
-            * pow_frac(2, Fraction(1, 2 * r))
-            * pow_frac(Fraction(r - 1, 2 * r - 1), Fraction(1, r))
-        )
+        upper_coeff = Fraction(1031, 1000) * (2 * c)
         add(
             ChainCheck(
                 "h <= r p^(1/(2r))",

@@ -85,11 +85,6 @@ def _char_table(ctx: PrimeContext, j) -> np.ndarray:
     return vals
 
 
-def char_values_all(chi: CharacterIndex) -> np.ndarray:
-    """chi(x) for x = 0..p-1 as one complex vector."""
-    return _char_table(chi.ctx, chi.j)
-
-
 def ramanujan_sum(d: int, k: int, primes: tuple[int, ...]) -> int:
     """c_d(k): the sum of chi(g^k) over the phi(d) characters of exact order d.
 
@@ -113,30 +108,6 @@ def ramanujan_sum(d: int, k: int, primes: tuple[int, ...]) -> int:
         else:
             value = -value
     return value
-
-
-def _require_order(ctx: PrimeContext, d: int) -> None:
-    if (ctx.p - 1) % d != 0:
-        raise DomainError(f"{d} does not divide p-1")
-
-
-def sum_over_order(ctx: PrimeContext, d: int, n: int) -> int:
-    """Sum of chi(n) over the phi(d) characters of exact order d, exactly."""
-    _require_order(ctx, d)
-    return ramanujan_sum(d, ctx.dlog(n), ctx.pm1_factors.primes)
-
-
-def order_sum_table(ctx: PrimeContext, d: int) -> np.ndarray:
-    """int64 vector over k in [0, p-1) of sum_{ord(chi)=d} chi(g^k) = c_d(k).
-
-    c_d(k) depends only on gcd(k, d), so each distinct gcd is evaluated once.
-    """
-    _require_order(ctx, d)
-    gcds, where = np.unique(np.gcd(np.arange(ctx.p - 1, dtype=np.int64), d),
-                            return_inverse=True)
-    primes = ctx.pm1_factors.primes
-    values = [ramanujan_sum(d, int(t), primes) for t in gcds]
-    return np.array(values, dtype=np.int64)[where]
 
 
 def indicator_primitive_root(ctx: PrimeContext, n: int) -> int:
@@ -205,7 +176,7 @@ def moment_sum_exact(chi: CharacterIndex, h: int, r: int) -> MomentSumResult:
     """
     if h < 1 or r < 1:
         raise DomainError("h and r must be >= 1")
-    vals = char_values_all(chi)
+    vals = _char_table(chi.ctx, chi.j)
     w = _window_sums(vals, h)
     m2 = (w * w.conj()).real
     # repeated products, as in moment_sums_all, so the two agree bit for bit
@@ -299,6 +270,14 @@ def w_factor(p: int, h: int, r: int) -> float:
     if r == 2:
         return min(general, 3.0 * (1.0 + math.sqrt(p) / h**2))
     return general
+
+
+def window_recipe(p, r: int) -> float:
+    """The window length recipe (2r/e) (2p)^(1/(2r)) ((r-1)/(2r-1))^(1/r).
+
+    At p = 1 it is the coefficient c of the threshold shape h ~ c p^(1/(2r)).
+    """
+    return (2 * r / math.e) * (2 * p) ** (1 / (2 * r)) * ((r - 1) / (2 * r - 1)) ** (1 / r)
 
 
 def stirling_sandwich(r: int) -> tuple[float, float, float]:

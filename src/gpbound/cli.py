@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -19,8 +18,6 @@ from . import verify
 from .errors import GpboundError
 from .ntcore import PrimeContext, factorize, least_primitive_root
 from .sieve import SieveConfig
-
-ENV_PRECISION = "GPBOUND_PRECISION_BITS"
 
 
 def _fraction(text: str) -> Fraction:
@@ -61,8 +58,6 @@ def _emit(args, payload, tsv: str | None = None) -> None:
 
 def _precision(args) -> int:
     bits = args.precision_bits
-    if bits is None:
-        bits = int(os.environ.get(ENV_PRECISION, "128"))
     if not 64 <= bits <= 4096:
         raise argparse.ArgumentTypeError("precision bits must lie in [64, 4096]")
     return bits
@@ -178,7 +173,7 @@ def cmd_optimize(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gpbound", description=__doc__)
     top.add_argument("--format", choices=["json", "tsv", "human"], default="json")
-    top.add_argument("--precision-bits", type=int, default=None)
+    top.add_argument("--precision-bits", type=int, default=128)
     top.add_argument("--seed", type=int, default=0)
     sub = top.add_subparsers(dest="command", required=True)
 

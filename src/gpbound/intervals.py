@@ -48,12 +48,6 @@ class IntervalEntry:
 
 
 @dataclass(frozen=True)
-class EnvelopePair:
-    a_factor: float
-    b_factor: float
-
-
-@dataclass(frozen=True)
 class IntervalSystem:
     p: int
     H: Fraction
@@ -128,12 +122,13 @@ def count_points(system: IntervalSystem) -> int:
     return sum(e.count_i() + e.count_j() for e in system.entries)
 
 
-def envelopes(X, h) -> EnvelopePair:
-    """A(X) = 1 - 2pi^2/(9X);  B(X) = 1 + 2pi^2/(9X) + 1/h + (pi^2/3h) log(X)/X."""
+def envelopes(X, h) -> tuple[float, float]:
+    """Floats (A(X), B(X)): A(X) = 1 - 2pi^2/(9X),
+    B(X) = 1 + 2pi^2/(9X) + 1/h + (pi^2/3h) log(X)/X."""
     x = float(X)
     a = 1 - 2 * math.pi**2 / (9 * x)
     b = 1 + 2 * math.pi**2 / (9 * x) + 1 / h + (math.pi**2 / (3 * h)) * math.log(x) / x
-    return EnvelopePair(a_factor=a, b_factor=b)
+    return a, b
 
 
 def envelope_bounds_enclosure(X, h) -> tuple[CertifiedReal, CertifiedReal]:

@@ -8,7 +8,6 @@ or rational arithmetic; no floats.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -359,12 +358,11 @@ def least_primitive_root(
     pm1_factors: Factorization | None = None,
     *,
     candidate_limit: int | None = None,
-    time_cap: float | None = None,
 ) -> int:
     """Smallest g >= 2 of multiplicative order p-1 modulo p.
 
     Brute-force oracle: candidates are tested with the order test against the
-    factorization of p-1.  The candidate/time budget guards huge p, where the
+    factorization of p-1.  The candidate budget guards huge p, where the
     oracle has no business running.
     """
     if p == 3:
@@ -373,12 +371,9 @@ def least_primitive_root(
         raise DomainError(f"{p} is not an odd prime")
     f = pm1_factors or factorize(p - 1)
     limit = candidate_limit if candidate_limit is not None else p
-    t0 = time.monotonic()
     for g in range(2, min(p, limit + 1)):
         if is_primitive_root(g, p, f):
             return g
-        if time_cap is not None and time.monotonic() - t0 > time_cap:
-            raise BudgetExceededError(f"g({p}) search exceeded {time_cap}s")
     raise BudgetExceededError(f"g({p}) not found within candidate limit {limit}")
 
 
@@ -468,11 +463,10 @@ class PrimeContext:
         pm1_factors: Factorization | None = None,
         generator: int | None = None,
         dlog_cap: int = DLOG_CAP,
-        trust_primality: bool = False,
     ):
         if p < 3 or p % 2 == 0:
             raise DomainError("PrimeContext requires an odd prime >= 3")
-        if not trust_primality and not _prime_or_unsupported(p):
+        if not _prime_or_unsupported(p):
             raise DomainError(f"{p} is not prime")
         self.p = p
         self.pm1_factors = pm1_factors if pm1_factors is not None else factorize(p - 1)

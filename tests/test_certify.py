@@ -20,7 +20,7 @@ from gpbound.certify import (
     soundness_crosscheck,
     certify_bound,
 )
-from gpbound.errors import ConfigError, DomainError, ParameterError
+from gpbound.errors import ConfigError, DomainError, ParameterError, UnsupportedRangeError
 from gpbound.ntcore import factorize, is_prime, iter_primes, least_primitive_root
 
 
@@ -147,6 +147,17 @@ def test_exact_certificate_parameter_errors():
         certify_bound(10**9 + 7, summary, 2, 400, 700)
     with pytest.raises(ParameterError, match="2H\\^2 < hp"):
         certify_bound(10**9 + 7, summary, 2, 4, 10**6)
+
+
+def test_exact_certificate_needs_a_proved_prime():
+    summary = SieveSummary.all_kept(2)
+    with pytest.raises(DomainError, match="1000000008 is not prime"):
+        certify_bound(10**9 + 8, summary, 2, 360, 150000)
+    with pytest.raises(DomainError, match="1000000005 is not prime"):
+        certify_bound(10**9 + 5, summary, 2, 360, 150000)
+    # past the deterministic primality range nothing is certified on trust
+    with pytest.raises(UnsupportedRangeError):
+        certify_bound(10**25 + 13, summary, 2, 360, 150000)
 
 
 def test_certificate_json_schema():
@@ -293,6 +304,29 @@ def test_optimize_infeasible_small_p_large_omega():
     res = optimize_params(p)
     assert not res.feasible
     assert "infeasible" in res.reason
+
+
+def test_optimize_needs_a_proved_prime(monkeypatch):
+    import gpbound.certify.certifier as certifier_mod
+    import gpbound.certify.search as search_mod
+
+    for p in (10**9 + 5, 10**9 + 8, 1):
+        with pytest.raises(DomainError, match="optimize_params needs an odd prime"):
+            optimize_params(p)
+    with pytest.raises(UnsupportedRangeError):
+        optimize_params(10**25 + 13)
+    # one primality test per call, none per candidate
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(search_mod, "is_prime", counting_is_prime)
+    monkeypatch.setattr(certifier_mod, "is_prime", counting_is_prime)
+    res = optimize_params(10**9 + 7)
+    assert res.feasible and res.tried > 1
+    assert calls == [10**9 + 7]
 
 
 def test_optimize_deterministic():

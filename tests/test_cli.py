@@ -137,6 +137,13 @@ def test_verify_winchain_subrange():
     assert json.loads(out)["all_certified"] is True
 
 
+def test_verify_winchain_past_r127():
+    # 2^(8r) overflows a float from r = 128 on; the chain note must not
+    code, out, err = run_cli("verify", "win-chain", "--rmin", "128", "--rmax", "130")
+    assert code == 0, err
+    assert json.loads(out)["all_certified"] is True
+
+
 def test_optimize():
     code, out, _ = run_cli("optimize", "--p", "1000000007")
     assert code == 0
@@ -144,6 +151,21 @@ def test_optimize():
     assert blob["feasible"] is True
     code, _, _ = run_cli("optimize", "--p", "106696591")
     assert code == 1
+
+
+def test_certify_composite_p_is_an_error():
+    code, out, err = run_cli(
+        "certify", "--p", "1000000008", "--r", "2", "--h", "360", "--H", "150000"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: 1000000008 is not prime\n"
+
+
+def test_optimize_composite_p_is_an_error():
+    for p in ("1000000005", "1000000008"):
+        code, out, err = run_cli("optimize", "--p", p)
+        assert (code, out) == (1, "")
+        assert err == "error: optimize_params needs an odd prime\n"
 
 
 def test_optimize_threshold():

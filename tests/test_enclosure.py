@@ -105,11 +105,11 @@ def test_constants_and_min_max():
 def test_envelope_enclosures_match_floats():
     from gpbound.intervals import envelopes
 
-    pair = envelopes(10, 10)
+    a_float, b_float = envelopes(10, 10)
     a = envelope_a(10)
     b = envelope_b(10, 10)
-    assert a.lo <= pair.a_factor <= a.hi
-    assert b.lo <= pair.b_factor <= b.hi
+    assert a.lo <= a_float <= a.hi
+    assert b.lo <= b_float <= b.hi
     # sup version dominates the pointwise value for X >= x_min
     bsup = envelope_b_sup(10, 10)
     for x in (10, 20, 100):

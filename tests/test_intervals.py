@@ -122,16 +122,16 @@ def test_shift_property_random_samples():
 
 
 def test_envelope_values():
-    pair = envelopes(10, 10)
-    assert pair.a_factor == pytest.approx(0.7806754577535698)
-    assert pair.b_factor == pytest.approx(1.3950765554720863)
+    a, b = envelopes(10, 10)
+    assert a == pytest.approx(0.7806754577535698)
+    assert b == pytest.approx(1.3950765554720863)
     # A crosses zero at X = 2 pi^2 / 9
     x0 = 2 * math.pi**2 / 9
-    assert envelopes(x0, 10).a_factor == pytest.approx(0.0, abs=1e-12)
+    assert envelopes(x0, 10)[0] == pytest.approx(0.0, abs=1e-12)
     # p^(5/8)-threshold regime: A within 1e-6 of 1, B within 1e-5
-    pair = envelopes(10**7, 2 * 10**5)
-    assert pair.a_factor >= 1 - 1e-6
-    assert pair.b_factor <= 1 + 1e-5
+    a, b = envelopes(10**7, 2 * 10**5)
+    assert a >= 1 - 1e-6
+    assert b <= 1 + 1e-5
 
 
 def test_envelope_sandwich_on_grid():

@@ -2,11 +2,15 @@
 certifies at its stated cap, across the full r sweep."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from gpbound.certify import win_chain_sieved_derive, win_chain_derive, win_chain_sweep
+from gpbound.certify.winchain import _recipe_coefficient
+from gpbound.characters import window_recipe
+from gpbound.enclosure import pow_frac
 from gpbound.errors import DomainError, ParameterError
 
 
@@ -72,6 +76,29 @@ def test_fallback_constant_tightest_at_r2():
 def test_full_sweep():
     summary = win_chain_sweep(range(2, 101))
     assert summary["all_certified"], summary["failures"]
+
+
+def test_chains_certify_past_float_range():
+    # 2^(8r) exceeds the largest float from r = 128 on
+    for r in (128, 500):
+        for fn in (win_chain_derive, win_chain_sieved_derive):
+            rep = fn(r)
+            assert rep.all_certified, (fn.__name__, r, rep.failed())
+    assert win_chain_derive(128).notes == [
+        "main chain evaluated at worst case p = 2^(8r) = 1.798e+308"
+    ]
+
+
+def test_window_recipe_float_lies_in_enclosure():
+    # characters.window_recipe (float, used by the searches) against the
+    # enclosure 2r c p^(1/(2r)) the chains certify with
+    for r in range(2, 101):
+        c = _recipe_coefficient(r)
+        for p in (10**15, 10**22, 10**56):
+            recipe = 2 * r * c * pow_frac(p, Fraction(1, 2 * r))
+            value = window_recipe(p, r)
+            slack = 64 * sys.float_info.epsilon * value
+            assert recipe.lo - slack <= value <= recipe.hi + slack, (r, p)
 
 
 def test_trivial_branch_appears_for_large_r():
