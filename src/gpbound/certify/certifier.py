@@ -160,17 +160,9 @@ class Certificate:
         }
 
 
-def _sieve_summary(sieve) -> SieveSummary:
-    if isinstance(sieve, SieveSummary):
-        return sieve
-    if isinstance(sieve, SieveConfig):
-        return SieveSummary.from_config(sieve)
-    raise ConfigError(f"cannot interpret sieve argument {sieve!r}")
-
-
 def certify_bound(
     p_spec,
-    sieve,
+    sieve: SieveSummary,
     r: int,
     h,
     H,
@@ -184,17 +176,18 @@ def certify_bound(
     verdict then covers every p >= p_min with the given omega, using
     worst-case monotonicity in p.
     """
-    summary = _sieve_summary(sieve)
-    if summary.s > 0 and summary.delta <= 0:
-        raise ConfigError(f"delta = {summary.delta} <= 0")
+    if not isinstance(sieve, SieveSummary):
+        raise ConfigError(f"sieve must be a SieveSummary, got {sieve!r}")
+    if sieve.s > 0 and sieve.delta <= 0:
+        raise ConfigError(f"delta = {sieve.delta} <= 0")
     if isinstance(p_spec, Threshold):
         if not (isinstance(h, PowerShape) and isinstance(H, PowerShape)):
             raise ParameterError("threshold certification needs PowerShape h and H")
-        return _certify_threshold(p_spec, summary, r, h, H, precision_bits)
+        return _certify_threshold(p_spec, sieve, r, h, H, precision_bits)
     p = int(p_spec)
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return _certify_exact(p, summary, r, h, H, precision_bits)
+    return _certify_exact(p, sieve, r, h, H, precision_bits)
 
 
 def main_coefficient(a, b, factor: Fraction, r: int) -> CertifiedReal:

@@ -7,9 +7,29 @@ For 0 <= t < q <= X with gcd(t,q)=1, the intervals
 
 are pairwise disjoint subsets of [-H, p-H) whenever X = H/h >= 2 and
 2HX < p, and shifting any integer point by n < h stays within (0,H] resp.
-[-H,0) after clearing denominators.  Endpoints are kept as exact rationals:
-the counting envelopes are tight enough that floating endpoints could flip
+[-H,0) after clearing denominators.  Endpoints are exact rationals: the
+counting envelopes are tight enough that floating endpoints could flip
 integer counts.
+
+The family is built and checked in integers.  With n = floor(X), the pairs
+(t, q) run through the Farey fractions t/q of order n in [0, 1), generated
+in increasing order by the next-term recurrence
+
+    (a/b, c/d) -> (c/d, (kc - a)/(kd - b)),   k = floor((n + b)/d),
+
+from 0/1 and its neighbour 1/n, stopping before 1/1.  So `entries` is in
+Farey order (increasing t/q), not grouped by q.  Adjacent Farey fractions
+t/q < t'/q' satisfy t'q - tq' = 1 (Hardy & Wright, An Introduction to the
+Theory of Numbers, ch. III), so their centres tp/q and t'p/q' lie exactly
+p/(qq') apart, and the closed right end of I(q,t) lies strictly left of
+the closed left end of J(q',t') if and only if, with H = Hn/Hd,
+
+    Hn (q + q') - (h - 1) q q' Hd < p Hd.
+
+Every J(q,t) lies left of I(q,t), so these inequalities make the whole
+family disjoint; containment in [-H, p-H) then needs only the first J and
+the last I.  Counts are floor divisions of integer numerators over q Hd;
+the endpoints are built as Fractions only when an entry is asked for one.
 """
 
 from __future__ import annotations
@@ -17,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import floor
 
 import numpy as np
 
@@ -27,18 +47,45 @@ from .errors import ParameterError, VerificationFailure
 
 @dataclass(frozen=True)
 class IntervalEntry:
+    """I(q,t) and J(q,t) of the family with parameters p, H = H_num/H_den
+    and h; the endpoints are exact rationals computed on demand."""
+
     q: int
     t: int
-    i_lo: Fraction  # open
-    i_hi: Fraction  # closed
-    j_lo: Fraction  # closed
-    j_hi: Fraction  # open
+    p: int
+    H_num: int
+    H_den: int
+    h: int
+
+    @property
+    def i_lo(self) -> Fraction:  # open
+        return Fraction(self.t * self.p, self.q)
+
+    @property
+    def i_hi(self) -> Fraction:  # closed
+        tp = self.t * self.p
+        return Fraction(tp * self.H_den + self.H_num, self.q * self.H_den) - self.h + 1
+
+    @property
+    def j_lo(self) -> Fraction:  # closed
+        tp = self.t * self.p
+        return Fraction(tp * self.H_den - self.H_num, self.q * self.H_den)
+
+    @property
+    def j_hi(self) -> Fraction:  # open
+        return Fraction(self.t * self.p, self.q) - self.h + 1
 
     def count_i(self) -> int:
-        return floor(self.i_hi) - floor(self.i_lo)
+        """floor(i_hi) - floor(i_lo)."""
+        tp = self.t * self.p
+        qd = self.q * self.H_den
+        return (tp * self.H_den + self.H_num) // qd - tp // self.q - self.h + 1
 
     def count_j(self) -> int:
-        return ceil(self.j_hi) - ceil(self.j_lo)
+        """ceil(j_hi) - ceil(j_lo), as floor(-j_lo) - floor(-j_hi)."""
+        tp = self.t * self.p
+        qd = self.q * self.H_den
+        return (self.H_num - tp * self.H_den) // qd - (-tp) // self.q - self.h + 1
 
     def i_contains(self, z) -> bool:
         return self.i_lo < z <= self.i_hi
@@ -49,76 +96,95 @@ class IntervalEntry:
 
 @dataclass(frozen=True)
 class IntervalSystem:
+    """The family for p, H = H_num/H_den (lowest terms) and h; `entries`
+    runs through the reduced t/q in [0, 1) with q <= X in increasing order."""
+
     p: int
-    H: Fraction
+    H_num: int
+    H_den: int
     h: int
-    X: Fraction
     entries: tuple[IntervalEntry, ...]
+
+    @property
+    def H(self) -> Fraction:
+        return Fraction(self.H_num, self.H_den)
+
+    @property
+    def X(self) -> Fraction:
+        return Fraction(self.H_num, self.H_den * self.h)
 
 
 def build_intervals(p: int, H, h: int) -> IntervalSystem:
-    """Construct the full (q,t) family with exact endpoints.
+    """Construct the full (q,t) family, in Farey order.
 
-    Preconditions are checked by name: h >= 2, 0 < H < p, X = H/h >= 2,
-    2HX < p.  Disjointness and containment in [-H, p-H) are asserted on the
-    built system.
+    H is an int or an exact rational; h must be an int.  Preconditions are
+    checked by name: h >= 2, 0 < H < p, X = H/h >= 2, 2HX < p.  Disjointness
+    and containment in [-H, p-H) are asserted on the built system.
     """
-    H = Fraction(H)
+    if not isinstance(h, int):
+        raise ParameterError(f"h must be an int, got h = {h!r}")
     if h < 2:
         raise ParameterError(f"h >= 2 required, got h = {h}")
-    if not (0 < H < p):
+    H_num, H_den = H.as_integer_ratio()
+    if not (0 < H_num < p * H_den):
         raise ParameterError(f"0 < H < p required, got H = {H}, p = {p}")
-    X = H / h
-    if X < 2:
-        raise ParameterError(f"X = H/h >= 2 required, got X = {float(X):.6g}")
-    if 2 * H * X >= p:
+    X_den = H_den * h
+    if H_num < 2 * X_den:
+        raise ParameterError(f"X = H/h >= 2 required, got X = {H_num / X_den:.6g}")
+    if 2 * H_num * H_num >= p * H_den * X_den:
         raise ParameterError(
-            f"2HX < p required, got 2HX = {float(2 * H * X):.6g} >= {p}"
+            f"2HX < p required, got 2HX = {2 * H_num * H_num / (H_den * X_den):.6g} >= {p}"
         )
-    entries = []
-    for q in range(1, floor(X) + 1):
-        for t in range(q):
-            if gcd(t, q) != 1:
-                continue
-            a = Fraction(t * p, q)
-            entries.append(
-                IntervalEntry(
-                    q=q,
-                    t=t,
-                    i_lo=a,
-                    i_hi=a + H / q - h + 1,
-                    j_lo=a - H / q,
-                    j_hi=a - h + 1,
-                )
-            )
-    system = IntervalSystem(p=p, H=H, h=h, X=X, entries=tuple(entries))
-    _assert_disjoint_and_contained(system)
-    return system
+    pairs = _farey_pairs(H_num // X_den)
+    _check_farey_family(p, H, h, pairs)
+    entries = tuple(IntervalEntry(q, t, p, H_num, H_den, h) for t, q in pairs)
+    return IntervalSystem(p, H_num, H_den, h, entries)
 
 
-def _assert_disjoint_and_contained(system: IntervalSystem) -> None:
-    # (left, right, right_closed) for every interval, exact comparisons
-    spans = []
-    for e in system.entries:
-        spans.append((e.j_lo, e.j_hi, False))
-        spans.append((e.i_lo, e.i_hi, True))
-    spans.sort(key=lambda s: (s[0], s[1]))
-    lo_bound, hi_bound = -system.H, system.p - system.H
-    for left, right, _closed in spans:
-        if left < lo_bound or right > hi_bound:
+def _farey_pairs(n: int) -> list[tuple[int, int]]:
+    """(t, q) for every reduced t/q in [0, 1) with q <= n, increasing."""
+    pairs = [(0, 1)]
+    a, b, c, d = 0, 1, 1, n
+    while d > 1:  # c/d = 1/1 ends the sequence
+        pairs.append((c, d))
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return pairs
+
+
+def _check_farey_family(p: int, H, h: int, pairs) -> None:
+    """Raise VerificationFailure unless the intervals of `pairs`, (t, q) in
+    increasing order of t/q, are disjoint and lie in [-H, p-H).
+
+    Each adjacent pair must be Farey neighbours, t'q - tq' = 1, and satisfy
+    Hn (q + q') - (h - 1) q q' Hd < p Hd.  A right end equal to p - H is
+    inside; touching closed ends collide.  The chain argument needs every
+    interval to have length H/q - h + 1 >= 0, which q <= H/h guarantees.
+    """
+    H_num, H_den = H.as_integer_ratio()
+    h1 = h - 1
+    t, q = pairs[0]
+    if t * p * H_den - H_num < -q * H_num:  # j_lo < -H
+        e = IntervalEntry(q, t, p, H_num, H_den, h)
+        raise VerificationFailure(f"interval [{e.j_lo},{e.j_hi}] escapes [-H, p-H) at p={p}")
+    t, q = pairs[-1]
+    if t * p * H_den + H_num - h1 * q * H_den > q * (p * H_den - H_num):  # i_hi > p - H
+        e = IntervalEntry(q, t, p, H_num, H_den, h)
+        raise VerificationFailure(f"interval [{e.i_lo},{e.i_hi}] escapes [-H, p-H) at p={p}")
+    bound = p * H_den
+    for (t, q), (t2, q2) in zip(pairs, pairs[1:]):
+        if t2 * q - t * q2 != 1:
             raise VerificationFailure(
-                f"interval [{left},{right}] escapes [-H, p-H) at p={system.p}"
+                f"{t}/{q} and {t2}/{q2} are not Farey neighbours at p={p}"
             )
-    for (l1, r1, closed1), (l2, _r2, _c2) in zip(spans, spans[1:]):
-        # open/closed mix: touching endpoints collide only if both sides close
-        if r1 > l2 or (r1 == l2 and closed1):
+        if H_num * (q + q2) - h1 * q * q2 * H_den >= bound:
             raise VerificationFailure(
-                f"intervals overlap near {float(l2):.6g} at p={system.p}"
+                f"intervals overlap near {(t2 * p * H_den - H_num) / (q2 * H_den):.6g} at p={p}"
             )
 
 
 def count_points(system: IntervalSystem) -> int:
-    """Exact number of integer points in the union, by rational floor/ceil."""
+    """Exact number of integer points in the union, by integer floor division."""
     return sum(e.count_i() + e.count_j() for e in system.entries)
 
 

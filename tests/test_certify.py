@@ -149,6 +149,18 @@ def test_exact_certificate_parameter_errors():
         certify_bound(10**9 + 7, summary, 2, 4, 10**6)
 
 
+def test_certify_bound_takes_only_a_sieve_summary():
+    # a SieveConfig is converted by the caller (SieveSummary.from_config)
+    from gpbound.ntcore import PrimeContext
+    from gpbound.sieve import SieveConfig
+
+    config = SieveConfig.build(PrimeContext(10**9 + 7), 2)
+    with pytest.raises(ConfigError, match="SieveSummary"):
+        certify_bound(10**9 + 7, config, 2, 360, 150000)
+    with pytest.raises(ConfigError, match="SieveSummary"):
+        certify_bound(10**9 + 7, None, 2, 360, 150000)
+
+
 def test_exact_certificate_needs_a_proved_prime():
     summary = SieveSummary.all_kept(2)
     with pytest.raises(DomainError, match="1000000008 is not prime"):

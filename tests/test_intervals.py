@@ -1,19 +1,26 @@
 """Interval system: exact construction, counting, envelopes, and the
 piecewise sweeps behind the two computational claims.
 
-The counting oracle below enumerates integer points directly from the
-rational endpoints, independent of count_points' floor/ceil bookkeeping.
+The oracles below work from the rational endpoints, built with Fractions
+per (q, t) as in the definition: the counting oracle enumerates integer
+points directly, independent of count_points' integer floor divisions, and
+the sorted-span oracle checks disjointness and containment without the
+Farey-neighbour argument build_intervals relies on.
 """
 
 import math
 import random
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isqrt
 
 import pytest
 
-from gpbound.errors import ParameterError
+from gpbound.errors import ParameterError, VerificationFailure
 from gpbound.intervals import (
+    IntervalEntry,
+    IntervalSystem,
+    _check_farey_family,
+    _farey_pairs,
     build_intervals,
     count_points,
     envelope_bounds_enclosure,
@@ -24,29 +31,66 @@ from gpbound.intervals import (
     verify_S_envelope,
     verify_T_envelope,
 )
+from gpbound.ntcore import iter_primes
 
 
-def count_oracle(p: int, H: Fraction, h: int):
-    """Distinct-integer enumeration across all (q,t); returns (count, points)."""
+def endpoints_oracle(p: int, H: Fraction, h: int) -> dict:
+    """{(q, t): (i_lo, i_hi, j_lo, j_hi)} for every reduced t/q, q <= H/h."""
     H = Fraction(H)
     X = H / h
-    pts = set()
+    out = {}
     for q in range(1, floor(X) + 1):
         for t in range(q):
             if gcd(t, q) != 1:
                 continue
             a = Fraction(t * p, q)
-            i_lo, i_hi = a, a + H / q - h + 1
-            j_lo, j_hi = a - H / q, a - h + 1
-            z = floor(i_lo) + 1
-            while z <= i_hi:
-                pts.add(z)
-                z += 1
-            z = ceil(j_lo)
-            while z < j_hi:
-                pts.add(z)
-                z += 1
+            out[q, t] = (a, a + H / q - h + 1, a - H / q, a - h + 1)
+    return out
+
+
+def count_oracle(p: int, H: Fraction, h: int):
+    """Distinct-integer enumeration across all (q,t); returns (count, points)."""
+    pts = set()
+    for i_lo, i_hi, j_lo, j_hi in endpoints_oracle(p, H, h).values():
+        z = floor(i_lo) + 1
+        while z <= i_hi:
+            pts.add(z)
+            z += 1
+        z = ceil(j_lo)
+        while z < j_hi:
+            pts.add(z)
+            z += 1
     return len(pts), pts
+
+
+def sorted_spans_oracle(system: IntervalSystem) -> None:
+    """Disjointness and containment in [-H, p-H) by sorting all 2N spans;
+    raises VerificationFailure like build_intervals' own check."""
+    # (left, right, right_closed) for every interval, exact comparisons
+    spans = []
+    for e in system.entries:
+        spans.append((e.j_lo, e.j_hi, False))
+        spans.append((e.i_lo, e.i_hi, True))
+    spans.sort(key=lambda s: (s[0], s[1]))
+    lo_bound, hi_bound = -system.H, system.p - system.H
+    for left, right, _closed in spans:
+        if left < lo_bound or right > hi_bound:
+            raise VerificationFailure(
+                f"interval [{left},{right}] escapes [-H, p-H) at p={system.p}"
+            )
+    for (l1, r1, closed1), (l2, _r2, _c2) in zip(spans, spans[1:]):
+        # open/closed mix: touching endpoints collide only if both sides close
+        if r1 > l2 or (r1 == l2 and closed1):
+            raise VerificationFailure(
+                f"intervals overlap near {float(l2):.6g} at p={system.p}"
+            )
+
+
+def system_of(p: int, H: Fraction, h: int, pairs) -> IntervalSystem:
+    """An IntervalSystem on arbitrary (t, q) pairs, bypassing build_intervals'
+    preconditions, so both checks can be fed crafted input."""
+    n, d = Fraction(H).as_integer_ratio()
+    return IntervalSystem(p, n, d, h, tuple(IntervalEntry(q, t, p, n, d, h) for t, q in pairs))
 
 
 def phi_direct(n: int) -> int:
@@ -71,6 +115,105 @@ def test_build_rejects_bad_parameters():
         build_intervals(10007, 100, 1)
     with pytest.raises(ParameterError, match="0 < H < p"):
         build_intervals(101, 200, 2)
+
+
+def test_build_rejects_non_integer_h():
+    # a float h made X and every endpoint a float, and counts came from
+    # float floors
+    for h in (2.5, 10.0, Fraction(10)):
+        with pytest.raises(ParameterError, match="h must be an int"):
+            build_intervals(10007, 100, h)
+
+
+def test_farey_pairs_match_brute_force():
+    for n in range(1, 61):
+        brute = sorted(
+            ((t, q) for q in range(1, n + 1) for t in range(q) if gcd(t, q) == 1),
+            key=lambda tq: Fraction(tq[0], tq[1]),
+        )
+        assert _farey_pairs(n) == brute, n
+
+
+def _grid_families():
+    """Every prime 5 <= p <= 2000, h in {2, 3, 5, 10, 20}, at H = 2h and at
+    the largest integer H with 2H^2/h < p, where admissible."""
+    for p in iter_primes(5, 2001):
+        for h in (2, 3, 5, 10, 20):
+            H_max = isqrt(p * h // 2)
+            while 2 * H_max * H_max >= p * h:
+                H_max -= 1
+            for H in sorted({2 * h, H_max}):
+                if H >= 2 * h and 2 * H * H < p * h:
+                    yield p, H, h
+
+
+def test_farey_check_agrees_with_sorted_spans_oracle():
+    families = list(_grid_families())
+    assert len(families) == 2847
+    rng = random.Random(17)
+    sampled = set(rng.sample(range(len(families)), 60))
+    for k, (p, H, h) in enumerate(families):
+        system = build_intervals(p, H, h)  # raises unless the Farey check passes
+        sorted_spans_oracle(system)
+        if k in sampled:
+            ends = endpoints_oracle(p, H, h)
+            assert len(system.entries) == len(ends)
+            for e in system.entries:
+                assert (e.i_lo, e.i_hi, e.j_lo, e.j_hi) == ends[e.q, e.t]
+            assert count_points(system) == count_oracle(p, H, h)[0]
+
+
+@pytest.mark.parametrize("p, H, h", [(31, Fraction(11), 2), (30, Fraction(32, 3), 2)])
+def test_pair_check_boundary(p, H, h):
+    # 0/1 and 1/2: H(q + q') - (h - 1) q q' = 3H - 2(h - 1) equals p, so the
+    # closed right end of I(1,0) touches the closed left end of J(2,1)
+    pairs = [(0, 1), (1, 2)]
+    assert H * 3 - (h - 1) * 2 == p
+    with pytest.raises(VerificationFailure, match="overlap"):
+        _check_farey_family(p, H, h, pairs)
+    with pytest.raises(VerificationFailure, match="overlap"):
+        sorted_spans_oracle(system_of(p, H, h, pairs))
+    # one more unit of p separates them; I(2,1) then ends short of p - H
+    _check_farey_family(p + 1, H, h, pairs)
+    sorted_spans_oracle(system_of(p + 1, H, h, pairs))
+    # one less pushes the right end of the last I past p - H
+    with pytest.raises(VerificationFailure, match="escapes"):
+        _check_farey_family(p - 1, H, h, pairs)
+    with pytest.raises(VerificationFailure, match="escapes"):
+        sorted_spans_oracle(system_of(p - 1, H, h, pairs))
+
+
+def test_pair_check_asserts_farey_neighbours():
+    p, H, h = 10007, Fraction(100), 10
+    pairs = _farey_pairs(10)
+    _check_farey_family(p, H, h, pairs)
+    # a repeated entry overlaps itself, though 2H - (h - 1) < p
+    doubled = pairs[:5] + pairs[4:]
+    with pytest.raises(VerificationFailure, match="not Farey neighbours"):
+        _check_farey_family(p, H, h, doubled)
+    with pytest.raises(VerificationFailure, match="overlap"):
+        sorted_spans_oracle(system_of(p, H, h, doubled))
+    # a gap or a swap also breaks t'q - tq' = 1
+    for broken in (pairs[:5] + pairs[6:], pairs[:5] + [pairs[6], pairs[5]] + pairs[7:]):
+        with pytest.raises(VerificationFailure, match="not Farey neighbours"):
+            _check_farey_family(p, H, h, broken)
+
+
+def test_build_and_count_construct_no_fraction(monkeypatch):
+    H = Fraction(960961, 400)
+    constructed = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        constructed.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    system = build_intervals(960961, H, 20)
+    points = count_points(system)
+    monkeypatch.undo()
+    assert constructed == []
+    assert (len(system.entries), points) == (4386, 184234)
 
 
 def test_count_points_frozen_and_oracle():
