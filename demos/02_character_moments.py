@@ -12,9 +12,9 @@ from gpbound.characters import (
     moment_sum_exact,
     moment_sums_all,
     stirling_sandwich,
-    w_factor,
     weil_bound,
 )
+from gpbound.enclosure import w_factor
 from gpbound.ntcore import PrimeContext
 
 ctx = PrimeContext(13)

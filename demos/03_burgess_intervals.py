@@ -6,11 +6,11 @@ Run:  python demos/03_burgess_intervals.py
 
 from fractions import Fraction
 
+from gpbound.enclosure import envelopes
 from gpbound.intervals import (
     build_intervals,
     count_points,
     envelope_bounds_enclosure,
-    envelopes,
     sum_S,
     sum_T,
     verify_S_envelope,

@@ -3,39 +3,10 @@
 Layers, bottom up: exact integer number theory (ntcore), Dirichlet
 characters and moment sums (characters), the Burgess interval system
 (intervals), the e-free sieve (sieve), and the certification engine
-(certify) whose verdicts ride on rigorous enclosures (enclosure).
+(certify) whose verdicts ride on rigorous enclosures (enclosure).  Import
+each layer from its module.  Only the array code loads numpy: characters,
+intervals, verify, the worst-slack passes of sieve and the discrete-log
+table of ntcore.PrimeContext.
 """
 
-from . import characters, enclosure, intervals, ntcore, sieve
-from .ntcore import (
-    Factorization,
-    PrimeContext,
-    euler_phi,
-    factorize,
-    is_prime,
-    least_primitive_root,
-    moebius,
-    multiplicative_order,
-    primorial,
-    theta,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Factorization",
-    "PrimeContext",
-    "characters",
-    "enclosure",
-    "euler_phi",
-    "factorize",
-    "intervals",
-    "is_prime",
-    "least_primitive_root",
-    "moebius",
-    "multiplicative_order",
-    "ntcore",
-    "primorial",
-    "sieve",
-    "theta",
-]

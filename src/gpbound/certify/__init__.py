@@ -4,8 +4,6 @@ All comparisons go through guaranteed enclosures so that verdicts are
 rigorous even at astronomically large thresholds.
 """
 
-from ..enclosure import CertifiedReal, enclose, pow_frac, working_precision
-from ..sieve import sieve_factor
 from .bounds import (
     BURGESS_C,
     BoundComparison,
@@ -46,7 +44,6 @@ __all__ = [
     "BurgessParams",
     "CaseReport",
     "Certificate",
-    "CertifiedReal",
     "ChainReport",
     "OptimizeResult",
     "PowerShape",
@@ -59,16 +56,12 @@ __all__ = [
     "burgess_comparison_bound",
     "compare_with_burgess",
     "case_engine",
-    "enclose",
     "optimize_params",
     "optimize_threshold",
-    "pow_frac",
-    "sieve_factor",
     "soundness_crosscheck",
     "certify_bound",
     "win_chain_sieved_derive",
     "win_chain_derive",
     "win_chain_sweep",
-    "working_precision",
     "worst_case_delta",
 ]

@@ -30,7 +30,7 @@ from ..enclosure import (
 )
 from ..errors import ConfigError, DomainError, ParameterError
 from ..ntcore import is_prime
-from ..sieve import SieveConfig, sieve_factor
+from ..sieve import sieve_factor
 
 MAX_PRECISION = 1024
 
@@ -109,7 +109,8 @@ class SieveSummary:
     omega: int
 
     @classmethod
-    def from_config(cls, config: SieveConfig) -> "SieveSummary":
+    def from_config(cls, config) -> "SieveSummary":
+        """The summary of a `sieve.SieveConfig`."""
         return cls(
             e_desc=f"{config.e}",
             s=config.s,

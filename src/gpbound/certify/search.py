@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..characters import w_factor, window_recipe
+from ..enclosure import envelopes, w_factor, window_recipe
 from ..errors import DomainError
-from ..intervals import envelopes
 from ..ntcore import Factorization, factorize, is_prime, least_primitive_root
 from ..sieve import sieve_density
 from .cases import worst_case_delta
@@ -28,7 +27,8 @@ from .certifier import (
     certify_bound,
 )
 
-R_SEARCH_RANGE = tuple(range(2, 21))
+R_SEARCH_RANGE = tuple(range(2, 21))  # r tried at an exact prime
+R_THRESHOLD_RANGE = tuple(range(2, 11))  # r tried over a threshold
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,6 @@ def _min_certified_H(
 def optimize_params(
     p: int,
     pm1_factors: Factorization | None = None,
-    r_range=R_SEARCH_RANGE,
     precision_bits: int = 128,
 ) -> OptimizeResult:
     """Search (r, sieve, h) for the smallest certified H < p.
@@ -134,7 +133,7 @@ def optimize_params(
     pm1 = pm1_factors or factorize(p - 1)
     best: tuple[Fraction, int, int, int, Certificate] | None = None
     tried = 0
-    for r in r_range:
+    for r in R_SEARCH_RANGE:
         for summary in _sieve_candidates(pm1):
             for h in _h_candidates(p, r):
                 if 2 * (2 * h) ** 2 >= h * p:  # even the minimal H fails 2H^2 < hp
@@ -196,7 +195,6 @@ def _threshold_h_shape(r: int) -> PowerShape:
 def optimize_threshold(
     p_min: int,
     omega: int,
-    r_range=tuple(range(2, 11)),
     precision_bits: int = 128,
 ) -> ThresholdOptimizeResult:
     """Smallest certified bound shape H = c p^alpha over all p >= p_min with
@@ -208,7 +206,7 @@ def optimize_threshold(
     """
     th = Threshold(p_min=p_min, omega=omega)
     best = None
-    for r in sorted(r_range, reverse=True):  # larger r = smaller exponent
+    for r in sorted(R_THRESHOLD_RANGE, reverse=True):  # larger r = smaller exponent
         expo = Fraction(1, 4) + Fraction(1, 4 * r)
         if best is not None and best[0] < expo:
             continue

@@ -29,6 +29,7 @@ from ..enclosure import (
     CertifiedReal,
     enclose,
     pow_frac,
+    recipe_coefficient,
     working_precision,
 )
 from ..errors import DomainError, ParameterError
@@ -80,26 +81,15 @@ class ChainReport:
         }
 
 
-def _recipe_coefficient(r: int) -> CertifiedReal:
-    """c = (1/e) 2^(1/(2r)) ((r-1)/(2r-1))^(1/r), so that the window recipe
-    (2r/e) (2p)^(1/(2r)) ((r-1)/(2r-1))^(1/r) is 2r c p^(1/(2r))."""
-    return (
-        pow_frac(2, Fraction(1, 2 * r))
-        * pow_frac(Fraction(r - 1, 2 * r - 1), Fraction(1, r))
-        / CertifiedReal.euler_e()
-    )
-
-
-def _closing_constant(r: int, b_pow_sq, a_pow_sq) -> CertifiedReal:
-    """(pi^2/6)(B^r)^2/(A^r)^2 (2/e)(1.031) 2^(1/(2r)) ((2r-1)/(r-1))^(1-1/r)."""
+def _closing_constant(r: int, c: CertifiedReal, b_pow_sq, a_pow_sq) -> CertifiedReal:
+    """(pi^2/6)(B^r)^2/(A^r)^2 (1.031) 2c (2r-1)/(r-1), with c the recipe
+    coefficient: 2c (2r-1)/(r-1) = (2/e) 2^(1/(2r)) ((2r-1)/(r-1))^(1-1/r)."""
     return (
         CertifiedReal.pi() ** 2
         / 6
         * (b_pow_sq / a_pow_sq)
-        * (2 / CertifiedReal.euler_e())
         * Fraction(1031, 1000)
-        * pow_frac(2, Fraction(1, 2 * r))
-        * pow_frac(Fraction(2 * r - 1, r - 1), 1 - Fraction(1, r))
+        * (2 * c * Fraction(2 * r - 1, r - 1))
     )
 
 
@@ -147,7 +137,7 @@ def _chain(kind: str, r: int, p_min: int, omega_min: int, precision_bits: int,
         )
 
         # h = ceil(recipe) with recipe = 2r c p^(1/(2r))
-        c = _recipe_coefficient(r)
+        c = recipe_coefficient(r)
         h_lo = 2 * r * c * p_2r
         add(ChainCheck("h >= 33", h_lo.lo_str(10), ">= 33 (recipe grows in p)", h_lo.gt(32) is True))
 
@@ -247,7 +237,7 @@ def _chain(kind: str, r: int, p_min: int, omega_min: int, precision_bits: int,
         )
 
         # closing constant inequality < 4, with the capped powers
-        closing = _closing_constant(r, enclose(b_cap) ** 2, enclose(a_floor) ** 2)
+        closing = _closing_constant(r, c, enclose(b_cap) ** 2, enclose(a_floor) ** 2)
         add(
             ChainCheck(
                 "closing constant < 4",

@@ -19,6 +19,7 @@ from .ntcore import (
     PrimeContext,
     multiplicative_order,
     phi_of_factorization,
+    ramanujan_sum,
     squarefree_divisors,
 )
 
@@ -83,31 +84,6 @@ def _char_table(ctx: PrimeContext, j) -> np.ndarray:
     vals = ctx.root_powers()[np.multiply.outer(j, ctx.dlog_array()) % (ctx.p - 1)]
     vals[..., 0] = 0.0
     return vals
-
-
-def ramanujan_sum(d: int, k: int, primes: tuple[int, ...]) -> int:
-    """c_d(k): the sum of chi(g^k) over the phi(d) characters of exact order d.
-
-    Those characters are j = m (p-1)/d with gcd(m, d) = 1, so the sum is the
-    Ramanujan sum of exp(2 pi i m k/d) over m coprime to d.  It is computed
-    in integers by Hölder's formula c_d(k) = mu(q) phi(d)/phi(q) with
-    q = d/gcd(d, k).  `primes` must hold every prime factor of d; the primes
-    of p-1 do for every d | p-1, so nothing is factorized.
-    """
-    g = math.gcd(d, k)
-    q = d // g
-    # phi(d)/phi(q) = g prod_{r | d, r not | q} (1 - 1/r), signed by mu(q)
-    value = g
-    for r in primes:
-        if d % r:
-            continue
-        if q % r:
-            value = value // r * (r - 1)
-        elif q % (r * r) == 0:
-            return 0
-        else:
-            value = -value
-    return value
 
 
 def indicator_primitive_root(ctx: PrimeContext, n: int) -> int:
@@ -259,25 +235,6 @@ def weil_bound(p: int, h: int, r: int, order_class: str | None = None) -> float:
         weil_multiplier = 2 if order_class == "quadratic" else 3
         return exc * p + weil_multiplier * (h**4 - exc) * sq
     return double_factorial_ratio(r) * p * h**r + (2 * r - 1) * sq * h ** (2 * r)
-
-
-def w_factor(p: int, h: int, r: int) -> float:
-    """Minimum applicable W with S_chi <= W sqrt(p) h^(2r):
-    sqrt(2) (2r/(eh))^r sqrt(p) + (2r-1), and at r=2 also 3(1 + sqrt(p)/h^2)."""
-    if h < 1 or r < 1:
-        raise DomainError("h and r must be >= 1")
-    general = math.sqrt(2) * (2 * r / (math.e * h)) ** r * math.sqrt(p) + (2 * r - 1)
-    if r == 2:
-        return min(general, 3.0 * (1.0 + math.sqrt(p) / h**2))
-    return general
-
-
-def window_recipe(p, r: int) -> float:
-    """The window length recipe (2r/e) (2p)^(1/(2r)) ((r-1)/(2r-1))^(1/r).
-
-    At p = 1 it is the coefficient c of the threshold shape h ~ c p^(1/(2r)).
-    """
-    return (2 * r / math.e) * (2 * p) ** (1 / (2 * r)) * ((r - 1) / (2 * r - 1)) ** (1 / r)
 
 
 def stirling_sandwich(r: int) -> tuple[float, float, float]:

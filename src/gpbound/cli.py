@@ -9,14 +9,15 @@ enclosure.  Identical argv and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import random
 import sys
 from fractions import Fraction
 
 from . import certify as cert
-from . import verify
 from .errors import GpboundError
-from .ntcore import PrimeContext, factorize, least_primitive_root
+from .ntcore import PrimeContext, factorize, is_prime, iter_primes, least_primitive_root
 from .sieve import SieveConfig
 
 
@@ -130,9 +131,19 @@ def cmd_verify(args) -> int:
         _emit(args, report.to_json(), tsv=report.to_tsv())
         return 0 if report.overall_pass else 1
     if args.what == "win-chain":
+        if not 2 <= args.rmin <= rmax:
+            raise argparse.ArgumentTypeError(
+                f"need 2 <= --rmin <= --rmax, got --rmin {args.rmin} and --rmax {rmax}"
+            )
         summary = cert.win_chain_sweep(range(args.rmin, rmax + 1), precision_bits=bits)
         _emit(args, summary)
         return 0 if summary["all_certified"] else 1
+    if args.what == "charsum" and rmax < 1:
+        raise argparse.ArgumentTypeError(f"--rmax must be at least 1, got {rmax}")
+    if args.what == "intervals" and args.xmax < 2:
+        raise argparse.ArgumentTypeError(f"--xmax must be at least 2, got {args.xmax}")
+    from . import verify  # loads numpy, which no other subcommand needs
+
     suites = {
         "charsum": lambda: verify.charsum(args.pmax, args.hmax, rmax, args.emit == "all"),
         "intervals": lambda: verify.intervals(args.xmax, args.grid, args.seed, bits),
@@ -144,13 +155,35 @@ def cmd_verify(args) -> int:
     return 0 if payload["pass"] else 1
 
 
+def scan_primes(start: int, stop: int, shape: str, limit: int, seed: int) -> list[int]:
+    """Up to `limit` primes in [start, stop) for `scan`: the first safe
+    primes, or (shape "random") seeded draws of distinct odd candidates,
+    which stop once every one has been drawn."""
+    if shape == "safe-prime":
+        safe = (p for p in iter_primes(start, stop) if is_prime((p - 1) // 2))
+        return list(itertools.islice(safe, max(limit, 0)))
+    primes = []
+    rng = random.Random(seed)
+    span = stop - start
+    odd_candidates = len(range(start | 1, stop, 2))
+    seen = set()
+    while len(primes) < limit and len(seen) < odd_candidates:
+        n = start + rng.randrange(span) | 1
+        if n >= stop or n in seen:
+            continue
+        seen.add(n)
+        if is_prime(n):
+            primes.append(n)
+    return primes
+
+
 def cmd_scan(args) -> int:
     bits = _precision(args)
     if args.start >= args.stop:
         raise argparse.ArgumentTypeError(
             f"empty range: --from {args.start} must be below --to {args.stop}"
         )
-    primes = verify.scan_primes(args.start, args.stop, args.shape, args.limit, args.seed)
+    primes = scan_primes(args.start, args.stop, args.shape, args.limit, args.seed)
     report = cert.soundness_crosscheck(primes, bits)
     _emit(args, report.to_json())
     return 1 if report.fatal else 0

@@ -4,6 +4,10 @@ Thin wrapper over mpmath's interval context: every operation returns an
 interval containing the exact result under outward rounding, so strict
 inequality verdicts derived from enclosures are rigorous.  Comparisons are
 three-valued: True / False / None (indeterminate, intervals overlap).
+
+The coefficients of the main inequality live here in both forms: the
+enclosures every verdict uses, and beside each its float twin, which only
+steers the parameter searches.
 """
 
 from __future__ import annotations
@@ -198,7 +202,16 @@ def emax(*values: CertifiedReal) -> CertifiedReal:
     return CertifiedReal.from_endpoints(lo, hi)
 
 
-# -- shared envelope / character-sum coefficient enclosures -----------------
+# -- envelope / character-sum coefficients: floats and their enclosures -----
+
+
+def envelopes(X, h) -> tuple[float, float]:
+    """Floats (A(X), B(X)): A(X) = 1 - 2pi^2/(9X),
+    B(X) = 1 + 2pi^2/(9X) + 1/h + (pi^2/3h) log(X)/X."""
+    x = float(X)
+    a = 1 - 2 * math.pi**2 / (9 * x)
+    b = 1 + 2 * math.pi**2 / (9 * x) + 1 / h + (math.pi**2 / (3 * h)) * math.log(x) / x
+    return a, b
 
 
 def envelope_a(x) -> CertifiedReal:
@@ -234,6 +247,17 @@ def envelope_b_sup(x_min, h_min) -> CertifiedReal:
     return _envelope_b(x, h_min, ratio)
 
 
+def w_factor(p: int, h: int, r: int) -> float:
+    """Minimum applicable W with S_chi <= W sqrt(p) h^(2r):
+    sqrt(2) (2r/(eh))^r sqrt(p) + (2r-1), and at r=2 also 3(1 + sqrt(p)/h^2)."""
+    if h < 1 or r < 1:
+        raise DomainError("h and r must be >= 1")
+    general = math.sqrt(2) * (2 * r / (math.e * h)) ** r * math.sqrt(p) + (2 * r - 1)
+    if r == 2:
+        return min(general, 3.0 * (1.0 + math.sqrt(p) / h**2))
+    return general
+
+
 def w_factor_enclosure(p, h, r: int) -> CertifiedReal:
     """Enclosure of the moment-sum coefficient W(p,h,r) with
     S <= W sqrt(p) h^(2r): min of the general branch
@@ -248,3 +272,21 @@ def w_factor_enclosure(p, h, r: int) -> CertifiedReal:
     if r == 2:
         return emin(general, 3 * (1 + sq / h**2))
     return general
+
+
+def window_recipe(p, r: int) -> float:
+    """The window length recipe (2r/e) (2p)^(1/(2r)) ((r-1)/(2r-1))^(1/r).
+
+    At p = 1 it is the coefficient c of the threshold shape h ~ c p^(1/(2r)).
+    """
+    return (2 * r / math.e) * (2 * p) ** (1 / (2 * r)) * ((r - 1) / (2 * r - 1)) ** (1 / r)
+
+
+def recipe_coefficient(r: int) -> CertifiedReal:
+    """c = (1/e) 2^(1/(2r)) ((r-1)/(2r-1))^(1/r), so that the window recipe
+    (2r/e) (2p)^(1/(2r)) ((r-1)/(2r-1))^(1/r) is 2r c p^(1/(2r))."""
+    return (
+        pow_frac(2, Fraction(1, 2 * r))
+        * pow_frac(Fraction(r - 1, 2 * r - 1), Fraction(1, r))
+        / CertifiedReal.euler_e()
+    )

@@ -188,15 +188,6 @@ def count_points(system: IntervalSystem) -> int:
     return sum(e.count_i() + e.count_j() for e in system.entries)
 
 
-def envelopes(X, h) -> tuple[float, float]:
-    """Floats (A(X), B(X)): A(X) = 1 - 2pi^2/(9X),
-    B(X) = 1 + 2pi^2/(9X) + 1/h + (pi^2/3h) log(X)/X."""
-    x = float(X)
-    a = 1 - 2 * math.pi**2 / (9 * x)
-    b = 1 + 2 * math.pi**2 / (9 * x) + 1 / h + (math.pi**2 / (3 * h)) * math.log(x) / x
-    return a, b
-
-
 def envelope_bounds_enclosure(X, h) -> tuple[CertifiedReal, CertifiedReal]:
     """Enclosures of A(X)(6/pi^2)X^2 h and B(X)(6/pi^2)X^2 h."""
     x = enclose(Fraction(X))

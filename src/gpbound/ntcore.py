@@ -327,6 +327,31 @@ def squarefree_divisors(primes) -> list[tuple[int, int, int]]:
     return out
 
 
+def ramanujan_sum(d: int, k: int, primes: tuple[int, ...]) -> int:
+    """c_d(k): the sum of chi(g^k) over the phi(d) characters of exact order d.
+
+    Those characters are j = m (p-1)/d with gcd(m, d) = 1, so the sum is the
+    Ramanujan sum of exp(2 pi i m k/d) over m coprime to d.  It is computed
+    in integers by Hölder's formula c_d(k) = mu(q) phi(d)/phi(q) with
+    q = d/gcd(d, k).  `primes` must hold every prime factor of d; the primes
+    of p-1 do for every d | p-1, so nothing is factorized.
+    """
+    g = math.gcd(d, k)
+    q = d // g
+    # phi(d)/phi(q) = g prod_{r | d, r not | q} (1 - 1/r), signed by mu(q)
+    value = g
+    for r in primes:
+        if d % r:
+            continue
+        if q % r:
+            value = value // r * (r - 1)
+        elif q % (r * r) == 0:
+            return 0
+        else:
+            value = -value
+    return value
+
+
 def phi_of_factorization(f: Factorization) -> int:
     result = f.n
     for p in f.primes:
@@ -457,13 +482,7 @@ class PrimeContext:
     # blocked product (p-1)^2 inside int64, which _dlog_table needs.
     DLOG_CAP = 10**7
 
-    def __init__(
-        self,
-        p: int,
-        pm1_factors: Factorization | None = None,
-        generator: int | None = None,
-        dlog_cap: int = DLOG_CAP,
-    ):
+    def __init__(self, p: int, pm1_factors: Factorization | None = None):
         if p < 3 or p % 2 == 0:
             raise DomainError("PrimeContext requires an odd prime >= 3")
         if not _prime_or_unsupported(p):
@@ -472,21 +491,16 @@ class PrimeContext:
         self.pm1_factors = pm1_factors if pm1_factors is not None else factorize(p - 1)
         self.pm1_factors.validate(p - 1, allow_probable=True)
         self.omega = self.pm1_factors.omega
-        if generator is None:
-            generator = least_primitive_root(p, self.pm1_factors, candidate_limit=10**6)
-        elif not is_primitive_root(generator, p, self.pm1_factors):
-            raise DomainError(f"{generator} is not a primitive root mod {p}")
-        self.generator = generator
-        self._dlog_cap = dlog_cap
+        self.generator = least_primitive_root(p, self.pm1_factors, candidate_limit=10**6)
         self._dlog = None
         self._root_powers = None
 
     def dlog_array(self):
         """numpy int64 array d with generator^d[n] = n mod p; d[0] = -1."""
         if self._dlog is None:
-            if self.p > self._dlog_cap:
+            if self.p > self.DLOG_CAP:
                 raise UnsupportedRangeError(
-                    f"dlog table capped at p <= {self._dlog_cap}; p = {self.p}"
+                    f"dlog table capped at p <= {self.DLOG_CAP}; p = {self.p}"
                 )
             self._dlog = _dlog_table(self.p, self.generator)
         return self._dlog

@@ -19,7 +19,7 @@ the bound itself:
 Every check is exact, with no float tolerance.  At n = g^k the sum over the
 characters of exact order d is the Ramanujan sum c_d(k), an integer given by
 Hölder's formula c_d(k) = mu(d/(d,k)) phi(d)/phi(d/(d,k)) (O. Hölder,
-Prace Mat.-Fiz. 43 (1936) 13-23; see characters.ramanujan_sum).  Only
+Prace Mat.-Fiz. 43 (1936) 13-23; see ntcore.ramanujan_sum).  Only
 squarefree d carry weight, and for those c_d(k) depends only on which
 primes of d divide k.  So each right-hand side takes one exact rational
 value per class of k, the set of relevant primes dividing k.  The worst-slack
@@ -34,11 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .characters import ramanujan_sum
 from .errors import ConfigError, ConsistencyError, DomainError
-from .ntcore import PrimeContext, squarefree_divisors
+from .ntcore import PrimeContext, ramanujan_sum, squarefree_divisors
 
 # A right-hand side as (weight w, character order d): sum_j w_j c_{d_j}(k).
 Terms = list[tuple[Fraction, int]]
@@ -128,8 +125,11 @@ def e_free(ctx: PrimeContext, e: int, n: int) -> int:
     return int(all(k % q != 0 for q in primes))
 
 
-def e_free_all(ctx: PrimeContext, e: int) -> np.ndarray:
-    """e-free indicator for all k in [0, p-1), indexed by discrete log."""
+def e_free_all(ctx: PrimeContext, e: int):
+    """numpy bool array: the e-free indicator for all k in [0, p-1), indexed
+    by discrete log."""
+    import numpy as np
+
     mask = np.ones(ctx.p - 1, dtype=bool)
     for q in _primes_of(ctx, e):
         mask[::q] = False
@@ -181,8 +181,8 @@ def _slacks_by_class(
     key_primes: tuple[int, ...],
     terms: Terms,
     lhs_unit: Fraction,
-    mask: np.ndarray,
-) -> tuple[dict[int, int], int, np.ndarray]:
+    mask,
+) -> tuple:
     """Exact lhs - rhs for every (class, f) pair that occurs over k in [0, p-1).
 
     k is coded 2 class + f, with f = mask[k] and bit i of the class set iff
@@ -190,8 +190,10 @@ def _slacks_by_class(
     terms is squarefree over key_primes, so the rhs is constant on a class
     and is evaluated at the product of the class's primes.  Slacks are
     integer numerators over one common denominator, which is returned with
-    them and with the code of every k.
+    them and with the code of every k (a numpy array, like `mask`).
     """
+    import numpy as np
+
     codes = mask.astype(np.intp)
     for i, q in enumerate(key_primes):
         codes[::q] |= 2 << i
@@ -262,7 +264,7 @@ def sieve_lower_bound_worst_slack(config: SieveConfig) -> float:
     code = min(slacks, key=slacks.__getitem__)
     worst = Fraction(slacks[code], den)
     if worst < 0:
-        k = int(np.flatnonzero(codes == code)[0])
+        k = int((codes == code).argmax())  # the first k of the class
         n = pow(ctx.generator, k, ctx.p)
         raise ConsistencyError(
             f"sieve lower bound violated at p={ctx.p}, e={config.e}, n={n}: "

@@ -8,7 +8,6 @@ verdict.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,7 +24,7 @@ from .intervals import (
     verify_S_envelope,
     verify_T_envelope,
 )
-from .ntcore import PrimeContext, is_prime, iter_primes
+from .ntcore import PrimeContext, iter_primes
 from .sieve import admissible_configs, fe_identity_worst_slack, sieve_lower_bound_worst_slack
 
 _GRID_PRIMES = (10007, 65537, 10**6 + 3)
@@ -177,25 +176,3 @@ def stirling(rmax: int) -> dict:
                 break
             last_finite = {"r": r, "lower": lower, "mid": mid, "upper": upper}
     return {"checked": checked, "pass": ok, "last_finite": last_finite}
-
-
-def scan_primes(start: int, stop: int, shape: str, limit: int, seed: int) -> list[int]:
-    """Up to `limit` primes in [start, stop) for `scan`: the first safe
-    primes, or (shape "random") seeded draws of distinct odd candidates,
-    which stop once every one has been drawn."""
-    if shape == "safe-prime":
-        safe = (p for p in iter_primes(start, stop) if is_prime((p - 1) // 2))
-        return list(itertools.islice(safe, max(limit, 0)))
-    primes = []
-    rng = random.Random(seed)
-    span = stop - start
-    odd_candidates = len(range(start | 1, stop, 2))
-    seen = set()
-    while len(primes) < limit and len(seen) < odd_candidates:
-        n = start + rng.randrange(span) | 1
-        if n >= stop or n in seen:
-            continue
-        seen.add(n)
-        if is_prime(n):
-            primes.append(n)
-    return primes

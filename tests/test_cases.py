@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from gpbound.certify import case_engine, sieve_factor, worst_case_delta
+from gpbound.certify import case_engine, worst_case_delta
 from gpbound.errors import DomainError
 from gpbound.ntcore import primorial
+from gpbound.sieve import sieve_factor
 
 
 def test_worst_case_delta_values():

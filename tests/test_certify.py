@@ -16,12 +16,12 @@ from gpbound.certify import (
     burgess_comparison_bound,
     compare_with_burgess,
     optimize_params,
-    sieve_factor,
     soundness_crosscheck,
     certify_bound,
 )
 from gpbound.errors import ConfigError, DomainError, ParameterError, UnsupportedRangeError
 from gpbound.ntcore import factorize, is_prime, iter_primes, least_primitive_root
+from gpbound.sieve import sieve_factor
 
 
 def test_sieve_factor_values():

@@ -22,13 +22,12 @@ from gpbound.characters import (
     moment_sum_exact,
     moment_sums_all,
     principal_moment_exact,
-    ramanujan_sum,
     stirling_sandwich,
-    w_factor,
     weil_bound,
 )
+from gpbound.enclosure import w_factor
 from gpbound.errors import DomainError
-from gpbound.ntcore import PrimeContext, euler_phi, primes_upto
+from gpbound.ntcore import PrimeContext, euler_phi, primes_upto, ramanujan_sum
 
 
 def moment_oracle(ctx: PrimeContext, j: int, h: int, r: int) -> float:
@@ -211,7 +210,7 @@ def test_window_sums_stack_matches_rows(length, h):
 def test_char_ops_refuse_unenumerable_context():
     from gpbound.errors import UnsupportedRangeError
 
-    ctx = PrimeContext(101, dlog_cap=50)
+    ctx = PrimeContext(10000019)  # the first prime past PrimeContext.DLOG_CAP
     with pytest.raises(UnsupportedRangeError):
         char_value(CharacterIndex(ctx, 1), 5)
 

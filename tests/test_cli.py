@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gpbound.cli import main
 
 
@@ -233,6 +235,23 @@ def test_scan_empty_range_is_usage_error():
     assert code == 2
     assert out == ""
     assert "empty range" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "win-chain", "--rmin", "5", "--rmax", "3"), "need 2 <= --rmin <= --rmax"),
+        (("verify", "win-chain", "--rmin", "1", "--rmax", "3"), "need 2 <= --rmin <= --rmax"),
+        (("verify", "win-chain", "--rmin", "101"), "need 2 <= --rmin <= --rmax"),
+        (("verify", "charsum", "--rmax", "0"), "--rmax must be at least 1"),
+        (("verify", "intervals", "--xmax", "1"), "--xmax must be at least 2"),
+    ],
+)
+def test_verify_empty_ranges_are_usage_errors(argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_malformed_p_is_usage_error():

@@ -13,7 +13,9 @@ from gpbound.enclosure import (
     envelope_a,
     envelope_b,
     envelope_b_sup,
+    envelopes,
     pow_frac,
+    w_factor,
     w_factor_enclosure,
     working_precision,
 )
@@ -103,8 +105,6 @@ def test_constants_and_min_max():
 
 
 def test_envelope_enclosures_match_floats():
-    from gpbound.intervals import envelopes
-
     a_float, b_float = envelopes(10, 10)
     a = envelope_a(10)
     b = envelope_b(10, 10)
@@ -117,8 +117,6 @@ def test_envelope_enclosures_match_floats():
 
 
 def test_w_factor_enclosure_contains_float():
-    from gpbound.characters import w_factor
-
     for p, h, r in [(10**20, 2 * 10**5, 2), (10**15, 600, 3), (101, 5, 1)]:
         enc = w_factor_enclosure(p, h, r)
         assert enc.lo <= w_factor(p, h, r) <= enc.hi * (1 + 1e-12)

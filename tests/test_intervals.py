@@ -15,6 +15,7 @@ from math import ceil, floor, gcd, isqrt
 
 import pytest
 
+from gpbound.enclosure import envelopes
 from gpbound.errors import ParameterError, VerificationFailure
 from gpbound.intervals import (
     IntervalEntry,
@@ -24,7 +25,6 @@ from gpbound.intervals import (
     build_intervals,
     count_points,
     envelope_bounds_enclosure,
-    envelopes,
     sum_S,
     sum_T,
     verify_external_inputs,

@@ -258,13 +258,12 @@ def test_context_generator_has_full_order():
 def test_context_rejects_bad_input():
     with pytest.raises(DomainError):
         PrimeContext(15)
-    with pytest.raises(DomainError):
-        PrimeContext(13, generator=3)  # order of 3 mod 13 is 3
 
 
 def test_context_dlog_cap():
-    ctx = PrimeContext(101, dlog_cap=50)
-    with pytest.raises(UnsupportedRangeError):
+    ctx = PrimeContext(10000019)  # the first prime past DLOG_CAP = 10^7
+    assert ctx.p > PrimeContext.DLOG_CAP
+    with pytest.raises(UnsupportedRangeError, match="capped"):
         ctx.dlog_array()
 
 
@@ -297,7 +296,7 @@ def test_dlog_table_rejects_non_generator():
 
 def test_dlog_table_int64_guard(monkeypatch):
     assert (_DLOG_INT64_P_MAX - 1) ** 2 < 2**63 <= _DLOG_INT64_P_MAX**2
-    ctx = PrimeContext(3037000507, dlog_cap=10**10)  # first prime past the limit
+    p = 3037000507  # the first prime past the limit; g(p) = 2
 
     def no_alloc(*args, **kwargs):
         raise AssertionError("array allocated before the int64 check")
@@ -305,7 +304,7 @@ def test_dlog_table_int64_guard(monkeypatch):
     for name in ("array", "full", "arange"):
         monkeypatch.setattr(np, name, no_alloc)
     with pytest.raises(UnsupportedRangeError, match="int64"):
-        ctx.dlog_array()
+        _dlog_table(p, 2)
 
 
 def test_is_primitive_root_matches_order_test():

@@ -8,9 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gpbound.certify import win_chain_sieved_derive, win_chain_derive, win_chain_sweep
-from gpbound.certify.winchain import _recipe_coefficient
-from gpbound.characters import window_recipe
-from gpbound.enclosure import pow_frac
+from gpbound.enclosure import pow_frac, recipe_coefficient, window_recipe
 from gpbound.errors import DomainError, ParameterError
 
 
@@ -90,10 +88,10 @@ def test_chains_certify_past_float_range():
 
 
 def test_window_recipe_float_lies_in_enclosure():
-    # characters.window_recipe (float, used by the searches) against the
+    # enclosure.window_recipe (float, used by the searches) against the
     # enclosure 2r c p^(1/(2r)) the chains certify with
     for r in range(2, 101):
-        c = _recipe_coefficient(r)
+        c = recipe_coefficient(r)
         for p in (10**15, 10**22, 10**56):
             recipe = 2 * r * c * pow_frac(p, Fraction(1, 2 * r))
             value = window_recipe(p, r)
