@@ -51,29 +51,25 @@ class BoundValue:
         }
 
 
-def bound_sieved(
-    p_spec, r: int, omega: int, s: int, delta: Fraction, precision_bits: int = 128
-) -> BoundValue:
+def bound_sieved(p_spec, r: int, omega: int, s: int, delta: Fraction) -> BoundValue:
     """Enclosure of 2 r F^r p^(1/4 + 1/(4r))."""
     if r < 2:
         raise DomainError("bound shape needs r >= 2")
     F = sieve_factor(omega, s, Fraction(delta))
     p = _p_value(p_spec)
     expo = Fraction(1, 4) + Fraction(1, 4 * r)
-    with working_precision(precision_bits):
+    with working_precision():
         value = 2 * r * enclose(F**r) * pow_frac(p, expo)
         vacuous = value.ge(pow_frac(p, Fraction(1, 2)))
     return BoundValue(value=value, exponent=expo, vacuous_vs_sqrt=vacuous)
 
 
-def bound_log_free(p_spec, r: int, omega: int, precision_bits: int = 128) -> BoundValue:
+def bound_log_free(p_spec, r: int, omega: int) -> BoundValue:
     """Enclosure of 2 r 2^(r omega) p^(1/4 + 1/(4r)); the s = 0 sieved bound."""
-    return bound_sieved(p_spec, r, omega, 0, Fraction(1), precision_bits)
+    return bound_sieved(p_spec, r, omega, 0, Fraction(1))
 
 
-def burgess_comparison_bound(
-    p_spec, r: int, omega: int, precision_bits: int = 128
-) -> BoundValue:
+def burgess_comparison_bound(p_spec, r: int, omega: int) -> BoundValue:
     """Enclosure of C(r)^r 2^(r omega) p^(1/4+1/(4r)) (log p)^(1/2), 2 <= r <= 10."""
     if r not in BURGESS_C:
         raise DomainError(f"comparison constants tabulated for r in [2,10], got {r}")
@@ -82,7 +78,7 @@ def burgess_comparison_bound(
         raise DomainError("comparison constants hold for p >= 1e15")
     c_r_pow = Fraction(BURGESS_C[r][1])
     expo = Fraction(1, 4) + Fraction(1, 4 * r)
-    with working_precision(precision_bits):
+    with working_precision():
         pe = enclose(p)
         value = (
             enclose(c_r_pow)
@@ -114,12 +110,10 @@ class BoundComparison:
         }
 
 
-def compare_with_burgess(
-    p_spec, r: int, omega: int, precision_bits: int = 128
-) -> BoundComparison:
+def compare_with_burgess(p_spec, r: int, omega: int) -> BoundComparison:
     """Certified comparison of the log-free bound against the Burgess shape."""
-    new = bound_log_free(p_spec, r, omega, precision_bits)
-    old = burgess_comparison_bound(p_spec, r, omega, precision_bits)
+    new = bound_log_free(p_spec, r, omega)
+    old = burgess_comparison_bound(p_spec, r, omega)
     smaller = new.value.lt(old.value)
     desc = p_spec.describe() if isinstance(p_spec, Threshold) else str(p_spec)
     return BoundComparison(

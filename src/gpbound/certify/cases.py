@@ -177,7 +177,7 @@ def _max_omega_below(p_cap: int) -> int:
     return omega
 
 
-def _robin_check(const: Fraction, root: int, precision_bits: int) -> CheckRow:
+def _robin_check(const: Fraction, root: int) -> CheckRow:
     """Certify const * 2^(4 omega) < p^(1/root) for all p >= 1e1000 with
     omega <= 1.39 log p / log log p.
 
@@ -187,7 +187,7 @@ def _robin_check(const: Fraction, root: int, precision_bits: int) -> CheckRow:
     only grow once it is positive at u0; it then suffices to check the value
     and the derivative at u0 = log(1e1000).
     """
-    with working_precision(precision_bits):
+    with working_precision():
         c = 4 * enclose(ROBIN_OMEGA_COEFF) * CertifiedReal(2).log()
         u0 = enclose(ROBIN_P_MIN).log()
         lu = u0.log()
@@ -221,14 +221,14 @@ def _reduction_constant(a_min, b_sup, w_cap, p0: int, h_shape, H_shape) -> Certi
     return coef * (h_shape.coef + pow_frac(p0, -h_shape.expo)) / H_shape.coef**2
 
 
-def _reduction_checks_cor2(precision_bits: int) -> list[CheckRow]:
+def _reduction_checks_cor2() -> list[CheckRow]:
     """Certify that 13 F^4 < sqrt(p) suffices for the main condition with
     H = p^(5/8), h = ceil(2 p^(1/4)), r = 2, p >= 1e20."""
     p0 = 10**20
     h_shape = PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True)
     H_shape = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
     out = []
-    with working_precision(precision_bits):
+    with working_precision():
         h_min, _, x_min, a_min, b_sup = _reduction_envelopes(p0, h_shape, H_shape)
         out.append(
             CheckRow(
@@ -283,7 +283,7 @@ def _reduction_checks_cor2(precision_bits: int) -> list[CheckRow]:
     return out
 
 
-def _reduction_checks_lonely(precision_bits: int) -> tuple[list[CheckRow], Fraction]:
+def _reduction_checks_lonely() -> tuple[list[CheckRow], Fraction]:
     """Derive the valid reduced-condition constant for H = 0.999 sqrt(p),
     h = ceil(p^(1/4)), r = 2, p >= 1e56; the stated constant 7 is checked
     against it and reported as-is.
@@ -294,7 +294,7 @@ def _reduction_checks_lonely(precision_bits: int) -> tuple[list[CheckRow], Fract
     H_shape = PowerShape(coef=Fraction(999, 1000), expo=Fraction(1, 2))
     used = Fraction(99, 10)
     out = []
-    with working_precision(precision_bits):
+    with working_precision():
         h_min, H_min, _, a_min, b_sup = _reduction_envelopes(p0, h_shape, H_shape)
         out.append(
             CheckRow("H >= 2h at p_min", f"H_min = {H_min.lo_str(8)}", H_min.ge(2 * (h_min + 1)) is True)
@@ -322,7 +322,7 @@ def _reduction_checks_lonely(precision_bits: int) -> tuple[list[CheckRow], Fract
     return out, used
 
 
-def case_engine(target: str, precision_bits: int = 128) -> CaseReport:
+def case_engine(target: str) -> CaseReport:
     """Re-derive and certify the omega case analysis for one target bound.
 
     Any failing case is reported with its exact margin; nothing is patched.
@@ -330,9 +330,9 @@ def case_engine(target: str, precision_bits: int = 128) -> CaseReport:
     if target == "cor2":
         const, root, p_base = Fraction(13), 2, 10**22
         condition = "13 F^4 < p^(1/2), p >= 1e22"
-        reduction = _reduction_checks_cor2(precision_bits)
+        reduction = _reduction_checks_cor2()
     elif target == "lonely":
-        reduction, const = _reduction_checks_lonely(precision_bits)
+        reduction, const = _reduction_checks_lonely()
         root, p_base = 4, 10**56
         condition = f"{const} F^4 < p^(1/4), p >= 1e56 (stated constant 7)"
     else:
@@ -347,7 +347,7 @@ def case_engine(target: str, precision_bits: int = 128) -> CaseReport:
             s = 0 if offset is None else omega - offset
             p_min = max(p_base, primorial(omega)) if floor else p_base
             report.rows.append(_case_row(regime, omega, s, const, p_min, root))
-    report.reduction.append(_robin_check(const, root, precision_bits))
+    report.reduction.append(_robin_check(const, root))
 
     omega_cap = _max_omega_below(ROBIN_P_MIN)
     last_omega = REGIMES[-1][0][-1]

@@ -10,7 +10,7 @@ h >= 2, and H with H >= 2h and 2H^2 < hp (X = H/h):
 implies g(p) < H.  Everything is evaluated as enclosures; a certificate is
 issued only when every precondition and the strict inequality hold with
 certainty.  Indeterminate comparisons escalate the working precision
-(doubling, up to 1024 bits) before giving up.
+(doubling from 128 up to 1024 bits) before giving up.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from ..enclosure import (
     envelope_a,
     envelope_b,
     envelope_b_sup,
+    WORKING_BITS,
     pow_frac,
     w_factor_enclosure,
     working_precision,
@@ -161,14 +162,7 @@ class Certificate:
         }
 
 
-def certify_bound(
-    p_spec,
-    sieve: SieveSummary,
-    r: int,
-    h,
-    H,
-    precision_bits: int = 128,
-) -> Certificate:
+def certify_bound(p_spec, sieve: SieveSummary, r: int, h, H) -> Certificate:
     """Certificate for g(p) < H via the main inequality.
 
     Exact mode: p_spec is a prime int (proved prime, else DomainError), h an
@@ -184,11 +178,11 @@ def certify_bound(
     if isinstance(p_spec, Threshold):
         if not (isinstance(h, PowerShape) and isinstance(H, PowerShape)):
             raise ParameterError("threshold certification needs PowerShape h and H")
-        return _certify_threshold(p_spec, sieve, r, h, H, precision_bits)
+        return _certify_threshold(p_spec, sieve, r, h, H)
     p = int(p_spec)
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return _certify_exact(p, sieve, r, h, H, precision_bits)
+    return _certify_exact(p, sieve, r, h, H)
 
 
 def main_coefficient(a, b, factor: Fraction, r: int) -> CertifiedReal:
@@ -199,8 +193,9 @@ def main_coefficient(a, b, factor: Fraction, r: int) -> CertifiedReal:
     return pi2 / 6 * (b ** (2 * r - 1) / a ** (2 * r)) * enclose(factor) ** (2 * r)
 
 
-def _escalate(evaluate, precision_bits: int) -> Certificate:
-    bits = precision_bits
+def _escalate(evaluate) -> Certificate:
+    """Evaluate at WORKING_BITS, doubling while indeterminate up to MAX_PRECISION."""
+    bits = WORKING_BITS
     while True:
         cert = evaluate(bits)
         if cert.verdict != "indeterminate" or bits >= MAX_PRECISION:
@@ -219,7 +214,7 @@ def _verdict_from(checks: list[tuple[str, bool | None]]) -> tuple[str, list[str]
     return "certified", []
 
 
-def _certify_exact(p, summary, r, h, H, precision_bits) -> Certificate:
+def _certify_exact(p, summary, r, h, H) -> Certificate:
     # preconditions are exact rational comparisons, decidable up front
     params = BurgessParams(r=r, h=h, H=Fraction(H))
     params.validate(p)
@@ -258,7 +253,7 @@ def _certify_exact(p, summary, r, h, H, precision_bits) -> Certificate:
                 },
             )
 
-    return _escalate(evaluate, precision_bits)
+    return _escalate(evaluate)
 
 
 def _shape_strictness_ok(shape: PowerShape) -> bool:
@@ -267,7 +262,7 @@ def _shape_strictness_ok(shape: PowerShape) -> bool:
     return shape.ceil and shape.expo.denominator > 1
 
 
-def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape, precision_bits):
+def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape):
     if r < 1:
         raise ParameterError(f"need r >= 1, got r={r}")
     if h_shape.expo < 0 or H_shape.expo < 0:
@@ -353,7 +348,7 @@ def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape, precision_bi
                 },
             )
 
-    return _escalate(evaluate, precision_bits)
+    return _escalate(evaluate)
 
 
 def _w_threshold_sup(p0: int, h_shape: PowerShape, r: int):

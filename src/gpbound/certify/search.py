@@ -94,7 +94,7 @@ def _h_candidates(p: int, r: int) -> list[int]:
 
 
 def _min_certified_H(
-    p: int, summary: SieveSummary, r: int, h: int, precision_bits: int
+    p: int, summary: SieveSummary, r: int, h: int
 ) -> tuple[Fraction, Certificate] | None:
     """Smallest certifiable H for fixed (p, sieve, r, h), or None."""
     F = summary.factor
@@ -112,17 +112,13 @@ def _min_certified_H(
         H_try = max(Fraction(H * (1 + bump)).limit_denominator(10**12), Fraction(2 * h))
         if 2 * H_try * H_try >= h * p:
             return None
-        cert = _certify_exact(p, summary, r, h, H_try, precision_bits)
+        cert = _certify_exact(p, summary, r, h, H_try)
         if cert.certified:
             return H_try, cert
     return None
 
 
-def optimize_params(
-    p: int,
-    pm1_factors: Factorization | None = None,
-    precision_bits: int = 128,
-) -> OptimizeResult:
+def optimize_params(p: int, pm1_factors: Factorization | None = None) -> OptimizeResult:
     """Search (r, sieve, h) for the smallest certified H < p.
 
     Deterministic: candidates are enumerated in a fixed order and ties on H
@@ -139,7 +135,7 @@ def optimize_params(
                 if 2 * (2 * h) ** 2 >= h * p:  # even the minimal H fails 2H^2 < hp
                     continue
                 tried += 1
-                found = _min_certified_H(p, summary, r, h, precision_bits)
+                found = _min_certified_H(p, summary, r, h)
                 if found is None:
                     continue
                 H, cert = found
@@ -192,11 +188,7 @@ def _threshold_h_shape(r: int) -> PowerShape:
     )
 
 
-def optimize_threshold(
-    p_min: int,
-    omega: int,
-    precision_bits: int = 128,
-) -> ThresholdOptimizeResult:
+def optimize_threshold(p_min: int, omega: int) -> ThresholdOptimizeResult:
     """Smallest certified bound shape H = c p^alpha over all p >= p_min with
     the given omega: minimal exponent first, then minimal coefficient.
 
@@ -223,8 +215,7 @@ def optimize_threshold(
             key = (expo, coef)
             if best is not None and key >= (best[0], best[1]):
                 continue
-            cert = certify_bound(th, summary, r, h_shape,
-                                 PowerShape(coef=coef, expo=expo), precision_bits)
+            cert = certify_bound(th, summary, r, h_shape, PowerShape(coef=coef, expo=expo))
             if cert.certified:
                 best = (expo, coef, cert)
     if best is None:
@@ -271,7 +262,7 @@ class SoundnessReport:
         return out
 
 
-def soundness_crosscheck(primes, precision_bits: int = 128) -> SoundnessReport:
+def soundness_crosscheck(primes) -> SoundnessReport:
     """For each prime, try to certify g(p) < H and confirm by brute force.
 
     A certificate contradicted by enumeration is a fatal defect and is
@@ -280,7 +271,7 @@ def soundness_crosscheck(primes, precision_bits: int = 128) -> SoundnessReport:
     report = SoundnessReport()
     for p in primes:
         report.checked += 1
-        result = optimize_params(p, precision_bits=precision_bits)
+        result = optimize_params(p)
         if not result.feasible:
             report.skipped += 1
             continue

@@ -1,6 +1,6 @@
 """Certified reproduction of the bootstrap derivation behind the headline bound.
 
-Given r >= 2 and a prime threshold p >= p_min (>= 1e15), with
+Given r >= 2 and a prime p >= P_MIN = 1e15, with
 H = 2 r K^r p^(1/4+1/(4r)) for K the sieve factor (K = 2^omega when s = 0)
 and
 
@@ -14,9 +14,9 @@ hence B(X)^r <= 1.145 (1.158), and the closing constant inequality with
 margin below 4.  Every step is an enclosure check at the worst admissible
 point; each report row carries the computed value.
 
-omega >= 2 is assumed throughout (a prime above 1e15 with omega(p-1) = 1
-would be a Fermat prime far beyond any known one); the assumption is
-recorded in the report.
+omega >= OMEGA_MIN = 2 is assumed throughout (a prime above 1e15 with
+omega(p-1) = 1 would be a Fermat prime far beyond any known one); the
+assumption is recorded in the report.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from ..enclosure import (
     recipe_coefficient,
     working_precision,
 )
-from ..errors import DomainError, ParameterError
+from ..errors import DomainError
 
-P_MIN_DEFAULT = 10**15
+P_MIN = 10**15
+OMEGA_MIN = 2
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,6 @@ class ChainCheck:
 class ChainReport:
     kind: str  # "plain" or "sieved"
     r: int
-    p_min: int
-    omega_min: int
     checks: list[ChainCheck] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -65,8 +64,8 @@ class ChainReport:
         return {
             "kind": self.kind,
             "r": self.r,
-            "p_min": str(self.p_min),
-            "omega_min": self.omega_min,
+            "p_min": str(P_MIN),
+            "omega_min": OMEGA_MIN,
             "checks": [
                 {
                     "name": c.name,
@@ -93,26 +92,21 @@ def _closing_constant(r: int, c: CertifiedReal, b_pow_sq, a_pow_sq) -> Certified
     )
 
 
-def _chain(kind: str, r: int, p_min: int, omega_min: int, precision_bits: int,
-           factor_min: Fraction, x_floor: int, a_floor: Fraction,
+def _chain(kind: str, r: int, factor_min: Fraction, x_floor: int, a_floor: Fraction,
            ry_cap: Fraction, b_cap: Fraction) -> ChainReport:
     if r < 2:
         raise DomainError("the derivation needs r >= 2")
-    if p_min < 10**15:
-        raise ParameterError("thresholds below 1e15 are out of the stated regime")
-    if omega_min < 2:
-        raise ParameterError("omega >= 2 assumed; see module docstring")
-    report = ChainReport(kind=kind, r=r, p_min=p_min, omega_min=omega_min)
+    report = ChainReport(kind=kind, r=r)
     add = report.checks.append
 
-    with working_precision(precision_bits):
+    with working_precision():
         # trivial branch: for p <= 2^(8r) the hypothesis bound already implies
         # the conclusion, because p^(1/4) <= 2^(2r) <= K^r.  K >= 4 for every
         # admissible configuration: e even keeps the prime 2, so s <= omega-1
         # and (s+1) 2^(omega-s) is minimized at s = omega-1 with value
         # 2 omega >= 4.
-        p_regime = max(p_min, 2 ** (8 * r))
-        if 2 ** (8 * r) > p_min:
+        p_regime = max(P_MIN, 2 ** (8 * r))
+        if 2 ** (8 * r) > P_MIN:
             add(
                 ChainCheck(
                     "trivial branch for p in [p_min, 2^(8r)]",
@@ -263,20 +257,12 @@ def _chain(kind: str, r: int, p_min: int, omega_min: int, precision_bits: int,
     return report
 
 
-def win_chain_derive(
-    r: int,
-    p_min: int = P_MIN_DEFAULT,
-    omega_min: int = 2,
-    precision_bits: int = 128,
-) -> ChainReport:
+def win_chain_derive(r: int) -> ChainReport:
     """Full-divisor derivation chain (sieve factor K = 2^omega >= 4)."""
     return _chain(
         "plain",
         r,
-        p_min,
-        omega_min,
-        precision_bits,
-        factor_min=Fraction(2**omega_min),
+        factor_min=Fraction(2**OMEGA_MIN),
         x_floor=2000,
         a_floor=Fraction(998, 1000),
         ry_cap=Fraction(129, 1000),
@@ -284,19 +270,11 @@ def win_chain_derive(
     )
 
 
-def win_chain_sieved_derive(
-    r: int,
-    p_min: int = P_MIN_DEFAULT,
-    omega_min: int = 2,
-    precision_bits: int = 128,
-) -> ChainReport:
+def win_chain_sieved_derive(r: int) -> ChainReport:
     """Sieved-variant chain; uniform over configurations via K >= 3."""
     return _chain(
         "sieved",
         r,
-        p_min,
-        omega_min,
-        precision_bits,
         factor_min=Fraction(3),
         x_floor=500,
         a_floor=Fraction(992, 1000),
@@ -305,19 +283,17 @@ def win_chain_sieved_derive(
     )
 
 
-def win_chain_sweep(
-    r_range=range(2, 101), p_min: int = P_MIN_DEFAULT, precision_bits: int = 128
-) -> dict:
+def win_chain_sweep(r_range=range(2, 101)) -> dict:
     """Both chains across a range of r; returns a summary with any failures."""
     failures = []
     for r in r_range:
         for fn in (win_chain_derive, win_chain_sieved_derive):
-            rep = fn(r, p_min=p_min, precision_bits=precision_bits)
+            rep = fn(r)
             if not rep.all_certified:
                 failures.append({"kind": rep.kind, "r": r, "failed": rep.failed()})
     return {
         "r_range": [min(r_range), max(r_range)],
-        "p_min": str(p_min),
+        "p_min": str(P_MIN),
         "failures": failures,
         "all_certified": not failures,
     }

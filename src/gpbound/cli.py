@@ -57,13 +57,6 @@ def _emit(args, payload, tsv: str | None = None) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _precision(args) -> int:
-    bits = args.precision_bits
-    if not 64 <= bits <= 4096:
-        raise argparse.ArgumentTypeError("precision bits must lie in [64, 4096]")
-    return bits
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -75,7 +68,6 @@ def cmd_gp(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    bits = _precision(args)
     p_spec = _parse_p_spec(args.p, args.omega)
     # a threshold always carries --omega (_parse_p_spec insists), so only an
     # exact p can reach the factorization below
@@ -84,23 +76,22 @@ def cmd_bound(args) -> int:
         return 2
     omega = args.omega if args.omega is not None else factorize(p_spec - 1).omega
     if args.kind == "thm1":
-        value = cert.bound_log_free(p_spec, args.r, omega, bits)
+        value = cert.bound_log_free(p_spec, args.r, omega)
         payload = {"bound": "log_free", **value.to_json()}
     elif args.kind == "sieved":
         if args.s is None or args.delta is None:
             print("bound sieved needs --s and --delta", file=sys.stderr)
             return 2
-        value = cert.bound_sieved(p_spec, args.r, omega, args.s, args.delta, bits)
+        value = cert.bound_sieved(p_spec, args.r, omega, args.s, args.delta)
         payload = {"bound": "sieved", **value.to_json()}
     else:
-        comparison = cert.compare_with_burgess(p_spec, args.r, omega, bits)
+        comparison = cert.compare_with_burgess(p_spec, args.r, omega)
         payload = comparison.to_json()
     _emit(args, payload)
     return 0
 
 
 def cmd_certify(args) -> int:
-    bits = _precision(args)
     p = args.p
     if p >= 2**64:
         print(
@@ -115,19 +106,25 @@ def cmd_certify(args) -> int:
         summary = cert.SieveSummary.from_config(SieveConfig.build(ctx, args.e))
     else:
         summary = cert.SieveSummary.all_kept(pm1.omega)
-    certificate = cert.certify_bound(p, summary, args.r, args.h, args.H, bits)
+    certificate = cert.certify_bound(p, summary, args.r, args.h, args.H)
     _emit(args, certificate.to_json())
     return 0 if certificate.certified else 1
 
 
 _VERIFY_RMAX_DEFAULT = {"charsum": 4, "stirling": 1000, "win-chain": 100}
+# the least value of each size below which a suite would check nothing
+_VERIFY_SIZE_MIN = {
+    "charsum": {"pmax": 5, "hmax": 2, "rmax": 1},
+    "intervals": {"xmax": 2},
+    "sieve": {"pmax": 3},
+    "stirling": {"rmax": 1},
+}
 
 
 def cmd_verify(args) -> int:
-    bits = _precision(args)
     rmax = args.rmax if args.rmax is not None else _VERIFY_RMAX_DEFAULT.get(args.what, 4)
     if args.what == "cases":
-        report = cert.case_engine(args.target, bits)
+        report = cert.case_engine(args.target)
         _emit(args, report.to_json(), tsv=report.to_tsv())
         return 0 if report.overall_pass else 1
     if args.what == "win-chain":
@@ -135,18 +132,20 @@ def cmd_verify(args) -> int:
             raise argparse.ArgumentTypeError(
                 f"need 2 <= --rmin <= --rmax, got --rmin {args.rmin} and --rmax {rmax}"
             )
-        summary = cert.win_chain_sweep(range(args.rmin, rmax + 1), precision_bits=bits)
+        summary = cert.win_chain_sweep(range(args.rmin, rmax + 1))
         _emit(args, summary)
         return 0 if summary["all_certified"] else 1
-    if args.what == "charsum" and rmax < 1:
-        raise argparse.ArgumentTypeError(f"--rmax must be at least 1, got {rmax}")
-    if args.what == "intervals" and args.xmax < 2:
-        raise argparse.ArgumentTypeError(f"--xmax must be at least 2, got {args.xmax}")
+    sizes = {"pmax": args.pmax, "hmax": args.hmax, "rmax": rmax, "xmax": args.xmax}
+    for name, least in _VERIFY_SIZE_MIN[args.what].items():
+        if sizes[name] < least:
+            raise argparse.ArgumentTypeError(
+                f"--{name} must be at least {least}, got {sizes[name]}"
+            )
     from . import verify  # loads numpy, which no other subcommand needs
 
     suites = {
         "charsum": lambda: verify.charsum(args.pmax, args.hmax, rmax, args.emit == "all"),
-        "intervals": lambda: verify.intervals(args.xmax, args.grid, args.seed, bits),
+        "intervals": lambda: verify.intervals(args.xmax, args.grid, args.seed),
         "sieve": lambda: verify.sieve(args.pmax),
         "stirling": lambda: verify.stirling(rmax),
     }
@@ -178,24 +177,22 @@ def scan_primes(start: int, stop: int, shape: str, limit: int, seed: int) -> lis
 
 
 def cmd_scan(args) -> int:
-    bits = _precision(args)
     if args.start >= args.stop:
         raise argparse.ArgumentTypeError(
             f"empty range: --from {args.start} must be below --to {args.stop}"
         )
     primes = scan_primes(args.start, args.stop, args.shape, args.limit, args.seed)
-    report = cert.soundness_crosscheck(primes, bits)
+    report = cert.soundness_crosscheck(primes)
     _emit(args, report.to_json())
     return 1 if report.fatal else 0
 
 
 def cmd_optimize(args) -> int:
-    bits = _precision(args)
     p_spec = _parse_p_spec(args.p, args.omega)
     if isinstance(p_spec, cert.Threshold):
-        result = cert.optimize_threshold(p_spec.p_min, p_spec.omega, precision_bits=bits)
+        result = cert.optimize_threshold(p_spec.p_min, p_spec.omega)
     else:
-        result = cert.optimize_params(p_spec, precision_bits=bits)
+        result = cert.optimize_params(p_spec)
     _emit(args, result.to_json())
     return 0 if result.feasible else 1
 
@@ -206,7 +203,6 @@ def cmd_optimize(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gpbound", description=__doc__)
     top.add_argument("--format", choices=["json", "tsv", "human"], default="json")
-    top.add_argument("--precision-bits", type=int, default=128)
     top.add_argument("--seed", type=int, default=0)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -22,8 +22,11 @@ from mpmath import iv
 
 from .errors import DomainError
 
+WORKING_BITS = 128  # every enclosure starts here; certifiers escalate from it
+
+
 @contextmanager
-def working_precision(bits: int):
+def working_precision(bits: int = WORKING_BITS):
     """Temporarily set the interval working precision."""
     old = iv.prec
     iv.prec = bits
@@ -148,16 +151,19 @@ class CertifiedReal:
         return f if mpmath.mpf(f) >= exact else math.nextafter(f, math.inf)
 
     def lo_mpf(self):
-        return mpmath.mpf(self.ival.a._mpi_[0])
+        """The exact lower endpoint, at whatever precision it carries."""
+        return mpmath.mp.make_mpf(self.ival.a._mpi_[0])
 
     def hi_mpf(self):
-        return mpmath.mpf(self.ival.b._mpi_[1])
+        return mpmath.mp.make_mpf(self.ival.b._mpi_[1])
 
+    # The strings round the endpoints to nearest at mpmath's 53-bit default,
+    # so they may lie just inside the enclosure; only .lo/.hi are bounds.
     def lo_str(self, digits: int = 24) -> str:
-        return mpmath.nstr(self.lo_mpf(), digits)
+        return mpmath.nstr(mpmath.mpf(self.lo_mpf()), digits)
 
     def hi_str(self, digits: int = 24) -> str:
-        return mpmath.nstr(self.hi_mpf(), digits)
+        return mpmath.nstr(mpmath.mpf(self.hi_mpf()), digits)
 
     @property
     def width(self) -> float:
@@ -167,8 +173,8 @@ class CertifiedReal:
         other = self._coerce(value)
         return bool(self.ival.a <= other.ival.a and other.ival.b <= self.ival.b)
 
-    def to_json(self, digits: int = 24) -> dict:
-        return {"lo": self.lo_str(digits), "hi": self.hi_str(digits)}
+    def to_json(self) -> dict:
+        return {"lo": self.lo_str(), "hi": self.hi_str()}
 
     def __repr__(self):
         return f"CertifiedReal[{self.lo_str(12)}, {self.hi_str(12)}]"

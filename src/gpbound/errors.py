@@ -30,8 +30,4 @@ class ConsistencyError(GpboundError):
 
 
 class VerificationFailure(GpboundError):
-    """A verified claim failed; carries the offending report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A verified claim failed; the message names it."""

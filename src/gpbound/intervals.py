@@ -247,7 +247,7 @@ class SweepReport:
         }
 
 
-def verify_S_envelope(x_max: int = 38, precision_bits: int = 128) -> SweepReport:
+def verify_S_envelope(x_max: int = 38) -> SweepReport:
     """Check |S(X) - 3 X^2/pi^2| <= (2/3) X for all real X in [1, x_max).
 
     S is piecewise linear on [k, k+1) with S(X) = a X - b, a = sum phi(q)/q,
@@ -259,7 +259,7 @@ def verify_S_envelope(x_max: int = 38, precision_bits: int = 128) -> SweepReport
     """
     n = x_max
     ph = _phi_table(n)
-    with working_precision(precision_bits):
+    with working_precision():
         pi2 = CertifiedReal.pi() ** 2
         worst = None
         checked = 0
@@ -302,7 +302,7 @@ def verify_S_envelope(x_max: int = 38, precision_bits: int = 128) -> SweepReport
     )
 
 
-def verify_T_envelope(x_max: int = 1000, precision_bits: int = 128) -> SweepReport:
+def verify_T_envelope(x_max: int = 1000) -> SweepReport:
     """Check |T(X) - 3 X^2/pi^2| <= X log X for all real X in [2, x_max).
 
     T is constant on [k, k+1).  With u(X) = T(k) - 3X^2/pi^2:
@@ -313,7 +313,7 @@ def verify_T_envelope(x_max: int = 1000, precision_bits: int = 128) -> SweepRepo
     n = x_max
     ph = _phi_table(n)
     t_cum = np.cumsum(ph[1:])  # t_cum[k-1] = T(k)
-    with working_precision(precision_bits):
+    with working_precision():
         pi2 = CertifiedReal.pi() ** 2
         worst = None
         checked = 0
@@ -370,6 +370,8 @@ def verify_external_inputs(x_max: int = 10**6) -> list[SweepReport]:
     These are trusted external estimates, not re-proved here; float
     evaluation with generous slack is appropriate.
     """
+    if x_max < 2:
+        raise ParameterError(f"need x_max >= 2, got x_max = {x_max}")
     mu = _mobius_table(x_max)
     d = np.arange(x_max + 1, dtype=float)
     d[0] = 1.0

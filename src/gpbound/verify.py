@@ -107,13 +107,10 @@ def interval_grid(grid: int, seed: int) -> dict:
     }
 
 
-def intervals(xmax: int, grid: int, seed: int, precision_bits: int) -> dict:
+def intervals(xmax: int, grid: int, seed: int) -> dict:
     """The S and T sweeps, the external estimates up to xmax, and the grid."""
-    reports = [
-        verify_S_envelope(precision_bits=precision_bits).to_json(),
-        verify_T_envelope(precision_bits=precision_bits).to_json(),
-    ]
-    reports += [r.to_json() for r in verify_external_inputs(xmax)]
+    sweeps = [verify_S_envelope(), verify_T_envelope(), *verify_external_inputs(xmax)]
+    reports = [r.to_json() for r in sweeps]
     reports.append(interval_grid(grid, seed))
     return {"reports": reports, "pass": all(r["pass"] for r in reports)}
 

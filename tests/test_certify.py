@@ -259,7 +259,7 @@ def test_precision_escalation_machinery():
         verdict = "certified" if bits >= 512 else "indeterminate"
         return type("C", (), {"verdict": verdict, "precision_bits": 0})()
 
-    cert = _escalate(evaluator, 128)
+    cert = _escalate(evaluator)
     assert calls == [128, 256, 512]
     assert cert.verdict == "certified"
     assert cert.precision_bits == 512
@@ -270,7 +270,7 @@ def test_precision_escalation_machinery():
         calls.append(bits)
         return type("C", (), {"verdict": "indeterminate", "precision_bits": 0})()
 
-    cert = _escalate(never, 128)
+    cert = _escalate(never)
     assert cert.verdict == "indeterminate"
     assert calls[-1] == 1024
 

@@ -245,6 +245,10 @@ def test_scan_empty_range_is_usage_error():
         (("verify", "win-chain", "--rmin", "101"), "need 2 <= --rmin <= --rmax"),
         (("verify", "charsum", "--rmax", "0"), "--rmax must be at least 1"),
         (("verify", "intervals", "--xmax", "1"), "--xmax must be at least 2"),
+        (("verify", "charsum", "--hmax", "1"), "--hmax must be at least 2"),
+        (("verify", "charsum", "--pmax", "4"), "--pmax must be at least 5"),
+        (("verify", "sieve", "--pmax", "2"), "--pmax must be at least 3"),
+        (("verify", "stirling", "--rmax", "0"), "--rmax must be at least 1"),
     ],
 )
 def test_verify_empty_ranges_are_usage_errors(argv, message):
@@ -252,6 +256,14 @@ def test_verify_empty_ranges_are_usage_errors(argv, message):
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+def test_precision_bits_option_is_gone():
+    # every enclosure starts at 128 bits and the certifiers escalate on
+    # their own, so the working precision is not an option
+    code, out, err = run_cli("--precision-bits", "128", "gp", "191")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: gpbound")
 
 
 def test_malformed_p_is_usage_error():

@@ -104,6 +104,16 @@ def test_constants_and_min_max():
     assert float(emax(a, b)) == 5
 
 
+def test_endpoints_are_directed_bounds():
+    """.lo and .hi bound the exact value, also through emin and emax; checked
+    exactly as Fraction(lo)^2 <= k/3 <= Fraction(hi)^2 for x = sqrt(k/3)."""
+    with working_precision():
+        for k in range(1, 2000):
+            x = enclose(Fraction(k, 3)).sqrt()
+            for enc in (x, emin(x, x + 1), emax(x, x - 1)):
+                assert Fraction(enc.lo) ** 2 <= Fraction(k, 3) <= Fraction(enc.hi) ** 2, k
+
+
 def test_envelope_enclosures_match_floats():
     a_float, b_float = envelopes(10, 10)
     a = envelope_a(10)

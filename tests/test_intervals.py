@@ -362,3 +362,10 @@ def test_external_input_checks():
     # squarefree count at X=4: {1,2,3} -> 3 <= 6*4/pi^2 + 0.679091*2
     assert sum(1 for d in range(1, 5) if mu[d] != 0) == 3
     assert 3 <= 6 * 4 / math.pi**2 + 0.679091 * 2
+
+
+def test_external_inputs_reject_x_max_below_2():
+    for x_max in (1, 0, -3):
+        with pytest.raises(ParameterError, match="x_max >= 2"):
+            verify_external_inputs(x_max)
+    assert [rep.checked for rep in verify_external_inputs(2)] == [2, 2, 1, 2]
