@@ -36,7 +36,7 @@ from ..enclosure import (
 from ..errors import DomainError
 from ..ntcore import first_primes, iter_primes, primorial
 from ..sieve import sieve_density, sieve_factor
-from .certifier import PowerShape, main_coefficient
+from .certifier import PowerShape, _hp_check, _w_threshold_sup, main_coefficient
 
 ROBIN_OMEGA_COEFF = Fraction(139, 100)  # omega(p-1) <= 1.39 log p / log log p
 ROBIN_P_MIN = 10**1000
@@ -259,20 +259,20 @@ def _reduction_checks_cor2() -> list[CheckRow]:
                 b_sup.le(1 + Fraction(1, 10**5)) is True,
             )
         )
-        # W <= 15/4: exact, since h >= 2 p^(1/4) gives sqrt(p)/h^2 <= 1/4
+        # h >= 2 p^(1/4) gives sqrt(p)/h^2 <= 1/4, so the r = 2 branch is 15/4
+        w_cap, _ = _w_threshold_sup(p0, h_shape, 2)
         out.append(
             CheckRow(
                 "W(p,h,2) <= 15/4",
                 "h >= 2 p^(1/4) so sqrt(p)/h^2 <= 1/4 exactly",
-                True,
+                w_cap.le(Fraction(15, 4)) is True,
             )
         )
         # 2H^2 = 2 p^(5/4) < hp: ceil(2 p^(1/4)) > 2 p^(1/4) since p^(1/4) is
         # irrational for prime p
-        out.append(
-            CheckRow("2H^2 < hp", "strict via ceil of an irrational power", True)
-        )
-        kappa = _reduction_constant(a_min, b_sup, Fraction(15, 4), p0, h_shape, H_shape)
+        hp_ok = _hp_check(p0, h_shape, H_shape)[1] is True
+        out.append(CheckRow("2H^2 < hp", "strict via ceil of an irrational power", hp_ok))
+        kappa = _reduction_constant(a_min, b_sup, w_cap, p0, h_shape, H_shape)
         out.append(
             CheckRow(
                 "reduction constant <= 13",
@@ -299,11 +299,11 @@ def _reduction_checks_lonely() -> tuple[list[CheckRow], Fraction]:
         out.append(
             CheckRow("H >= 2h at p_min", f"H_min = {H_min.lo_str(8)}", H_min.ge(2 * (h_min + 1)) is True)
         )
-        out.append(
-            CheckRow("2H^2 < hp at p_min", "2*(0.999)^2 p < p^(5/4) for p >= 1e56", True)
-        )
+        hp_ok = _hp_check(p0, h_shape, H_shape)[1] is True
+        out.append(CheckRow("2H^2 < hp at p_min", "2*(0.999)^2 p < p^(5/4) for p >= 1e56", hp_ok))
         # W <= 6: h >= p^(1/4) gives sqrt(p)/h^2 <= 1 exactly
-        kappa = _reduction_constant(a_min, b_sup, Fraction(6), p0, h_shape, H_shape)
+        w_cap, _ = _w_threshold_sup(p0, h_shape, 2)
+        kappa = _reduction_constant(a_min, b_sup, w_cap, p0, h_shape, H_shape)
         out.append(
             CheckRow(
                 "stated reduction constant 7 is sufficient",

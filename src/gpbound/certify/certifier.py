@@ -43,6 +43,10 @@ class Threshold:
     p_min: int
     omega: int
 
+    def __post_init__(self):
+        if self.omega < 1:
+            raise DomainError(f"omega(p-1) >= 1 for every odd prime p, got omega = {self.omega}")
+
     def describe(self) -> str:
         return f"p >= {self.p_min}, omega = {self.omega}"
 
@@ -256,10 +260,23 @@ def _certify_exact(p, summary, r, h, H) -> Certificate:
     return _escalate(evaluate)
 
 
-def _shape_strictness_ok(shape: PowerShape) -> bool:
-    # ceil(c p^(a/b)) > c p^(a/b) whenever the power is irrational, which
-    # holds for prime p and non-integer exponent (p is never a perfect power)
-    return shape.ceil and shape.expo.denominator > 1
+def _hp_check(p0: int, h_shape: PowerShape, H_shape: PowerShape) -> tuple[str, bool | None]:
+    """The named check that 2H^2 < hp for every prime p >= p0, by exponents,
+    then coefficients; call inside working_precision."""
+    lhs_expo, rhs_expo = 2 * H_shape.expo, h_shape.expo + 1
+    if lhs_expo > rhs_expo:
+        return "2H^2 < hp exponents", False
+    if lhs_expo < rhs_expo:
+        lhs = 2 * H_shape.lower_at(p0) ** 2
+        return "2H^2 < hp at p_min", lhs.lt(h_shape.lower_at(p0) * p0)
+    two_ch2 = 2 * H_shape.coef**2
+    if two_ch2 < h_shape.coef:
+        return "2H^2 < hp coefficients", True
+    # equal coefficients: ceil(c p^(a/b)) > c p^(a/b) since the power is
+    # irrational for prime p and non-integer exponent
+    if two_ch2 == h_shape.coef and h_shape.ceil and h_shape.expo.denominator > 1:
+        return "2H^2 < hp (ceil strictness)", True
+    return "2H^2 < hp coefficients", False
 
 
 def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape):
@@ -282,24 +299,7 @@ def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape):
             checks.append(("expo(H) >= expo(h)", H_shape.expo >= h_shape.expo))
             checks.append(("H >= 2h at p_min", H_lo.ge(2 * h_hi)))
 
-            # 2H^2 < hp: compare exponents; equality case rescued by ceil
-            # strictness (the power value is irrational for prime p)
-            lhs_expo = 2 * H_shape.expo
-            rhs_expo = h_shape.expo + 1
-            if lhs_expo > rhs_expo:
-                checks.append(("2H^2 < hp exponents", False))
-            elif lhs_expo == rhs_expo:
-                two_ch2 = 2 * H_shape.coef**2
-                if two_ch2 < h_shape.coef:
-                    checks.append(("2H^2 < hp coefficients", True))
-                elif two_ch2 == h_shape.coef and _shape_strictness_ok(h_shape):
-                    checks.append(("2H^2 < hp (ceil strictness)", True))
-                else:
-                    checks.append(("2H^2 < hp coefficients", False))
-            else:
-                checks.append(
-                    ("2H^2 < hp at p_min", (2 * H_shape.lower_at(p0) ** 2).lt(h_lo * p0))
-                )
+            checks.append(_hp_check(p0, h_shape, H_shape))
 
             # X = H/h >= X_lo, nondecreasing in p since expo(H) >= expo(h)
             x_lo = H_lo / h_hi

@@ -61,6 +61,8 @@ def _emit(args, payload, tsv: str | None = None) -> None:
 
 
 def cmd_gp(args) -> int:
+    if args.budget is not None and args.budget < 2:
+        raise argparse.ArgumentTypeError(f"--budget must be at least 2, got {args.budget}")
     p = int(args.p)
     g = least_primitive_root(p, candidate_limit=args.budget)
     print(g)

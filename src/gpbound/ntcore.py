@@ -3,6 +3,10 @@
 Primality, factorization, the classical multiplicative functions, and the
 brute-force least-primitive-root oracle.  Everything here is exact integer
 or rational arithmetic; no floats.
+
+Every primality verdict is a proof: is_prime decides below
+MR_DETERMINISTIC_LIMIT (~3.3e24), and past it least_primitive_root proves p
+prime by Lucas's criterion from the root it finds.
 """
 
 from __future__ import annotations
@@ -60,14 +64,25 @@ def first_primes(k: int) -> list[int]:
     return ps[:k]
 
 
-def _mr_witness_composite(n: int, a: int, d: int, s: int) -> bool:
-    """True if witness a proves n composite."""
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return False
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
+def _passes_strong_test(n: int) -> bool:
+    """False if a witness in _MR_WITNESSES proves n >= 2 composite; True
+    proves n prime only below MR_DETERMINISTIC_LIMIT."""
+    for a in _MR_WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -85,97 +100,7 @@ def is_prime(n: int) -> bool:
         raise UnsupportedRangeError(
             f"deterministic witness set only proven below {MR_DETERMINISTIC_LIMIT}"
         )
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    return not any(_mr_witness_composite(n, a, d, s) for a in _MR_WITNESSES)
-
-
-def is_probable_prime(n: int) -> bool:
-    """Baillie-PSW probable-prime test for inputs beyond the deterministic range.
-
-    Used only to validate user-supplied factorizations of huge p-1; no
-    composite passing BPSW is known.  Below the deterministic limit this
-    simply defers to is_prime.
-    """
-    if n < MR_DETERMINISTIC_LIMIT:
-        return is_prime(n)
-    if n % 2 == 0:
-        return False
-    for p in _small_primes()[:100]:
-        if n % p == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    if _mr_witness_composite(n, 2, d, s):
-        return False
-    return _strong_lucas_prp(n)
-
-
-def _strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas test with Selfridge parameters (n odd, > 2, no small factors)."""
-    if math.isqrt(n) ** 2 == n:
-        return False
-    D = 5
-    while True:
-        g = math.gcd(abs(D), n)
-        if 1 < g < n:
-            return False
-        if _jacobi(D, n) == -1:
-            break
-        D = -(D + 2) if D > 0 else -(D - 2)
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    U, V = _lucas_uv(d, D, n)
-    if U == 0 or V == 0:
-        return True
-    qk = pow(Q, d, n)
-    for _ in range(s - 1):
-        V = (V * V - 2 * qk) % n
-        if V == 0:
-            return True
-        qk = qk * qk % n
-    return False
-
-
-def _lucas_uv(k: int, D: int, n: int) -> tuple[int, int]:
-    """(U_k, V_k) mod n for the Lucas sequence with P=1 and discriminant D."""
-    U, V = 1, 1
-    inv2 = pow(2, -1, n)
-    for bit in bin(k)[3:]:
-        U, V = U * V % n, (V * V + D * U * U) * inv2 % n
-        if bit == "1":
-            U, V = (U + V) * inv2 % n, (D * U + V) * inv2 % n
-    return U, V
-
-
-def _jacobi(a: int, n: int) -> int:
-    assert n > 0 and n % 2 == 1
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    if n != 1:
-        return 0
-    return result
+    return n >= 2 and _passes_strong_test(n)
 
 
 @dataclass(frozen=True)
@@ -193,15 +118,13 @@ class Factorization:
                 raise DomainError("exponents must be positive")
             prev = p
 
-    def validate(self, n: int, *, allow_probable: bool = False) -> None:
-        """Check primality of every entry and that the product reconstructs n."""
-        prod = 1
-        for p, e in self.entries:
-            ok = is_probable_prime(p) if allow_probable else is_prime(p)
-            if not ok:
+    def validate(self, n: int) -> None:
+        """Prove every entry prime with is_prime (so none past
+        MR_DETERMINISTIC_LIMIT) and check that the product is n."""
+        for p in self.primes:
+            if not is_prime(p):
                 raise DomainError(f"factor {p} is not prime")
-            prod *= p**e
-        if prod != n:
+        if self.n != n:
             raise DomainError("factorization does not multiply back to n")
 
     @property
@@ -296,10 +219,7 @@ def factorize(n: int) -> Factorization:
 
 def euler_phi(n: int) -> int:
     """Euler totient from the factorization."""
-    result = n
-    for p in factorize(n).primes:
-        result -= result // p
-    return result
+    return phi_of_factorization(factorize(n))
 
 
 def moebius(n: int) -> int:
@@ -389,24 +309,27 @@ def least_primitive_root(
     Brute-force oracle: candidates are tested with the order test against the
     factorization of p-1.  The candidate budget guards huge p, where the
     oracle has no business running.
+
+    Past MR_DETERMINISTIC_LIMIT the search proves p prime by Lucas's
+    criterion (Brillhart, Lehmer & Selfridge, Math. Comp. 29, 1975): g with
+    g^(p-1) = 1 and g^((p-1)/q) != 1 for every prime q | p-1, each q proved
+    by is_prime.  A candidate with g^(p-1) != 1 proves p composite.
     """
     if p == 3:
         return 2
-    if p < 3 or p % 2 == 0 or not _prime_or_unsupported(p):
+    beyond = p >= MR_DETERMINISTIC_LIMIT
+    if p < 3 or p % 2 == 0 or not (_passes_strong_test(p) if beyond else is_prime(p)):
         raise DomainError(f"{p} is not an odd prime")
     f = pm1_factors or factorize(p - 1)
+    if beyond:
+        f.validate(p - 1)
     limit = candidate_limit if candidate_limit is not None else p
     for g in range(2, min(p, limit + 1)):
         if is_primitive_root(g, p, f):
+            if beyond and pow(g, p - 1, p) != 1:
+                raise DomainError(f"{p} is not an odd prime")
             return g
     raise BudgetExceededError(f"g({p}) not found within candidate limit {limit}")
-
-
-def _prime_or_unsupported(p: int) -> bool:
-    try:
-        return is_prime(p)
-    except UnsupportedRangeError:
-        return is_probable_prime(p)
 
 
 def primorial(k: int) -> int:
@@ -485,11 +408,11 @@ class PrimeContext:
     def __init__(self, p: int, pm1_factors: Factorization | None = None):
         if p < 3 or p % 2 == 0:
             raise DomainError("PrimeContext requires an odd prime >= 3")
-        if not _prime_or_unsupported(p):
+        if p < MR_DETERMINISTIC_LIMIT and not is_prime(p):
             raise DomainError(f"{p} is not prime")
         self.p = p
         self.pm1_factors = pm1_factors if pm1_factors is not None else factorize(p - 1)
-        self.pm1_factors.validate(p - 1, allow_probable=True)
+        self.pm1_factors.validate(p - 1)
         self.omega = self.pm1_factors.omega
         self.generator = least_primitive_root(p, self.pm1_factors, candidate_limit=10**6)
         self._dlog = None

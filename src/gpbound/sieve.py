@@ -43,6 +43,8 @@ Terms = list[tuple[Fraction, int]]
 
 def sieve_factor(omega: int, s: int, delta: Fraction) -> Fraction:
     """F = (2 + (s-1)/delta) 2^(omega-s); exact rational, F = 2^omega at s=0."""
+    if omega < 1 or s < 0:
+        raise ConfigError(f"need omega >= 1 and s >= 0, got omega = {omega}, s = {s}")
     if s == 0:
         return Fraction(2**omega)
     if delta <= 0:

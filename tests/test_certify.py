@@ -32,6 +32,20 @@ def test_sieve_factor_values():
         sieve_factor(4, 2, Fraction(0))
 
 
+def test_sieve_factor_rejects_impossible_inputs():
+    # omega(p-1) >= 1 for every odd prime, and s counts excluded primes
+    with pytest.raises(ConfigError, match="omega"):
+        sieve_factor(-1, 0, Fraction(1))
+    with pytest.raises(ConfigError, match="s >= 0"):
+        sieve_factor(3, -1, Fraction(1, 2))
+
+
+def test_threshold_rejects_omega_below_one():
+    for omega in (0, -2):
+        with pytest.raises(DomainError, match="omega"):
+            Threshold(10**56, omega)
+
+
 def test_sieve_factor_implementations_agree():
     # one definition of the exact factor, in the sieve layer; the certify
     # name and a certificate's summary both go through it
@@ -273,6 +287,20 @@ def test_precision_escalation_machinery():
     cert = _escalate(never)
     assert cert.verdict == "indeterminate"
     assert calls[-1] == 1024
+
+
+def test_hp_check_needs_the_ceil_at_equal_exponents():
+    # H = p^(5/8) gives 2H^2 = 2 p^(5/4) = hp exactly for h = 2 p^(1/4); only
+    # the ceil of the irrational power makes the inequality strict
+    from gpbound.certify.certifier import _hp_check
+    from gpbound.enclosure import working_precision
+
+    H = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
+    bare = PowerShape(coef=Fraction(2), expo=Fraction(1, 4))
+    ceiled = PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True)
+    with working_precision():
+        assert _hp_check(10**20, bare, H) == ("2H^2 < hp coefficients", False)
+        assert _hp_check(10**20, ceiled, H) == ("2H^2 < hp (ceil strictness)", True)
 
 
 def test_threshold_requires_shapes():

@@ -44,6 +44,34 @@ def test_bound_burgess_comparison():
     assert blob["new_strictly_smaller"] is True
 
 
+def test_bound_thm1_rejects_negative_omega():
+    code, out, err = run_cli("bound", "thm1", "--p", "1e56", "--r", "2", "--omega", "-1")
+    assert (code, out) == (1, "")
+    assert "omega" in err
+
+
+def test_bound_sieved_rejects_negative_s():
+    code, out, err = run_cli(
+        "bound", "sieved", "--p", "1e56", "--r", "2", "--omega", "3", "--s", "-1", "--delta", "1/2"
+    )
+    assert (code, out) == (1, "")
+    assert "s >= 0" in err
+
+
+@pytest.mark.parametrize("omega", ["0", "-2"])
+def test_optimize_rejects_omega_below_one(omega):
+    code, out, err = run_cli("optimize", "--p", "1e56", "--omega", omega)
+    assert (code, out) == (1, "")
+    assert "omega" in err and "infeasible" not in err
+
+
+@pytest.mark.parametrize("budget", ["0", "1"])
+def test_gp_budget_below_two_is_usage_error(budget):
+    code, out, err = run_cli("gp", "191", "--budget", budget)
+    assert (code, out) == (2, "")
+    assert "--budget must be at least 2" in err
+
+
 def test_bound_sieved_requires_flags():
     code, _, err = run_cli("bound", "sieved", "--p", "1e56", "--r", "2", "--omega", "5")
     assert code == 2

@@ -18,6 +18,7 @@ from gpbound.errors import (
 )
 from gpbound.ntcore import (
     _DLOG_INT64_P_MAX,
+    _passes_strong_test,
     Factorization,
     MR_DETERMINISTIC_LIMIT,
     PrimeContext,
@@ -26,7 +27,6 @@ from gpbound.ntcore import (
     factorize,
     first_primes,
     is_prime,
-    is_probable_prime,
     is_primitive_root,
     least_primitive_root,
     moebius,
@@ -99,10 +99,29 @@ def test_is_prime_rejects_negative_and_huge():
         is_prime(MR_DETERMINISTIC_LIMIT + 1)
 
 
-def test_bpsw_agrees_beyond_deterministic_range():
-    assert is_probable_prime(2**89 - 1)  # Mersenne prime
-    assert not is_probable_prime(2**89 + 1)
-    assert is_probable_prime(10**15 + 37)
+def test_lucas_proof_beyond_deterministic_range():
+    m89 = 2**89 - 1  # Mersenne prime; 3 is its least primitive root
+    assert least_primitive_root(m89) == 3
+    assert PrimeContext(m89).generator == 3
+    for make in (least_primitive_root, PrimeContext):
+        with pytest.raises(DomainError, match="not an odd prime"):
+            make(2**89 + 1)
+
+
+def test_lucas_proof_rejects_strong_pseudoprime_at_limit():
+    # the limit itself passes every witness, so only g^(p-1) != 1 exposes it
+    assert _passes_strong_test(MR_DETERMINISTIC_LIMIT)
+    with pytest.raises(DomainError, match="not an odd prime"):
+        least_primitive_root(MR_DETERMINISTIC_LIMIT)
+
+
+def test_unprovable_factor_of_p_minus_one_is_unsupported():
+    # 136 (2^89 - 1) + 1 is prime, but its factor 2^89 - 1 lies past the
+    # deterministic range, so the Lucas proof has an unproved prime
+    m89 = 2**89 - 1
+    f = Factorization(((2, 3), (17, 1), (m89, 1)))
+    with pytest.raises(UnsupportedRangeError):
+        PrimeContext(136 * m89 + 1, f)
 
 
 # -- factorization --------------------------------------------------------------
