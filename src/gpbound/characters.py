@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .ntcore import (
-    PrimeContext,
-    multiplicative_order,
-    phi_of_factorization,
-    ramanujan_sum,
-    squarefree_divisors,
-)
+from .ntcore import PrimeContext
 
 _EPS = np.finfo(float).eps
 _RESYNC_BLOCK = 1 << 16  # prefix sums restart every block to contain drift
@@ -68,51 +61,12 @@ def character_orders(p: int) -> np.ndarray:
     return (p - 1) // np.gcd(j, p - 1)
 
 
-def char_value(chi: CharacterIndex, n: int) -> complex:
-    """chi(n): zero at multiples of p, else a root of unity."""
-    p = chi.ctx.p
-    r = n % p
-    if r == 0:
-        return 0j
-    k = chi.ctx.dlog(r)
-    return complex(chi.ctx.root_powers()[(chi.j * k) % (p - 1)])
-
-
 def _char_table(ctx: PrimeContext, j) -> np.ndarray:
     """chi_j(x) for x = 0..p-1: one complex vector for an int j, one row per
     index for an array of them."""
     vals = ctx.root_powers()[np.multiply.outer(j, ctx.dlog_array()) % (ctx.p - 1)]
     vals[..., 0] = 0.0
     return vals
-
-
-def indicator_primitive_root(ctx: PrimeContext, n: int) -> int:
-    """Primitive-root indicator f(n), evaluated two independent ways.
-
-    Route (a): order test.  Route (b): the character identity
-    f(n) = (phi(p-1)/(p-1)) sum_{d|p-1} (mu(d)/phi(d)) sum_{ord(chi)=d} chi(n),
-    in exact rationals (only squarefree d have mu(d) != 0).  The routes must
-    agree exactly or a ConsistencyError is raised.
-    """
-    p = ctx.p
-    if not 1 <= n % p <= p - 1:
-        raise DomainError("n must be nonzero mod p")
-    by_order = int(multiplicative_order(n, p, ctx.pm1_factors) == p - 1)
-
-    k = ctx.dlog(n)
-    primes = ctx.pm1_factors.primes
-    acc = sum(
-        (Fraction(mu, phi) * ramanujan_sum(d, k, primes)
-         for d, mu, phi in squarefree_divisors(primes)),
-        Fraction(0),
-    )
-    by_chars = Fraction(phi_of_factorization(ctx.pm1_factors), p - 1) * acc
-    if by_chars != by_order:
-        raise ConsistencyError(
-            f"indicator mismatch at p={p}, n={n}: order test {by_order}, "
-            f"character identity {by_chars}"
-        )
-    return by_order
 
 
 def _window_sums(vals: np.ndarray, h: int) -> np.ndarray:
@@ -134,13 +88,35 @@ def _window_sums(vals: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def _moment_error_bound(p: int, h: int, r: int) -> float:
-    """Conservative absolute error bound for the blocked moment evaluation."""
+def moment_error_bound(p: int, h: int, r: int) -> float:
+    """Conservative absolute error bound for the blocked moment evaluation,
+    for one character and for every row of the batch alike."""
     block = min(p, _RESYNC_BLOCK) + h
     err_w = 2.0 * block * block * _EPS + 4 * h * _EPS
     per_term = 2 * r * float(h) ** (2 * r - 1) * err_w
     reduce_err = 64 * _EPS * p * float(h) ** (2 * r)
     return p * per_term + reduce_err
+
+
+def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray]:
+    """{r: S_chi_j(p,h,r)} for an int j (scalars) or an index array j (one
+    entry per index): table, windows, |W|^2 and repeated products, so the
+    single and the batch path agree bit for bit."""
+    if h < 1 or not r_values or min(r_values) < 1:
+        raise DomainError(f"need h >= 1 and r >= 1, got h = {h}, r_values = {r_values}")
+    # the table lives until return: freed inside the window pass, it changed
+    # how the allocator trims the heap and slowed the sieve work run after
+    # this call by about 20% in the sweep-small benchmark
+    vals = _char_table(ctx, j)
+    w = _window_sums(vals, h)
+    m2 = (w * w.conj()).real
+    out = {}
+    acc = None
+    for r in range(1, max(r_values) + 1):
+        acc = m2 if acc is None else acc * m2
+        if r in r_values:
+            out[r] = acc.sum(axis=-1)
+    return out
 
 
 def moment_sum_exact(chi: CharacterIndex, h: int, r: int) -> MomentSumResult:
@@ -150,17 +126,8 @@ def moment_sum_exact(chi: CharacterIndex, h: int, r: int) -> MomentSumResult:
     reported error bound covers table rounding, window drift, and the final
     reduction.
     """
-    if h < 1 or r < 1:
-        raise DomainError("h and r must be >= 1")
-    vals = _char_table(chi.ctx, chi.j)
-    w = _window_sums(vals, h)
-    m2 = (w * w.conj()).real
-    # repeated products, as in moment_sums_all, so the two agree bit for bit
-    acc = m2
-    for _ in range(r - 1):
-        acc = acc * m2
-    value = float(np.sum(acc))
-    return MomentSumResult(value, _moment_error_bound(chi.ctx.p, h, r), chi.ctx.p, h, r)
+    value = float(_moment_sums(chi.ctx, chi.j, h, (r,))[r])
+    return MomentSumResult(value, moment_error_bound(chi.ctx.p, h, r), chi.ctx.p, h, r)
 
 
 def moment_sums_all(ctx: PrimeContext, h: int, r_values: tuple[int, ...]) -> dict[int, np.ndarray]:
@@ -168,19 +135,7 @@ def moment_sums_all(ctx: PrimeContext, h: int, r_values: tuple[int, ...]) -> dic
 
     Returns {r: vector indexed by j}.  Index 0 is the principal character.
     """
-    # the table lives until return: freed inside the window pass, it changed
-    # how the allocator trims the heap and slowed the sieve work run after
-    # this call by about 20% in the sweep-small benchmark
-    vals = _char_table(ctx, np.arange(ctx.p - 1, dtype=np.int64))
-    w = _window_sums(vals, h)
-    m2 = (w * w.conj()).real
-    out = {}
-    acc = None
-    for r in range(1, max(r_values) + 1):
-        acc = m2 if acc is None else acc * m2
-        if r in r_values:
-            out[r] = acc.sum(axis=1)
-    return out
+    return _moment_sums(ctx, np.arange(ctx.p - 1, dtype=np.int64), h, r_values)
 
 
 def principal_moment_exact(p: int, h: int, r: int) -> int:
@@ -189,20 +144,6 @@ def principal_moment_exact(p: int, h: int, r: int) -> int:
     if h > p:
         raise DomainError("closed form assumes h <= p")
     return (p - h) * h ** (2 * r) + h * (h - 1) ** (2 * r)
-
-
-def exception_count_bound(r: int, h: int, n: int) -> float:
-    """Upper bound c_r(h,n) for the number of index tuples whose polynomial
-    is a perfect n-th power; at n=2 this collapses to (2r)!/(2^r r!) h^r."""
-    if r < 1 or h < 1 or n < 2:
-        raise DomainError("need r, h >= 1 and n >= 2")
-    total = Fraction(0)
-    for d in range(r // n + 1):
-        coeff = Fraction(
-            math.factorial(r), math.factorial(d) * math.factorial(n) ** d
-        )
-        total += coeff**2 * Fraction(h ** (r - (n - 2) * d), math.factorial(r - n * d))
-    return float(total)
 
 
 def exception_count_exact_r2(h: int, order_class: str) -> int:

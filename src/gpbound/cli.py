@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import certify as cert
-from .errors import GpboundError
+from .errors import DomainError, GpboundError
 from .ntcore import PrimeContext, factorize, is_prime, iter_primes, least_primitive_root
 from .sieve import SieveConfig
 
@@ -30,8 +30,8 @@ def _fraction(text: str) -> Fraction:
 
 
 def _parse_p_spec(text: str, omega: int | None):
-    """'1e56' style input is an exact power-of-ten threshold; digits are an
-    exact prime."""
+    """'1e56' style input is an exact power-of-ten threshold, which needs
+    --omega; digits are an exact prime, whose omega comes from p-1."""
     if "e" in text.lower():
         mant, expo = text.lower().split("e", 1)
         if mant not in ("", "1", "10") or not expo.isdecimal():
@@ -43,9 +43,29 @@ def _parse_p_spec(text: str, omega: int | None):
             raise argparse.ArgumentTypeError("threshold p needs --omega")
         return cert.Threshold(p_min=p_min, omega=omega)
     try:
-        return int(text)
+        p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--p must be an integer, got {text!r}") from None
+    if omega is not None:
+        raise argparse.ArgumentTypeError(
+            "--omega is for threshold p only; an exact p's omega(p-1) is computed"
+        )
+    return p
+
+
+def _factor_exact_prime(p: int):
+    """The factorization of p-1, once p is proved an odd prime."""
+    if p >= 2**64:
+        raise argparse.ArgumentTypeError(
+            "exact p must be below 2^64: the CLI proves p prime and factors p-1 "
+            "itself; past that, give a threshold such as 1e56 with --omega, or "
+            "build a SieveSummary in the library"
+        )
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if p == 2:
+        raise DomainError("the bounds need an odd prime, got 2")
+    return factorize(p - 1)
 
 
 def _emit(args, payload, tsv: str | None = None) -> None:
@@ -71,12 +91,10 @@ def cmd_gp(args) -> int:
 
 def cmd_bound(args) -> int:
     p_spec = _parse_p_spec(args.p, args.omega)
-    # a threshold always carries --omega (_parse_p_spec insists), so only an
-    # exact p can reach the factorization below
-    if args.omega is None and p_spec >= 2**64:
-        print("huge exact p needs --omega (p-1 will not be factored here)", file=sys.stderr)
-        return 2
-    omega = args.omega if args.omega is not None else factorize(p_spec - 1).omega
+    if isinstance(p_spec, cert.Threshold):
+        omega = p_spec.omega
+    else:
+        omega = _factor_exact_prime(p_spec).omega
     if args.kind == "thm1":
         value = cert.bound_log_free(p_spec, args.r, omega)
         payload = {"bound": "log_free", **value.to_json()}
@@ -95,14 +113,7 @@ def cmd_bound(args) -> int:
 
 def cmd_certify(args) -> int:
     p = args.p
-    if p >= 2**64:
-        print(
-            "error: the CLI factors p-1 itself, which is only sized for desk-scale "
-            "primes; for huge p build a SieveSummary in the library",
-            file=sys.stderr,
-        )
-        return 2
-    pm1 = factorize(p - 1)
+    pm1 = _factor_exact_prime(p)
     if args.e is not None:
         ctx = PrimeContext(p, pm1)
         summary = cert.SieveSummary.from_config(SieveConfig.build(ctx, args.e))
@@ -146,7 +157,7 @@ def cmd_verify(args) -> int:
     from . import verify  # loads numpy, which no other subcommand needs
 
     suites = {
-        "charsum": lambda: verify.charsum(args.pmax, args.hmax, rmax, args.emit == "all"),
+        "charsum": lambda: verify.charsum(args.pmax, args.hmax, rmax),
         "intervals": lambda: verify.intervals(args.xmax, args.grid, args.seed),
         "sieve": lambda: verify.sieve(args.pmax),
         "stirling": lambda: verify.stirling(rmax),
@@ -242,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xmax", type=int, default=10**5)
     sp.add_argument("--grid", type=int, default=200)
     sp.add_argument("--target", choices=["cor2", "lonely"], default="cor2")
-    sp.add_argument("--emit", choices=["worst", "all"], default="worst")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("scan", help="soundness sweep over a prime range")

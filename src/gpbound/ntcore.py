@@ -279,18 +279,6 @@ def phi_of_factorization(f: Factorization) -> int:
     return result
 
 
-def multiplicative_order(a: int, p: int, pm1_factors: Factorization | None = None) -> int:
-    """Least k >= 1 with a^k = 1 mod p, by divisor descent over p-1."""
-    if a % p == 0:
-        raise DomainError("order undefined for a = 0 mod p")
-    f = pm1_factors or factorize(p - 1)
-    order = p - 1
-    for q, _ in f.entries:
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
-    return order
-
-
 def is_primitive_root(a: int, p: int, pm1_factors: Factorization | None = None) -> bool:
     if a % p == 0:
         return False

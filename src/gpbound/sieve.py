@@ -209,19 +209,6 @@ def _slacks_by_class(
     return slacks, den, codes
 
 
-def fe_character_identity_check(ctx: PrimeContext, e: int, n: int) -> float:
-    """|f_e(n)/theta(e) - RHS| for the displayed identity, exactly (so 0.0);
-    raises ConsistencyError if it is not zero."""
-    primes_e = _primes_of(ctx, e)
-    lhs = e_free(ctx, e, n) / _theta(primes_e)
-    slack = abs(lhs - _evaluate(ctx, _identity_terms(primes_e), ctx.dlog(n)))
-    if slack != 0:
-        raise ConsistencyError(
-            f"f_e identity violated at p={ctx.p}, e={e}, n={n}: slack={slack}"
-        )
-    return float(slack)
-
-
 def fe_identity_worst_slack(ctx: PrimeContext, e: int) -> float:
     """Worst |f_e(n)/theta(e) - RHS| over every n in [1, p-1], exactly:
     0.0 unless the identity fails."""
@@ -230,24 +217,6 @@ def fe_identity_worst_slack(ctx: PrimeContext, e: int) -> float:
         ctx, primes_e, _identity_terms(primes_e), 1 / _theta(primes_e), e_free_all(ctx, e)
     )
     return float(Fraction(max(abs(s) for s in slacks.values()), den))
-
-
-def sieve_lower_bound_check(config: SieveConfig, n: int) -> float:
-    """Slack f(n)/(delta theta(e)) - RHS, exactly; raises ConsistencyError
-    if it is negative."""
-    config.require_positive_delta()
-    ctx = config.ctx
-    primes_e = _primes_of(ctx, config.e)
-    f = e_free(ctx, ctx.p - 1, n)
-    lhs = f / (config.delta * _theta(primes_e))
-    rhs = _evaluate(ctx, _lower_bound_terms(config, primes_e), ctx.dlog(n))
-    slack = lhs - rhs
-    if slack < 0:
-        raise ConsistencyError(
-            f"sieve lower bound violated at p={ctx.p}, e={config.e}, n={n}: "
-            f"lhs={lhs} rhs={rhs}"
-        )
-    return float(slack)
 
 
 def sieve_lower_bound_worst_slack(config: SieveConfig) -> float:

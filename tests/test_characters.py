@@ -13,12 +13,10 @@ import pytest
 
 from gpbound.characters import (
     CharacterIndex,
-    char_value,
+    _char_table,
     character_orders,
     double_factorial_ratio,
-    exception_count_bound,
     exception_count_exact_r2,
-    indicator_primitive_root,
     moment_sum_exact,
     moment_sums_all,
     principal_moment_exact,
@@ -27,7 +25,8 @@ from gpbound.characters import (
 )
 from gpbound.enclosure import w_factor
 from gpbound.errors import DomainError
-from gpbound.ntcore import PrimeContext, euler_phi, primes_upto, ramanujan_sum
+from gpbound.ntcore import PrimeContext, euler_phi, is_primitive_root, primes_upto, ramanujan_sum
+from gpbound.sieve import e_free, fe_identity_worst_slack
 
 
 def moment_oracle(ctx: PrimeContext, j: int, h: int, r: int) -> float:
@@ -51,21 +50,19 @@ def ctx13():
 
 def test_char_value_trivia(ctx13):
     ctx7 = PrimeContext(7)
-    assert char_value(CharacterIndex(ctx7, 0), 5) == 1
-    assert char_value(CharacterIndex(ctx7, 3), 0) == 0
+    assert _char_table(ctx7, 0)[5] == 1
+    assert _char_table(ctx7, 3)[0] == 0
     # order-2 character at a non-residue: 6 = 3^3 mod 7, exp(3 pi i) = -1
-    assert abs(char_value(CharacterIndex(ctx7, 3), 6) - (-1)) < 1e-12
+    assert abs(_char_table(ctx7, 3)[6] - (-1)) < 1e-12
 
 
 def test_char_multiplicativity(ctx13):
     p = 13
-    for j in [1, 3, 6]:
-        chi = CharacterIndex(ctx13, j)
+    rows = _char_table(ctx13, np.array([1, 3, 6]))
+    for chi in rows:
         for n in range(1, p):
             for m in range(1, p):
-                lhs = char_value(chi, n) * char_value(chi, m)
-                rhs = char_value(chi, n * m % p)
-                assert abs(lhs - rhs) < 1e-10
+                assert abs(chi[n] * chi[m] - chi[n * m % p]) < 1e-10
 
 
 def test_character_order_and_conjugate(ctx13):
@@ -105,14 +102,16 @@ def test_ramanujan_sum_matches_character_enumeration():
 
 
 def test_indicator_both_routes():
+    # the primitive-root indicator is e_free at e = p-1: the order test
+    # counts phi(p-1) roots, and the character identity holds at every n
     ctx7 = PrimeContext(7)
-    assert indicator_primitive_root(ctx7, 3) == 1
-    assert indicator_primitive_root(ctx7, 2) == 0
-    assert indicator_primitive_root(ctx7, 1) == 0
+    assert [is_primitive_root(n, 7) for n in (3, 2, 1)] == [True, False, False]
     for p in [13, 61, 101]:
         ctx = PrimeContext(p)
-        count = sum(indicator_primitive_root(ctx, n) for n in range(1, p))
+        count = sum(is_primitive_root(n, p) for n in range(1, p))
         assert count == euler_phi(p - 1)
+        assert sum(e_free(ctx, p - 1, n) for n in range(1, p)) == count
+        assert fe_identity_worst_slack(ctx, p - 1) == 0
 
 
 # -- moment sums ---------------------------------------------------------------
@@ -181,6 +180,11 @@ def test_orthogonality_identity_exact():
 def test_moment_rejects_bad_args(ctx13):
     with pytest.raises(DomainError):
         moment_sum_exact(CharacterIndex(ctx13, 1), 0, 1)
+    with pytest.raises(DomainError):
+        moment_sum_exact(CharacterIndex(ctx13, 1), 2, 0)
+    for h, r_values in ((0, (1,)), (2, (0,)), (2, ())):
+        with pytest.raises(DomainError):
+            moment_sums_all(ctx13, h, r_values)
 
 
 def test_moment_blocked_window_across_resync():
@@ -212,34 +216,17 @@ def test_char_ops_refuse_unenumerable_context():
 
     ctx = PrimeContext(10000019)  # the first prime past PrimeContext.DLOG_CAP
     with pytest.raises(UnsupportedRangeError):
-        char_value(CharacterIndex(ctx, 1), 5)
+        moment_sum_exact(CharacterIndex(ctx, 1), 2, 1)
 
 
 # -- bounds and coefficients -----------------------------------------------------
 
 
 def test_exception_count_values():
-    assert exception_count_bound(2, 5, 2) == 75  # (4!/(2^2 2!)) * 25
-    assert exception_count_bound(2, 5, 3) == 50  # d=0 term only: 2! * 25 / 2
     assert exception_count_exact_r2(5, "quadratic") == 65  # 3h^2-2h
-    assert 65 <= 75
     assert exception_count_exact_r2(5, "higher") == 45
-
-
-def test_exception_count_n2_closed_form():
-    for r in range(1, 8):
-        for h in (1, 3, 10):
-            assert exception_count_bound(r, h, 2) == pytest.approx(
-                double_factorial_ratio(r) * h**r
-            )
-
-
-def test_exception_count_decreasing_in_n_on_grid():
-    # quoted monotonicity (r <= 9h regime): checked empirically
-    for r in range(1, 10):
-        for h in range(max(1, (r + 8) // 9), 8):
-            values = [exception_count_bound(r, h, n) for n in range(2, 8)]
-            assert all(a >= b - 1e-9 for a, b in zip(values, values[1:])), (r, h)
+    # both below the general pairing count (4!/(2^2 2!)) h^2 = 75
+    assert 65 <= double_factorial_ratio(2) * 5**2 == 75
 
 
 def test_weil_bound_values():

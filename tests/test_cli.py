@@ -136,6 +136,30 @@ def test_verify_sieve_reports_failures(monkeypatch):
     assert all("error" in f for f in blob["failures"] if f["check"] == "lower_bound")
 
 
+def test_verify_charsum_counts_a_bound_below_its_sum(monkeypatch):
+    # a bound a relative 1e-7 below the exact sum of the worst character at
+    # (p, h, r) = (7, 2, 1) is a violation: dominance is value + error_bound
+    # <= bound, with no relative tolerance
+    from gpbound import verify
+    from gpbound.characters import moment_sums_all
+    from gpbound.ntcore import PrimeContext
+
+    worst = float(moment_sums_all(PrimeContext(7), 2, (1,))[1][1:].max())
+    original = verify.weil_bound
+
+    def tight(p, h, r, order_class=None):
+        if (p, h, r) == (7, 2, 1):
+            return worst * (1 - 1e-7)
+        return original(p, h, r, order_class)
+
+    monkeypatch.setattr(verify, "weil_bound", tight)
+    code, out, _ = run_cli("verify", "charsum", "--pmax", "7", "--hmax", "2", "--rmax", "1")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["violations"] >= 1 and blob["pass"] is False
+    assert (blob["worst"]["p"], blob["worst"]["slack"]) == (7, pytest.approx(-1e-7, rel=1e-3))
+
+
 def test_verify_intervals_small():
     code, out, _ = run_cli("verify", "intervals", "--xmax", "2000", "--grid", "30")
     assert code == 0
@@ -196,6 +220,49 @@ def test_optimize_composite_p_is_an_error():
         code, out, err = run_cli("optimize", "--p", p)
         assert (code, out) == (1, "")
         assert err == "error: optimize_params needs an odd prime\n"
+
+
+def test_bound_at_a_composite_p_is_an_error():
+    code, out, err = run_cli("bound", "thm1", "--p", "1000000008", "--r", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: 1000000008 is not prime\n"
+
+
+def test_certify_at_p_2_is_an_error():
+    code, out, err = run_cli("certify", "--p", "2", "--r", "2", "--h", "3", "--H", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: the bounds need an odd prime, got 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "thm1", "--p", "1000000007", "--r", "2", "--omega", "1"),
+        ("optimize", "--p", "1000000007", "--omega", "5"),
+    ],
+)
+def test_omega_with_an_exact_p_is_usage_error(argv):
+    # an exact p's omega(p-1) is computed from p-1, never taken on trust
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --omega is for threshold p only")
+
+
+_PRIME_PAST_2_64 = str(2**64 + 13)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "thm1", "--p", _PRIME_PAST_2_64, "--r", "2"),
+        ("certify", "--p", _PRIME_PAST_2_64, "--r", "2", "--h", "360", "--H", "150000"),
+    ],
+)
+def test_exact_p_past_2_64_is_usage_error(argv):
+    # the CLI neither proves p prime nor factors p-1 past 2^64
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: exact p must be below 2^64")
 
 
 def test_optimize_threshold():

@@ -30,7 +30,6 @@ from gpbound.ntcore import (
     is_primitive_root,
     least_primitive_root,
     moebius,
-    multiplicative_order,
     primes_upto,
     primorial,
     theta,
@@ -188,23 +187,6 @@ def test_divisor_sum_identities_to_1e5_sampled():
 
 
 # -- orders and primitive roots ---------------------------------------------------
-
-
-def test_multiplicative_order_hand_cases():
-    assert multiplicative_order(1, 7) == 1
-    assert multiplicative_order(6, 7) == 2
-    assert multiplicative_order(3, 7) == 6
-
-
-def test_multiplicative_order_matches_enumeration():
-    for p in [5, 7, 11, 13, 101, 191]:
-        for a in range(1, p):
-            assert multiplicative_order(a, p) == order_by_enumeration(a, p)
-
-
-def test_multiplicative_order_rejects_zero():
-    with pytest.raises(DomainError):
-        multiplicative_order(7, 7)
 
 
 def test_least_primitive_root_hand_cases():
