@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from ..enclosure import (
     CertifiedReal,
@@ -127,7 +128,7 @@ class SieveSummary:
     def all_kept(cls, omega: int) -> "SieveSummary":
         return cls(e_desc="p-1", s=0, delta=Fraction(1), omega=omega)
 
-    @property
+    @cached_property
     def factor(self) -> Fraction:
         return sieve_factor(self.omega, self.s, self.delta)
 

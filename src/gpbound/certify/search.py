@@ -129,8 +129,9 @@ def optimize_params(p: int, pm1_factors: Factorization | None = None) -> Optimiz
     pm1 = pm1_factors or factorize(p - 1)
     best: tuple[Fraction, int, int, int, Certificate] | None = None
     tried = 0
+    summaries = _sieve_candidates(pm1)
     for r in R_SEARCH_RANGE:
-        for summary in _sieve_candidates(pm1):
+        for summary in summaries:
             for h in _h_candidates(p, r):
                 if 2 * (2 * h) ** 2 >= h * p:  # even the minimal H fails 2H^2 < hp
                     continue

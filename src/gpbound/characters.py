@@ -61,36 +61,58 @@ def character_orders(p: int) -> np.ndarray:
     return (p - 1) // np.gcd(j, p - 1)
 
 
-def _char_table(ctx: PrimeContext, j) -> np.ndarray:
-    """chi_j(x) for x = 0..p-1: one complex vector for an int j, one row per
-    index for an array of them."""
-    vals = ctx.root_powers()[np.multiply.outer(j, ctx.dlog_array()) % (ctx.p - 1)]
-    vals[..., 0] = 0.0
+def _block_dlogs(ctx: PrimeContext, start: int, n: int) -> np.ndarray:
+    """dlog(x mod p) for x = start..start+n-1, wrapping past p as often as
+    n needs; the entry at each multiple of p is a placeholder."""
+    dlog = ctx.dlog_array()
+    if start + n <= ctx.p:
+        return dlog[start : start + n]
+    return dlog.take(np.arange(start, start + n), mode="wrap")
+
+
+def _tile_table(ctx: PrimeContext, j: np.ndarray, start: int, d: np.ndarray) -> np.ndarray:
+    """chi_j(x) for the columns x = start.. whose dlogs are d, one row per
+    index in j; chi_j(0) = 0 at every multiple of p."""
+    p = ctx.p
+    idx = np.multiply.outer(j, d)
+    np.remainder(idx, p - 1, out=idx)
+    vals = ctx.root_powers().take(idx)
+    vals[:, (-start) % p :: p] = 0.0
     return vals
 
 
 def _window_sums(vals: np.ndarray, h: int) -> np.ndarray:
-    """W(x) = sum_{n=0}^{h-1} vals[..., (x+n) mod p] for all x, along the last
-    axis, by blocked prefix sums.
+    """W(x) = sum_{n=0}^{h-1} vals[..., x+n] for the first len - h + 1
+    columns x, along the last axis, by one prefix sum.
 
-    Each block restarts the accumulation so rounding drift stays bounded by
+    The moment body passes tiles of at most one _RESYNC_BLOCK of x, so the
+    accumulation restarts every block and rounding drift stays bounded by
     the block length, not by p.
     """
-    p = vals.shape[-1]
-    reps = 1 + (h - 1 + p - 1) // p
-    ext = np.tile(vals, reps)[..., : p + h - 1]
-    out = np.empty(vals.shape, dtype=complex)
-    for start in range(0, p, _RESYNC_BLOCK):
-        stop = min(start + _RESYNC_BLOCK, p)
-        c = np.cumsum(ext[..., start : stop + h - 1], axis=-1)
-        out[..., start] = c[..., h - 1]
-        out[..., start + 1 : stop] = c[..., h:] - c[..., : stop - start - 1]
-    return out
+    c = np.cumsum(vals, axis=-1)
+    nb = c.shape[-1] - h + 1
+    w = np.empty(c.shape[:-1] + (nb,), dtype=complex)
+    w[..., 0] = c[..., h - 1]
+    np.subtract(c[..., h:], c[..., : nb - 1], out=w[..., 1:])
+    return w
 
 
 def moment_error_bound(p: int, h: int, r: int) -> float:
-    """Conservative absolute error bound for the blocked moment evaluation,
-    for one character and for every row of the batch alike."""
+    """Conservative absolute error bound for the tiled moment evaluation,
+    for one character and for every row of the batch alike.
+
+    Each term |W(x)|^(2r) lies in [0, h^(2r)], so summing the p terms in any
+    order errs by at most gamma_k <= 1.01 k eps/2 times their sum, which is
+    at most p h^(2r); k is the most additions one term passes through.
+    numpy's pairwise sum of one block's <= 2^16 terms gives k <= 36: at most
+    10 halvings to leaves of <= 128 terms, 15 adds in a leaf's 8
+    accumulators, 3 to merge them, 7 remainder adds and 1 into the output
+    (8 more if the reduction runs in 8192-entry buffers).  The one pairwise
+    sum of a row's per-block partials, at most 153 blocks up to
+    PrimeContext.DLOG_CAP, adds k <= 15.  So k <= 59, gamma_k < 30 eps, and
+    64 eps p h^(2r) covers the reduction with room for the rounding of the
+    terms themselves.
+    """
     block = min(p, _RESYNC_BLOCK) + h
     err_w = 2.0 * block * block * _EPS + 4 * h * _EPS
     per_term = 2 * r * float(h) ** (2 * r - 1) * err_w
@@ -100,23 +122,33 @@ def moment_error_bound(p: int, h: int, r: int) -> float:
 
 def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray]:
     """{r: S_chi_j(p,h,r)} for an int j (scalars) or an index array j (one
-    entry per index): table, windows, |W|^2 and repeated products, so the
-    single and the batch path agree bit for bit."""
+    entry per index).
+
+    Works one tile at a time: a chunk of character rows by one
+    _RESYNC_BLOCK of x plus h-1 columns of wrap, so no temporary exceeds
+    about 2^16 complex entries.  Each row's arithmetic is the same in every
+    tile shape, so the single and the batch path agree bit for bit; a row's
+    per-block partial sums are reduced in one pairwise sum at the end.
+    """
     if h < 1 or not r_values or min(r_values) < 1:
         raise DomainError(f"need h >= 1 and r >= 1, got h = {h}, r_values = {r_values}")
-    # the table lives until return: freed inside the window pass, it changed
-    # how the allocator trims the heap and slowed the sieve work run after
-    # this call by about 20% in the sweep-small benchmark
-    vals = _char_table(ctx, j)
-    w = _window_sums(vals, h)
-    m2 = (w * w.conj()).real
-    out = {}
-    acc = None
-    for r in range(1, max(r_values) + 1):
-        acc = m2 if acc is None else acc * m2
-        if r in r_values:
-            out[r] = acc.sum(axis=-1)
-    return out
+    p = ctx.p
+    rows = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    starts = range(0, p, _RESYNC_BLOCK)
+    partial = {r: np.empty((len(rows), len(starts))) for r in r_values}
+    for b, start in enumerate(starts):
+        d = _block_dlogs(ctx, start, min(_RESYNC_BLOCK, p - start) + h - 1)
+        chunk = max(1, _RESYNC_BLOCK // len(d))
+        for lo in range(0, len(rows), chunk):
+            w = _window_sums(_tile_table(ctx, rows[lo : lo + chunk], start, d), h)
+            m2 = (w * w.conj()).real
+            acc = None
+            for r in range(1, max(r_values) + 1):
+                acc = m2 if acc is None else acc * m2
+                if r in r_values:
+                    partial[r][lo : lo + chunk, b] = acc.sum(axis=-1)
+    out = {r: s.sum(axis=-1) for r, s in partial.items()}
+    return {r: v[0] for r, v in out.items()} if np.ndim(j) == 0 else out
 
 
 def moment_sum_exact(chi: CharacterIndex, h: int, r: int) -> MomentSumResult:

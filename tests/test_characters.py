@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 
 from gpbound.characters import (
+    _RESYNC_BLOCK,
     CharacterIndex,
-    _char_table,
+    _block_dlogs,
+    _moment_sums,
+    _tile_table,
+    _window_sums,
     character_orders,
     double_factorial_ratio,
     exception_count_exact_r2,
@@ -48,17 +52,23 @@ def ctx13():
     return PrimeContext(13)
 
 
+def _char_rows(ctx: PrimeContext, js) -> np.ndarray:
+    """chi_j(x) for x = 0..p-1, one row per j: the tile of the first block."""
+    return _tile_table(ctx, np.array(js), 0, _block_dlogs(ctx, 0, ctx.p))
+
+
 def test_char_value_trivia(ctx13):
     ctx7 = PrimeContext(7)
-    assert _char_table(ctx7, 0)[5] == 1
-    assert _char_table(ctx7, 3)[0] == 0
+    chi0, chi3 = _char_rows(ctx7, [0, 3])
+    assert chi0[5] == 1
+    assert chi3[0] == 0
     # order-2 character at a non-residue: 6 = 3^3 mod 7, exp(3 pi i) = -1
-    assert abs(_char_table(ctx7, 3)[6] - (-1)) < 1e-12
+    assert abs(chi3[6] - (-1)) < 1e-12
 
 
 def test_char_multiplicativity(ctx13):
     p = 13
-    rows = _char_table(ctx13, np.array([1, 3, 6]))
+    rows = _char_rows(ctx13, [1, 3, 6])
     for chi in rows:
         for n in range(1, p):
             for m in range(1, p):
@@ -197,18 +207,56 @@ def test_moment_blocked_window_across_resync():
         assert res.value == pytest.approx(principal_moment_exact(p, h, r), rel=1e-12)
 
 
-@pytest.mark.parametrize("length, h", [(70_001, 7), (70_001, 70_010), (11, 30)])
-def test_window_sums_stack_matches_rows(length, h):
-    # the batch path runs _window_sums on a 2-D stack; each row must equal the
-    # 1-D call bit for bit, across the 2^16 resync block and when h > length
-    # makes the window wrap more than once
-    from gpbound.characters import _RESYNC_BLOCK, _window_sums
+@pytest.mark.parametrize("p, h", [(70_001, 7), (70_001, 70_010), (11, 30)])
+def test_window_sums_stack_matches_rows(p, h):
+    # the batch path runs the tile helpers on a stack of characters; each row
+    # must equal its one-row tile bit for bit, in every block past the 2^16
+    # resync block and when h > p makes the window wrap more than once
+    ctx = PrimeContext(p)
+    js = np.array([1, 5, p - 2])
+    assert p > _RESYNC_BLOCK or h > p
+    for start in range(0, p, _RESYNC_BLOCK):
+        d = _block_dlogs(ctx, start, min(_RESYNC_BLOCK, p - start) + h - 1)
+        stack = _window_sums(_tile_table(ctx, js, start, d), h)
+        rows = np.concatenate([_window_sums(_tile_table(ctx, js[i : i + 1], start, d), h)
+                               for i in range(len(js))])
+        assert stack.shape == (len(js), min(_RESYNC_BLOCK, p - start))
+        assert np.array_equal(stack, rows)
 
-    rng = np.random.default_rng(7)
-    stack = rng.standard_normal((3, length)) + 1j * rng.standard_normal((3, length))
-    assert length > _RESYNC_BLOCK or h > length
-    rows = np.stack([_window_sums(row, h) for row in stack])
-    assert np.array_equal(_window_sums(stack, h), rows)
+
+def test_moment_row_batch_across_blocks_matches_single():
+    # p = 70001 spans two x blocks; a batch of indices equals the single path
+    p = 70001
+    ctx = PrimeContext(p)
+    js = np.array([0, 1, 5, (p - 1) // 2, p - 2])
+    batch = _moment_sums(ctx, js, 16, (2, 3))
+    for r in (2, 3):
+        for k, j in enumerate(js):
+            assert batch[r][k] == moment_sum_exact(CharacterIndex(ctx, int(j)), 16, r).value, (r, j)
+
+
+def test_moment_batch_over_row_tiles_matches_single():
+    # at p = 1999, h = 16 the batch runs in 63 row tiles of 32 characters
+    ctx = PrimeContext(1999)
+    batch = moment_sums_all(ctx, 16, (1, 2, 3, 4))
+    for j in (0, 1, 31, 32, 33, 998, 1500, 1997):
+        for r in (1, 2, 3, 4):
+            assert batch[r][j] == moment_sum_exact(CharacterIndex(ctx, j), 16, r).value, (r, j)
+
+
+def test_moment_batch_memory_is_one_tile():
+    # the batch holds one tile of about 2^16 entries at a time, not p^2
+    import tracemalloc
+
+    ctx = PrimeContext(1999)
+    ctx.dlog_array(), ctx.root_powers()
+    tracemalloc.start()
+    try:
+        moment_sums_all(ctx, 8, (1, 2, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak / 2**20
 
 
 def test_char_ops_refuse_unenumerable_context():
