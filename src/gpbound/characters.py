@@ -112,6 +112,12 @@ def moment_error_bound(p: int, h: int, r: int) -> float:
     PrimeContext.DLOG_CAP, adds k <= 15.  So k <= 59, gamma_k < 30 eps, and
     64 eps p h^(2r) covers the reduction with room for the rounding of the
     terms themselves.
+
+    The 4 h eps term of a window's error assumes every entry of
+    PrimeContext.root_powers lies within 4 eps of the true root.  The table
+    runs exp only on angles in [0, pi) and negates them exactly for the
+    rest; sampled against 200-bit values its entries stay below 2.6 eps
+    (p up to 9999991), where a full-range exp reached 6.4 eps near 2 pi.
     """
     block = min(p, _RESYNC_BLOCK) + h
     err_w = 2.0 * block * block * _EPS + 4 * h * _EPS
@@ -124,6 +130,8 @@ def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray
     """{r: S_chi_j(p,h,r)} for an int j (scalars) or an index array j (one
     entry per index).
 
+    Since W_{chi_-j}(x) = conj(W_{chi_j}(x)), S_j = S_{-j}: each index is
+    folded to min(j, -j mod p-1), and each distinct one is computed once.
     Works one tile at a time: a chunk of character rows by one
     _RESYNC_BLOCK of x plus h-1 columns of wrap, so no temporary exceeds
     about 2^16 complex entries.  Each row's arithmetic is the same in every
@@ -133,7 +141,8 @@ def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray
     if h < 1 or not r_values or min(r_values) < 1:
         raise DomainError(f"need h >= 1 and r >= 1, got h = {h}, r_values = {r_values}")
     p = ctx.p
-    rows = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    js = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    rows, back = np.unique(np.minimum(js, (-js) % (p - 1)), return_inverse=True)
     starts = range(0, p, _RESYNC_BLOCK)
     partial = {r: np.empty((len(rows), len(starts))) for r in r_values}
     for b, start in enumerate(starts):
@@ -147,7 +156,7 @@ def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray
                 acc = m2 if acc is None else acc * m2
                 if r in r_values:
                     partial[r][lo : lo + chunk, b] = acc.sum(axis=-1)
-    out = {r: s.sum(axis=-1) for r, s in partial.items()}
+    out = {r: s.sum(axis=-1)[back] for r, s in partial.items()}
     return {r: v[0] for r, v in out.items()} if np.ndim(j) == 0 else out
 
 

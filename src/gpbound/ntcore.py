@@ -424,11 +424,24 @@ class PrimeContext:
         return int(self.dlog_array()[r])
 
     def root_powers(self):
-        """numpy complex array of exp(2 pi i k/(p-1)) for k in [0, p-1)."""
+        """numpy complex array of exp(2 pi i k/(p-1)) for k in [0, p-1).
+
+        exp runs only on the first half, k < m = (p-1)/2, whose angles lie
+        in [0, pi); the second half is its exact negation, since
+        zeta^(k+m) = -zeta^k.  The angles are staged in the second half, so
+        the build holds no complex array beside the table.
+        """
         if self._root_powers is None:
             import numpy as np
 
-            self._root_powers = np.exp(2j * np.pi * np.arange(self.p - 1) / (self.p - 1))
+            m = (self.p - 1) // 2
+            roots = np.empty(self.p - 1, dtype=complex)
+            first, second = roots[:m], roots[m:]
+            np.multiply(2j * np.pi, np.arange(m), out=second)
+            second /= self.p - 1
+            np.exp(second, out=first)
+            np.negative(first, out=second)
+            self._root_powers = roots
         return self._root_powers
 
     def divisors_of_pm1(self) -> list[int]:

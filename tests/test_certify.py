@@ -316,6 +316,17 @@ def test_threshold_requires_shapes():
         )
 
 
+def test_threshold_rejects_H_exponent_below_h_exponent():
+    # every other check passes at p_min = 1e40, but H = 1e6 p^(11/20) falls
+    # below 2h = 2 p^(3/5) for p past about 1e114, so only the exponent check
+    # stands between this shape and a certificate
+    h = PowerShape(coef=Fraction(1), expo=Fraction(3, 5))
+    H = PowerShape(coef=Fraction(10**6), expo=Fraction(11, 20))
+    cert = certify_bound(Threshold(10**40, 2), SieveSummary.all_kept(2), 2, h, H)
+    assert cert.verdict == "failed"
+    assert cert.provenance["failed_checks"] == ["expo(H) >= expo(h)"]
+
+
 def test_threshold_rejects_unbounded_w():
     # h constant in p leaves W unbounded over the threshold
     h = PowerShape(coef=Fraction(100), expo=Fraction(0))

@@ -1,13 +1,13 @@
 """Characters: evaluation, moment sums against the explicit bounds, and the
 combinatorial coefficients.
 
-The moment oracle is a direct double loop over x and the window; expected
-values frozen below were computed with it.
+The moment oracle is a direct double loop over x and the window in 120-bit
+mpmath; expected values frozen below were computed with it.
 """
 
-import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,18 +33,19 @@ from gpbound.ntcore import PrimeContext, euler_phi, is_primitive_root, primes_up
 from gpbound.sieve import e_free, fe_identity_worst_slack
 
 
-def moment_oracle(ctx: PrimeContext, j: int, h: int, r: int) -> float:
-    """Direct double loop, no sliding window."""
+def moment_oracle(ctx: PrimeContext, j: int, h: int, r: int):
+    """Direct double loop at 120 bits, no sliding window: an mpf whose error
+    is far below any float rounding of the moment body."""
     p = ctx.p
-    total = 0.0
-    for x in range(p):
-        w = 0j
-        for n in range(h):
-            t = (x + n) % p
-            if t != 0:
-                w += cmath.exp(2j * cmath.pi * j * ctx.dlog(t) / (p - 1))
-        total += abs(w) ** (2 * r)
-    return total
+    with mpmath.workprec(120):
+        chi = [mpmath.mpc(0)] + [
+            mpmath.expjpi(mpmath.mpf(2 * j * ctx.dlog(t)) / (p - 1)) for t in range(1, p)
+        ]
+        total = mpmath.mpf(0)
+        for x in range(p):
+            w = mpmath.fsum(chi[(x + n) % p] for n in range(h))
+            total += abs(w) ** (2 * r)
+        return total
 
 
 @pytest.fixture(scope="module")
@@ -151,25 +152,32 @@ def test_moment_matches_direct_oracle():
             for h in [2, 5, p + 2]:  # h > p exercises double wraparound
                 for r in [1, 3]:
                     got = moment_sum_exact(CharacterIndex(ctx, j), h, r)
-                    want = moment_oracle(ctx, j, h, r)
-                    assert got.value == pytest.approx(want, rel=1e-9), (p, j, h, r)
-                    assert abs(got.value - want) <= got.error_bound + 1e-6 * want
+                    exact = moment_oracle(ctx, j, h, r)
+                    assert abs(got.value - exact) <= got.error_bound, (p, j, h, r)
 
 
 def test_moment_conjugation_symmetry():
+    # W_{chi_-j} = conj(W_{chi_j}), so the body computes each pair once
     ctx = PrimeContext(61)
     for j in [1, 7, 13]:
         chi = CharacterIndex(ctx, j)
         a = moment_sum_exact(chi, 4, 2).value
         b = moment_sum_exact(chi.conjugate(), 4, 2).value
-        assert a == pytest.approx(b, rel=1e-10)
+        assert a == b
+
+
+def _conjugate_order(p: int) -> np.ndarray:
+    """the index of chi_-j at position j"""
+    return (-np.arange(p - 1)) % (p - 1)
 
 
 def test_moment_batch_agrees_with_single(ctx13):
-    # both paths share the table, the windows and the power recipe
+    # both paths share the table, the windows and the power recipe, and
+    # compute each conjugate pair once
     for h in (3, 16):
         batch = moment_sums_all(ctx13, h, (1, 2, 3, 4))
         for r in (1, 2, 3, 4):
+            assert np.array_equal(batch[r], batch[r][_conjugate_order(13)]), (h, r)
             for j in range(12):
                 single = moment_sum_exact(CharacterIndex(ctx13, j), h, r)
                 assert batch[r][j] == single.value, (h, r, j)
@@ -225,20 +233,25 @@ def test_window_sums_stack_matches_rows(p, h):
 
 
 def test_moment_row_batch_across_blocks_matches_single():
-    # p = 70001 spans two x blocks; a batch of indices equals the single path
+    # p = 70001 spans two x blocks; a batch of indices, two conjugate pairs
+    # among them, equals the single path
     p = 70001
     ctx = PrimeContext(p)
-    js = np.array([0, 1, 5, (p - 1) // 2, p - 2])
+    js = np.array([0, 1, p - 2, 5, p - 6, (p - 1) // 2])
     batch = _moment_sums(ctx, js, 16, (2, 3))
     for r in (2, 3):
+        assert batch[r][1] == batch[r][2] and batch[r][3] == batch[r][4], r
         for k, j in enumerate(js):
             assert batch[r][k] == moment_sum_exact(CharacterIndex(ctx, int(j)), 16, r).value, (r, j)
 
 
 def test_moment_batch_over_row_tiles_matches_single():
-    # at p = 1999, h = 16 the batch runs in 63 row tiles of 32 characters
+    # at p = 1999, h = 16 the batch folds to 1000 rows, run in 32 row tiles of
+    # 32 characters
     ctx = PrimeContext(1999)
     batch = moment_sums_all(ctx, 16, (1, 2, 3, 4))
+    for r in (1, 2, 3, 4):
+        assert np.array_equal(batch[r], batch[r][_conjugate_order(1999)]), r
     for j in (0, 1, 31, 32, 33, 998, 1500, 1997):
         for r in (1, 2, 3, 4):
             assert batch[r][j] == moment_sum_exact(CharacterIndex(ctx, j), 16, r).value, (r, j)

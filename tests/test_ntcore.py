@@ -308,6 +308,26 @@ def test_dlog_table_int64_guard(monkeypatch):
         _dlog_table(p, 2)
 
 
+@pytest.mark.parametrize("p", [13, 960961, 9999991])
+def test_root_powers_half_table(p):
+    # exp runs only for k < m = (p-1)/2; the second half is the exact
+    # negation zeta^(k+m) = -zeta^k, and every sampled entry, near m and near
+    # p-2 included, lies within the 4 eps that moment_error_bound assumes
+    import mpmath
+
+    roots = PrimeContext(p).root_powers()
+    m = (p - 1) // 2
+    assert roots.shape == (p - 1,)
+    assert np.array_equal(roots[m:], -roots[:m])
+    edges = [0, 1, 2, m - 3, m - 2, m - 1, m, m + 1, m + 2, p - 4, p - 3, p - 2]
+    ks = sorted({k for k in edges if 0 <= k < p - 1} | set(range(0, p - 1, max(1, p // 97))))
+    eps = np.finfo(float).eps
+    with mpmath.workprec(200):
+        for k in ks:
+            exact = mpmath.expjpi(mpmath.mpf(2 * k) / (p - 1))
+            assert abs(mpmath.mpc(complex(roots[k])) - exact) <= 4 * eps, (p, k)
+
+
 def test_is_primitive_root_matches_order_test():
     for p in [13, 61]:
         for a in range(1, p):
