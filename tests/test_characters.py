@@ -153,6 +153,7 @@ def test_moment_matches_direct_oracle():
                 for r in [1, 3]:
                     got = moment_sum_exact(CharacterIndex(ctx, j), h, r)
                     exact = moment_oracle(ctx, j, h, r)
+                    assert got.value == pytest.approx(float(exact), rel=1e-9), (p, j, h, r)
                     assert abs(got.value - exact) <= got.error_bound, (p, j, h, r)
 
 
