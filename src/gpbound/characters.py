@@ -18,6 +18,7 @@ from .ntcore import PrimeContext
 
 _EPS = np.finfo(float).eps
 _RESYNC_BLOCK = 1 << 16  # prefix sums restart every block to contain drift
+_TILE = 1 << 14  # entries of one row tile, so its buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -70,30 +71,41 @@ def _block_dlogs(ctx: PrimeContext, start: int, n: int) -> np.ndarray:
     return dlog.take(np.arange(start, start + n), mode="wrap")
 
 
-def _tile_table(ctx: PrimeContext, j: np.ndarray, start: int, d: np.ndarray) -> np.ndarray:
-    """chi_j(x) for the columns x = start.. whose dlogs are d, one row per
-    index in j; chi_j(0) = 0 at every multiple of p."""
-    p = ctx.p
-    idx = np.multiply.outer(j, d)
-    np.remainder(idx, p - 1, out=idx)
-    vals = ctx.root_powers().take(idx)
-    vals[:, (-start) % p :: p] = 0.0
-    return vals
+def _workspace(size: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for tiles of up to `size` entries: the int64 table
+    indices, the complex table (reused for conj(W)), the complex windows and
+    the float powers."""
+    return tuple(np.empty(size, dtype) for dtype in (np.int64, complex, complex, float))
 
 
-def _window_sums(vals: np.ndarray, h: int) -> np.ndarray:
-    """W(x) = sum_{n=0}^{h-1} vals[..., x+n] for the first len - h + 1
-    columns x, along the last axis, by one prefix sum.
+def _shaped(buf: np.ndarray, k: int, n: int) -> np.ndarray:
+    """the first k * n entries of a flat buffer as a (k, n) array"""
+    return buf[: k * n].reshape(k, n)
+
+
+def _tile_windows(
+    ctx: PrimeContext, j: np.ndarray, start: int, d: np.ndarray, h: int, work
+) -> np.ndarray:
+    """W(x) = sum_{n=0}^{h-1} chi_j(x+n) for the first len(d) - h + 1
+    columns x = start.., whose dlogs begin d, one row per index in j, by one
+    prefix sum; chi_j(0) = 0 at every multiple of p.  Written into the
+    buffers of a _workspace; the window rows are returned.
 
     The moment body passes tiles of at most one _RESYNC_BLOCK of x, so the
     accumulation restarts every block and rounding drift stays bounded by
     the block length, not by p.
     """
-    c = np.cumsum(vals, axis=-1)
-    nb = c.shape[-1] - h + 1
-    w = np.empty(c.shape[:-1] + (nb,), dtype=complex)
-    w[..., 0] = c[..., h - 1]
-    np.subtract(c[..., h:], c[..., : nb - 1], out=w[..., 1:])
+    p = ctx.p
+    k, n = len(j), len(d)
+    nb = n - h + 1
+    idx, vals, w = _shaped(work[0], k, n), _shaped(work[1], k, n), _shaped(work[2], k, nb)
+    np.multiply.outer(j, d, out=idx)
+    np.remainder(idx, p - 1, out=idx)
+    ctx.root_powers().take(idx, out=vals, mode="clip")  # idx lies in range
+    vals[:, (-start) % p :: p] = 0.0
+    np.cumsum(vals, axis=-1, out=vals)
+    w[:, 0] = vals[:, h - 1]
+    np.subtract(vals[:, h:], vals[:, : nb - 1], out=w[:, 1:])
     return w
 
 
@@ -132,11 +144,14 @@ def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray
 
     Since W_{chi_-j}(x) = conj(W_{chi_j}(x)), S_j = S_{-j}: each index is
     folded to min(j, -j mod p-1), and each distinct one is computed once.
-    Works one tile at a time: a chunk of character rows by one
-    _RESYNC_BLOCK of x plus h-1 columns of wrap, so no temporary exceeds
-    about 2^16 complex entries.  Each row's arithmetic is the same in every
-    tile shape, so the single and the batch path agree bit for bit; a row's
-    per-block partial sums are reduced in one pairwise sum at the end.
+    Works one tile at a time: max(1, _TILE // n) character rows by the n
+    columns of one _RESYNC_BLOCK of x plus h-1 of wrap, so a tile holds at
+    most _TILE entries, or one row where a row is longer.  One _workspace,
+    sized for the largest tile, is allocated per call and every step writes
+    into it, so no tile allocates and the buffers stay in cache.
+    Each row's arithmetic is the same in every tile shape, so the single and
+    the batch path agree bit for bit; a row's per-block partial sums are
+    reduced in one pairwise sum at the end.
     """
     if h < 1 or not r_values or min(r_values) < 1:
         raise DomainError(f"need h >= 1 and r >= 1, got h = {h}, r_values = {r_values}")
@@ -144,16 +159,19 @@ def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray
     js = np.atleast_1d(np.asarray(j, dtype=np.int64))
     rows, back = np.unique(np.minimum(js, (-js) % (p - 1)), return_inverse=True)
     starts = range(0, p, _RESYNC_BLOCK)
-    partial = {r: np.empty((len(rows), len(starts))) for r in r_values}
-    for b, start in enumerate(starts):
-        d = _block_dlogs(ctx, start, min(_RESYNC_BLOCK, p - start) + h - 1)
-        chunk = max(1, _RESYNC_BLOCK // len(d))
+    blocks = [(start, min(_RESYNC_BLOCK, p - start) + h - 1) for start in starts]
+    chunks = [max(1, _TILE // n) for _, n in blocks]
+    work = _workspace(max(min(c, len(rows)) * n for c, (_, n) in zip(chunks, blocks)))
+    partial = {r: np.empty((len(rows), len(blocks))) for r in r_values}
+    for b, ((start, n), chunk) in enumerate(zip(blocks, chunks)):
+        d = _block_dlogs(ctx, start, n)
         for lo in range(0, len(rows), chunk):
-            w = _window_sums(_tile_table(ctx, rows[lo : lo + chunk], start, d), h)
-            m2 = (w * w.conj()).real
+            w = _tile_windows(ctx, rows[lo : lo + chunk], start, d, h, work)
+            conj = np.conj(w, out=_shaped(work[1], *w.shape))  # the table is spent
+            m2 = np.multiply(w, conj, out=w).real
             acc = None
             for r in range(1, max(r_values) + 1):
-                acc = m2 if acc is None else acc * m2
+                acc = m2 if acc is None else np.multiply(acc, m2, out=_shaped(work[3], *w.shape))
                 if r in r_values:
                     partial[r][lo : lo + chunk, b] = acc.sum(axis=-1)
     out = {r: s.sum(axis=-1)[back] for r, s in partial.items()}

@@ -48,7 +48,10 @@ def charsum(pmax: int, hmax: int, rmax: int) -> dict:
 
     A case passes when value + moment_error_bound <= bound, with the float
     bound rounded down by _BOUND_ROUNDING; `worst` is the case of least
-    relative slack (bound - value) / bound.
+    relative slack (bound - value) / bound.  Within one (p, h, r) it is the
+    smallest j whose slack lies within 2 moment_error_bound / bound of the
+    least: two computed values whose exact moments are equal differ by at
+    most twice the error bound, so ties do not break by rounding noise.
     """
     worst = None
     violations = 0
@@ -68,7 +71,7 @@ def charsum(pmax: int, hmax: int, rmax: int) -> dict:
                 cases += p - 2
                 violations += int((values[1:] + err > bound * (1 - _BOUND_ROUNDING)).sum())
                 slack = (bound - values[1:]) / bound
-                j = int(slack.argmin()) + 1
+                j = int(np.flatnonzero(slack <= slack.min() + 2 * err / bound)[0]) + 1
                 record = {
                     "p": p,
                     "j": j,

@@ -327,6 +327,19 @@ def test_threshold_rejects_H_exponent_below_h_exponent():
     assert cert.provenance["failed_checks"] == ["expo(H) >= expo(h)"]
 
 
+def test_threshold_rejects_h_below_2_at_p_min():
+    # h = 1.5 at p_min = 1e40, every check but the main condition passes.
+    # Whenever h(p_min) < 2, W >= (sqrt(2)/e) sqrt(p_min) and the main
+    # coefficient is >= (pi^2/6)(3/2) 2^2, so the condition, which with
+    # 2H^2 < hp needs their product below sqrt(p_min)/2, fails as well; the
+    # guard is pinned by its report
+    h = PowerShape(coef=Fraction(3, 2 * 10**10), expo=Fraction(1, 4))
+    H = PowerShape(coef=Fraction(1, 2), expo=Fraction(1, 2))
+    cert = certify_bound(Threshold(10**40, 2), SieveSummary.all_kept(2), 2, h, H)
+    assert cert.verdict == "failed"
+    assert cert.provenance["failed_checks"] == ["h >= 2 at p_min", "condition at worst case"]
+
+
 def test_threshold_rejects_unbounded_w():
     # h constant in p leaves W unbounded over the threshold
     h = PowerShape(coef=Fraction(100), expo=Fraction(0))

@@ -13,11 +13,12 @@ import pytest
 
 from gpbound.characters import (
     _RESYNC_BLOCK,
+    _TILE,
     CharacterIndex,
     _block_dlogs,
     _moment_sums,
-    _tile_table,
-    _window_sums,
+    _tile_windows,
+    _workspace,
     character_orders,
     double_factorial_ratio,
     exception_count_exact_r2,
@@ -54,8 +55,10 @@ def ctx13():
 
 
 def _char_rows(ctx: PrimeContext, js) -> np.ndarray:
-    """chi_j(x) for x = 0..p-1, one row per j: the tile of the first block."""
-    return _tile_table(ctx, np.array(js), 0, _block_dlogs(ctx, 0, ctx.p))
+    """chi_j(x) for x = 0..p-1, one row per j: the windows of length h = 1
+    over the first block, differences of the table's prefix sum."""
+    d = _block_dlogs(ctx, 0, ctx.p)
+    return _tile_windows(ctx, np.array(js), 0, d, 1, _workspace(len(js) * ctx.p))
 
 
 def test_char_value_trivia(ctx13):
@@ -218,16 +221,17 @@ def test_moment_blocked_window_across_resync():
 
 @pytest.mark.parametrize("p, h", [(70_001, 7), (70_001, 70_010), (11, 30)])
 def test_window_sums_stack_matches_rows(p, h):
-    # the batch path runs the tile helpers on a stack of characters; each row
+    # the batch path runs the tile windows on a stack of characters; each row
     # must equal its one-row tile bit for bit, in every block past the 2^16
-    # resync block and when h > p makes the window wrap more than once
+    # resync block and when h > p makes the window wrap more than once.  The
+    # windows live in the workspace, so each call gets its own.
     ctx = PrimeContext(p)
     js = np.array([1, 5, p - 2])
     assert p > _RESYNC_BLOCK or h > p
     for start in range(0, p, _RESYNC_BLOCK):
         d = _block_dlogs(ctx, start, min(_RESYNC_BLOCK, p - start) + h - 1)
-        stack = _window_sums(_tile_table(ctx, js, start, d), h)
-        rows = np.concatenate([_window_sums(_tile_table(ctx, js[i : i + 1], start, d), h)
+        stack = _tile_windows(ctx, js, start, d, h, _workspace(len(js) * len(d)))
+        rows = np.concatenate([_tile_windows(ctx, js[i : i + 1], start, d, h, _workspace(len(d)))
                                for i in range(len(js))])
         assert stack.shape == (len(js), min(_RESYNC_BLOCK, p - start))
         assert np.array_equal(stack, rows)
@@ -247,19 +251,37 @@ def test_moment_row_batch_across_blocks_matches_single():
 
 
 def test_moment_batch_over_row_tiles_matches_single():
-    # at p = 1999, h = 16 the batch folds to 1000 rows, run in 32 row tiles of
-    # 32 characters
-    ctx = PrimeContext(1999)
+    # at p = 2003, h = 16 a tile has _TILE // 2018 = 8 rows, so the batch's
+    # 1002 folded rows run as 125 full tiles and a last tile of rows 1000 and
+    # 1001; j = 7, 8 straddle the first tile boundary, 999 ends the last full
+    # tile and 1002 folds to row 1000
+    p = 2003
+    ctx = PrimeContext(p)
+    assert _TILE // (p + 15) == 8 and (p + 1) // 2 % 8 == 2
     batch = moment_sums_all(ctx, 16, (1, 2, 3, 4))
     for r in (1, 2, 3, 4):
-        assert np.array_equal(batch[r], batch[r][_conjugate_order(1999)]), r
-    for j in (0, 1, 31, 32, 33, 998, 1500, 1997):
+        assert np.array_equal(batch[r], batch[r][_conjugate_order(p)]), r
+    for j in (0, 1, 7, 8, 9, 999, 1000, 1001, 1002, 1500, 2001):
         for r in (1, 2, 3, 4):
             assert batch[r][j] == moment_sum_exact(CharacterIndex(ctx, j), 16, r).value, (r, j)
 
 
+def test_moment_batch_of_one_row_tiles_matches_single():
+    # at p = 10007, h = 8 one row of 10014 entries fills a tile, so a batch
+    # runs each row alone in the same workspace
+    p = 10007
+    ctx = PrimeContext(p)
+    assert _TILE // (p + 7) == 1
+    js = np.array([0, 1, 2, p - 3, 5003, p - 2])
+    batch = _moment_sums(ctx, js, 8, (1, 2, 3, 4))
+    for r in (1, 2, 3, 4):
+        for k, j in enumerate(js):
+            assert batch[r][k] == moment_sum_exact(CharacterIndex(ctx, int(j)), 8, r).value, (r, j)
+
+
 def test_moment_batch_memory_is_one_tile():
-    # the batch holds one tile of about 2^16 entries at a time, not p^2
+    # the batch allocates one workspace per call, sized for one tile of at
+    # most _TILE entries (8 rows of 2006 at p = 1999, h = 8): 0.75 MiB, not p^2
     import tracemalloc
 
     ctx = PrimeContext(1999)
@@ -270,7 +292,7 @@ def test_moment_batch_memory_is_one_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20, peak / 2**20
+    assert peak <= 2 * 2**20, peak / 2**20
 
 
 def test_char_ops_refuse_unenumerable_context():

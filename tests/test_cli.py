@@ -106,6 +106,17 @@ def test_verify_charsum_small():
     assert {"p", "j", "order", "h", "r", "exact", "bound", "slack"} <= set(blob["worst"])
 
 
+def test_verify_charsum_worst_breaks_ties_by_smallest_j():
+    # at h = 2, r = 1 every nonprincipal character has the exact moment
+    # 2(p-2) under the same bound, so all of them tie; their computed values
+    # differ only by rounding, and the worst case reports the smallest j
+    from gpbound import verify
+
+    worst = verify.charsum(pmax=100, hmax=2, rmax=1)["worst"]
+    assert (worst["p"], worst["j"], worst["order"]) == (97, 1, 96)
+    assert worst["exact"] == pytest.approx(2 * (97 - 2), rel=1e-12)
+
+
 def test_verify_sieve_small():
     code, out, _ = run_cli("verify", "sieve", "--pmax", "100")
     assert code == 0

@@ -126,6 +126,17 @@ def test_envelope_enclosures_match_floats():
         assert bsup.hi >= envelope_b(x, 10).lo
 
 
+def test_envelope_b_sup_covers_the_log_peak_at_e():
+    # log(X)/X peaks at X = e, so from x_min = 5/2 the sup must reach the
+    # envelope at e.  For h >= 1 the 2 pi^2/(9X) term alone keeps B(5/2)
+    # above B(e); only a small h_min exposes a sup that skips the peak.
+    e = CertifiedReal.euler_e()
+    for h_min in (Fraction(1, 20), 1, 2):
+        bsup = envelope_b_sup(Fraction(5, 2), h_min)
+        for x in (Fraction(5, 2), e, 3, 10):
+            assert bsup.hi >= envelope_b(x, h_min).lo, (h_min, x)
+
+
 def test_w_factor_enclosure_contains_float():
     for p, h, r in [(10**20, 2 * 10**5, 2), (10**15, 600, 3), (101, 5, 1)]:
         enc = w_factor_enclosure(p, h, r)
