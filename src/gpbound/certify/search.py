@@ -196,41 +196,41 @@ def optimize_threshold(p_min: int, omega: int) -> ThresholdOptimizeResult:
     Sieve configurations use the worst-case delta for excluding the s
     largest primes, so a certificate covers every admissible p.  H-shape
     candidates follow the headline recipe H = 2r F^r p^(1/4+1/(4r)).
+
+    Candidates are certified best first and the first certificate is the
+    answer: r from 10 down to 2 (exponent 1/4 + 1/(4r) increasing), and
+    within one r the sieve summaries by increasing F, so by increasing
+    coefficient 2r F^r.  F ties between s = 0 and s = 1 (both 2^omega);
+    the stable sort keeps the smaller s first, so it wins the tie.
     """
     th = Threshold(p_min=p_min, omega=omega)
-    best = None
-    for r in sorted(R_THRESHOLD_RANGE, reverse=True):  # larger r = smaller exponent
+    summaries = []
+    for s in range(omega):
+        delta = worst_case_delta(omega, s)
+        if delta <= 0:
+            break
+        summaries.append(SieveSummary(
+            e_desc=f"p-1 with the {s} largest primes excluded", s=s,
+            delta=delta, omega=omega,
+        ))
+    summaries.sort(key=lambda summary: summary.factor)
+    for r in sorted(R_THRESHOLD_RANGE, reverse=True):
         expo = Fraction(1, 4) + Fraction(1, 4 * r)
-        if best is not None and best[0] < expo:
-            continue
         h_shape = _threshold_h_shape(r)
-        for s in range(omega):
-            delta = worst_case_delta(omega, s) if s else Fraction(1)
-            if delta <= 0:
-                break
-            summary = SieveSummary(
-                e_desc=f"p-1 with the {s} largest primes excluded", s=s,
-                delta=delta, omega=omega,
-            )
+        for summary in summaries:
             coef = 2 * r * summary.factor**r
-            key = (expo, coef)
-            if best is not None and key >= (best[0], best[1]):
-                continue
             cert = certify_bound(th, summary, r, h_shape, PowerShape(coef=coef, expo=expo))
             if cert.certified:
-                best = (expo, coef, cert)
-    if best is None:
-        return ThresholdOptimizeResult(
-            threshold=th,
-            certificate=None,
-            exponent=None,
-            coefficient=None,
-            reason="infeasible: no (r, sieve) shape certifies over the range",
-        )
-    expo, coef, cert = best
+                return ThresholdOptimizeResult(
+                    threshold=th, certificate=cert, exponent=expo, coefficient=coef,
+                    reason="certified",
+                )
     return ThresholdOptimizeResult(
-        threshold=th, certificate=cert, exponent=expo, coefficient=coef,
-        reason="certified",
+        threshold=th,
+        certificate=None,
+        exponent=None,
+        coefficient=None,
+        reason="infeasible: no (r, sieve) shape certifies over the range",
     )
 
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from .enclosure import CertifiedReal, enclose, envelope_a, envelope_b, working_precision
 from .errors import ParameterError, VerificationFailure
+from .ntcore import primes_upto
 
 
 @dataclass(frozen=True)
@@ -340,21 +341,10 @@ def verify_T_envelope(x_max: int = 1000) -> SweepReport:
 
 def _mobius_table(n: int) -> np.ndarray:
     mu = np.ones(n + 1, dtype=np.int64)
-    is_comp = np.zeros(n + 1, dtype=bool)
-    primes = []
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
     mu[0] = 0
+    for q in primes_upto(n):
+        mu[::q] *= -1
+        mu[:: q * q] = 0
     return mu
 
 

@@ -55,8 +55,10 @@ def sieve_factor(omega: int, s: int, delta: Fraction) -> Fraction:
 
 
 def sieve_density(excluded) -> Fraction:
-    """delta = 1 - sum 1/q over the excluded primes q; exact rational."""
-    return 1 - sum(Fraction(1, q) for q in excluded)
+    """delta = 1 - sum 1/q over the excluded primes q; exact rational, in
+    one division over P = prod q."""
+    P = math.prod(excluded)
+    return Fraction(P - sum(P // q for q in excluded), P)
 
 
 @dataclass(frozen=True)
@@ -86,14 +88,6 @@ class SieveConfig:
     def require_positive_delta(self) -> None:
         if self.delta <= 0:
             raise ConfigError(f"delta = {self.delta} <= 0")
-
-    def to_json(self) -> dict:
-        return {
-            "e": self.e,
-            "excluded": list(self.excluded),
-            "s": self.s,
-            "delta": str(self.delta),
-        }
 
 
 def admissible_configs(ctx: PrimeContext) -> list[SieveConfig]:

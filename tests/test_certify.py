@@ -16,8 +16,15 @@ from gpbound.certify import (
     burgess_comparison_bound,
     compare_with_burgess,
     optimize_params,
+    optimize_threshold,
     soundness_crosscheck,
     certify_bound,
+)
+from gpbound.certify.cases import worst_case_delta
+from gpbound.certify.search import (
+    R_THRESHOLD_RANGE,
+    ThresholdOptimizeResult,
+    _threshold_h_shape,
 )
 from gpbound.errors import ConfigError, DomainError, ParameterError, UnsupportedRangeError
 from gpbound.ntcore import factorize, is_prime, iter_primes, least_primitive_root
@@ -400,8 +407,6 @@ def test_optimize_deterministic():
 
 
 def test_optimize_threshold_minimal_exponent():
-    from gpbound.certify import optimize_threshold
-
     res = optimize_threshold(10**56, 20)
     assert res.feasible
     # larger r shrinks the exponent until 2HX < p blocks it; at omega=20 the
@@ -412,6 +417,43 @@ def test_optimize_threshold_minimal_exponent():
     # at a tiny threshold with many prime factors nothing certifies
     res2 = optimize_threshold(10**7, 8)
     assert not res2.feasible
+
+
+def _exhaustive_threshold_search(p_min: int, omega: int) -> ThresholdOptimizeResult:
+    """Certify every (r, s) and keep the least (exponent, coefficient, s)."""
+    th = Threshold(p_min=p_min, omega=omega)
+    best = None
+    for r in R_THRESHOLD_RANGE:
+        expo = Fraction(1, 4) + Fraction(1, 4 * r)
+        for s in range(omega):
+            delta = worst_case_delta(omega, s)
+            if delta <= 0:
+                break
+            summary = SieveSummary(
+                e_desc=f"p-1 with the {s} largest primes excluded", s=s,
+                delta=delta, omega=omega,
+            )
+            coef = 2 * r * summary.factor**r
+            shape = PowerShape(coef=coef, expo=expo)
+            cert = certify_bound(th, summary, r, _threshold_h_shape(r), shape)
+            if cert.certified and (best is None or (expo, coef, s) < best[:3]):
+                best = (expo, coef, s, cert)
+    if best is None:
+        return ThresholdOptimizeResult(
+            threshold=th, certificate=None, exponent=None, coefficient=None,
+            reason="infeasible: no (r, sieve) shape certifies over the range",
+        )
+    expo, coef, _, cert = best
+    return ThresholdOptimizeResult(
+        threshold=th, certificate=cert, exponent=expo, coefficient=coef,
+        reason="certified",
+    )
+
+
+@pytest.mark.parametrize("k, omega", [(10, 2), (22, 15), (40, 3), (56, 20), (100, 25)])
+def test_optimize_threshold_matches_exhaustive_search(k, omega):
+    want = _exhaustive_threshold_search(10**k, omega).to_json()
+    assert optimize_threshold(10**k, omega).to_json() == want
 
 
 def test_soundness_crosscheck_small_batch():

@@ -22,6 +22,7 @@ from gpbound.intervals import (
     IntervalSystem,
     _check_farey_family,
     _farey_pairs,
+    _mobius_table,
     build_intervals,
     count_points,
     envelope_bounds_enclosure,
@@ -31,7 +32,7 @@ from gpbound.intervals import (
     verify_S_envelope,
     verify_T_envelope,
 )
-from gpbound.ntcore import iter_primes
+from gpbound.ntcore import iter_primes, moebius
 
 
 def endpoints_oracle(p: int, H: Fraction, h: int) -> dict:
@@ -353,8 +354,6 @@ def test_external_input_checks():
     for rep in reports:
         assert rep.passed, rep.claim
     # |sum mu(d)/d| at X=7: 1 - 1/2 - 1/3 - 1/5 + 1/6 - 1/7 = -2/210
-    from gpbound.intervals import _mobius_table
-
     mu = _mobius_table(7)
     val = sum(int(mu[d]) / d for d in range(1, 8))
     assert abs(val) == pytest.approx(2 / 210, abs=1e-12)
@@ -362,6 +361,13 @@ def test_external_input_checks():
     # squarefree count at X=4: {1,2,3} -> 3 <= 6*4/pi^2 + 0.679091*2
     assert sum(1 for d in range(1, 5) if mu[d] != 0) == 3
     assert 3 <= 6 * 4 / math.pi**2 + 0.679091 * 2
+
+
+def test_mobius_table_matches_moebius():
+    n = 3000
+    mu = _mobius_table(n)
+    assert mu.shape == (n + 1,)
+    assert mu.tolist() == [0] + [moebius(d) for d in range(1, n + 1)]
 
 
 def test_external_inputs_reject_x_max_below_2():

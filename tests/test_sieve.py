@@ -9,7 +9,7 @@ import pytest
 
 from gpbound import sieve
 from gpbound.errors import ConfigError, ConsistencyError
-from gpbound.ntcore import PrimeContext, is_primitive_root, primes_upto
+from gpbound.ntcore import PrimeContext, first_primes, is_primitive_root, primes_upto
 from gpbound.sieve import (
     SieveConfig,
     admissible_configs,
@@ -17,6 +17,7 @@ from gpbound.sieve import (
     e_free_all,
     fe_identity_worst_slack,
     intermediate_identities_check,
+    sieve_density,
     sieve_factor,
     sieve_lower_bound_worst_slack,
 )
@@ -72,6 +73,15 @@ def test_config_recomputes_excluded(ctx61):
     assert cfg.delta == Fraction(7, 15)
     factor = sieve_factor(ctx61.omega, cfg.s, cfg.delta)
     assert factor == (2 + Fraction(1) / Fraction(7, 15)) * 2
+
+
+def test_sieve_density_matches_termwise_sum():
+    qs = first_primes(400)
+    slices = [qs[i:j] for i in range(0, 400, 23) for j in range(i + 1, 401, 29)]
+    for excluded in [[], qs, *slices]:
+        got = sieve_density(excluded)
+        assert isinstance(got, Fraction)
+        assert got == 1 - sum(Fraction(1, q) for q in excluded), excluded
 
 
 def test_config_rejects_bad_e(ctx61):
