@@ -74,7 +74,7 @@ def _block_dlogs(ctx: PrimeContext, start: int, n: int) -> np.ndarray:
 def _workspace(size: int) -> tuple[np.ndarray, ...]:
     """Flat buffers for tiles of up to `size` entries: the int64 table
     indices, the complex table (reused for conj(W)), the complex windows and
-    the float powers."""
+    the float powers (viewed as int64 for the index quotients first)."""
     return tuple(np.empty(size, dtype) for dtype in (np.int64, complex, complex, float))
 
 
@@ -99,8 +99,10 @@ def _tile_windows(
     k, n = len(j), len(d)
     nb = n - h + 1
     idx, vals, w = _shaped(work[0], k, n), _shaped(work[1], k, n), _shaped(work[2], k, nb)
+    quot = _shaped(work[3].view(np.int64), k, n)  # the powers buffer is free yet
     np.multiply.outer(j, d, out=idx)
-    np.remainder(idx, p - 1, out=idx)
+    np.floor_divide(idx, p - 1, out=quot)  # idx mod p-1, exactly, faster than remainder
+    np.subtract(idx, np.multiply(quot, p - 1, out=quot), out=idx)
     ctx.root_powers().take(idx, out=vals, mode="clip")  # idx lies in range
     vals[:, (-start) % p :: p] = 0.0
     np.cumsum(vals, axis=-1, out=vals)
@@ -113,17 +115,24 @@ def moment_error_bound(p: int, h: int, r: int) -> float:
     """Conservative absolute error bound for the tiled moment evaluation,
     for one character and for every row of the batch alike.
 
-    Each term |W(x)|^(2r) lies in [0, h^(2r)], so summing the p terms in any
-    order errs by at most gamma_k <= 1.01 k eps/2 times their sum, which is
-    at most p h^(2r); k is the most additions one term passes through.
-    numpy's pairwise sum of one block's <= 2^16 terms gives k <= 36: at most
-    10 halvings to leaves of <= 128 terms, 15 adds in a leaf's 8
-    accumulators, 3 to merge them, 7 remainder adds and 1 into the output
-    (8 more if the reduction runs in 8192-entry buffers).  The one pairwise
-    sum of a row's per-block partials, at most 153 blocks up to
-    PrimeContext.DLOG_CAP, adds k <= 15.  So k <= 59, gamma_k < 30 eps, and
-    64 eps p h^(2r) covers the reduction with room for the rounding of the
-    terms themselves.
+    The body evaluates S = T(x0) + 2 sum_{t=1}^{(p-1)/2} T(x0+t), the p
+    terms T(x) = |W(x)|^(2r) folded by the reflection x -> 1-h-x (see
+    _moment_sums).  Each term lies in [0, h^(2r)] and the doubling is exact,
+    so summing in any order errs by at most gamma_k <= 1.01 k eps/2 times
+    the sum of all p terms, at most p h^(2r); k is the most additions one
+    term passes through.  numpy's pairwise sum of one block's <= 2^16 terms
+    gives k <= 36: at most 10 halvings to leaves of <= 128 terms, 15 adds in
+    a leaf's 8 accumulators, 3 to merge them, 7 remainder adds and 1 into
+    the output (8 more if the reduction runs in 8192-entry buffers).  Block
+    0 adds T(x0) to its doubled sum once, 1 more.  The one pairwise sum of a
+    row's per-block partials, at most 77 blocks of the (p+1)/2 columns up
+    to PrimeContext.DLOG_CAP, adds k <= 18: 17 in a leaf of <= 77 terms
+    (7 in an accumulator, 3 to merge, 7 remainder adds at 71 partials) and
+    1 into the output.  So k <= 63, gamma_k < 32 eps, and 64 eps p h^(2r)
+    covers the reduction with room for the rounding of the terms
+    themselves.  Each computed term errs by at most per_term below; a
+    doubled term carries its error twice, once for each x of its pair, so
+    the p terms together err by at most p per_term.
 
     The 4 h eps term of a window's error assumes every entry of
     PrimeContext.root_powers lies within 4 eps of the true root.  The table
@@ -144,6 +153,14 @@ def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray
 
     Since W_{chi_-j}(x) = conj(W_{chi_j}(x)), S_j = S_{-j}: each index is
     folded to min(j, -j mod p-1), and each distinct one is computed once.
+    The reflection x -> c-x with c = 1-h halves the columns: W(c-x) =
+    sum_m chi(-(x+m)) = chi(-1) W(x), so |W(c-x)| = |W(x)| for every
+    character, the principal one included.  Its one fixed point is
+    x0 = c (p+1)/2 mod p, and every other x pairs with x0 +- t, so
+    S = T(x0) + 2 sum_{t=1}^{(p-1)/2} T(x0+t) with T = |W|^(2r): the body
+    visits the (p+1)/2 columns x0, x0+1, .. (mod p) only.  Each block sums
+    its terms, block 0's from x0+1 on, and doubles the sum, which is exact;
+    block 0 then adds T(x0) once.
     Works one tile at a time: max(1, _TILE // n) character rows by the n
     columns of one _RESYNC_BLOCK of x plus h-1 of wrap, so a tile holds at
     most _TILE entries, or one row where a row is longer.  One _workspace,
@@ -158,12 +175,15 @@ def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray
     p = ctx.p
     js = np.atleast_1d(np.asarray(j, dtype=np.int64))
     rows, back = np.unique(np.minimum(js, (-js) % (p - 1)), return_inverse=True)
-    starts = range(0, p, _RESYNC_BLOCK)
-    blocks = [(start, min(_RESYNC_BLOCK, p - start) + h - 1) for start in starts]
+    half = (p + 1) // 2  # also the inverse of 2 mod p
+    x0 = (1 - h) * half % p  # the fixed point of x -> 1-h-x
+    offsets = range(0, half, _RESYNC_BLOCK)
+    blocks = [((x0 + o) % p, min(_RESYNC_BLOCK, half - o) + h - 1) for o in offsets]
     chunks = [max(1, _TILE // n) for _, n in blocks]
     work = _workspace(max(min(c, len(rows)) * n for c, (_, n) in zip(chunks, blocks)))
     partial = {r: np.empty((len(rows), len(blocks))) for r in r_values}
     for b, ((start, n), chunk) in enumerate(zip(blocks, chunks)):
+        first = int(b == 0)  # block 0 opens on x0, which is not doubled
         d = _block_dlogs(ctx, start, n)
         for lo in range(0, len(rows), chunk):
             w = _tile_windows(ctx, rows[lo : lo + chunk], start, d, h, work)
@@ -173,7 +193,10 @@ def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray
             for r in range(1, max(r_values) + 1):
                 acc = m2 if acc is None else np.multiply(acc, m2, out=_shaped(work[3], *w.shape))
                 if r in r_values:
-                    partial[r][lo : lo + chunk, b] = acc.sum(axis=-1)
+                    sums = 2 * acc[:, first:].sum(axis=-1)
+                    if first:
+                        sums += acc[:, 0]
+                    partial[r][lo : lo + chunk, b] = sums
     out = {r: s.sum(axis=-1)[back] for r, s in partial.items()}
     return {r: v[0] for r, v in out.items()} if np.ndim(j) == 0 else out
 

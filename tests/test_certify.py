@@ -347,6 +347,29 @@ def test_threshold_rejects_h_below_2_at_p_min():
     assert cert.provenance["failed_checks"] == ["h >= 2 at p_min", "condition at worst case"]
 
 
+def test_threshold_rejects_growing_general_branch():
+    # h = ceil(p^(1/5)) at r = 2 leaves sqrt(p)/h^2 growing like p^(1/10);
+    # certifying it would take W's general branch past the threshold
+    h = PowerShape(coef=Fraction(1), expo=Fraction(1, 5), ceil=True)
+    H = PowerShape(coef=Fraction(1000), expo=Fraction(1, 2))
+    cert = certify_bound(Threshold(10**40, 2), SieveSummary.all_kept(2), 2, h, H)
+    assert cert.verdict == "failed"
+    assert cert.provenance["failed_checks"] == ["W unbounded over threshold (sqrt(p)/h^r grows)"]
+
+
+def test_threshold_rejects_growing_condition():
+    # h = ceil(p^(1/4)), H = 1e10 p^(3/10): the condition's left side grows
+    # like p^0.15, so holding at p_min proves nothing past it
+    h = PowerShape(coef=Fraction(1), expo=Fraction(1, 4), ceil=True)
+    H = PowerShape(coef=Fraction(10**10), expo=Fraction(3, 10))
+    cert = certify_bound(Threshold(10**40, 2), SieveSummary.all_kept(2), 2, h, H)
+    assert cert.verdict == "failed"
+    assert cert.provenance["failed_checks"] == [
+        "condition exponents nonincreasing in p",
+        "condition at worst case",
+    ]
+
+
 def test_threshold_rejects_unbounded_w():
     # h constant in p leaves W unbounded over the threshold
     h = PowerShape(coef=Fraction(100), expo=Fraction(0))

@@ -149,15 +149,31 @@ def test_moment_frozen_values(ctx13):
 
 
 def test_moment_matches_direct_oracle():
-    for p in [13, 31]:
+    # every j at p = 3, 5, 7 with h = 1, 2, p and 2p+3 (windows that wrap
+    # more than once), then spot indices at p = 13, 31
+    cases = [(p, range(p - 1), (1, 2, p, 2 * p + 3)) for p in (3, 5, 7)]
+    cases += [(p, (0, 1, (p - 1) // 2, p - 2), (2, 5, p + 2)) for p in (13, 31)]
+    for p, js, hs in cases:
         ctx = PrimeContext(p)
-        for j in [0, 1, (p - 1) // 2, p - 2]:
-            for h in [2, 5, p + 2]:  # h > p exercises double wraparound
+        for j in js:
+            for h in hs:
                 for r in [1, 3]:
                     got = moment_sum_exact(CharacterIndex(ctx, j), h, r)
                     exact = moment_oracle(ctx, j, h, r)
                     assert got.value == pytest.approx(float(exact), rel=1e-9), (p, j, h, r)
                     assert abs(got.value - exact) <= got.error_bound, (p, j, h, r)
+
+
+def test_window_sums_reflect():
+    # W(c - x) = chi(-1) W(x) with c = 1 - h, the symmetry that lets the
+    # moment body visit half of F_p; chi_j(-1) = (-1)^j at p = 61
+    p, h = 61, 5
+    ctx = PrimeContext(p)
+    d = _block_dlogs(ctx, 0, p + h - 1)
+    x = np.arange(p)
+    for j in (4, 7):
+        w = _tile_windows(ctx, np.array([j]), 0, d, h, _workspace(len(d)))[0]
+        assert np.abs(w[(1 - h - x) % p] - (-1) ** j * w).max() < 1e-13, j
 
 
 def test_moment_conjugation_symmetry():
@@ -210,13 +226,16 @@ def test_moment_rejects_bad_args(ctx13):
 
 
 def test_moment_blocked_window_across_resync():
-    # p = 100003 exceeds the 2^16 resync block; the principal character has
-    # a closed form, so the block-edge bookkeeping is checked exactly
-    p = 100003
+    # the body visits the (p+1)/2 columns from the fixed point x0 on, so
+    # p = 131101 spans two 2^16 resync blocks; h = 3 puts x0 at p-1, so the
+    # first block wraps at once.  The principal character has a closed form
+    # in small integers, which the body sums exactly
+    p = 131101
     ctx = PrimeContext(p)
-    for h, r in ((3, 1), (5, 2)):
+    assert (p + 1) // 2 > _RESYNC_BLOCK
+    for h, r in ((3, 1), (3, 2), (5, 2)):
         res = moment_sum_exact(CharacterIndex(ctx, 0), h, r)
-        assert res.value == pytest.approx(principal_moment_exact(p, h, r), rel=1e-12)
+        assert res.value == principal_moment_exact(p, h, r), (h, r)
 
 
 @pytest.mark.parametrize("p, h", [(70_001, 7), (70_001, 70_010), (11, 30)])
@@ -238,41 +257,46 @@ def test_window_sums_stack_matches_rows(p, h):
 
 
 def test_moment_row_batch_across_blocks_matches_single():
-    # p = 70001 spans two x blocks; a batch of indices, two conjugate pairs
-    # among them, equals the single path
-    p = 70001
+    # p = 131101 spans two x blocks of its (p+1)/2 columns, also at h = 3,
+    # whose first block starts at x0 = p-1; a batch of indices, two
+    # conjugate pairs among them, equals the single path
+    p = 131101
     ctx = PrimeContext(p)
     js = np.array([0, 1, p - 2, 5, p - 6, (p - 1) // 2])
-    batch = _moment_sums(ctx, js, 16, (2, 3))
-    for r in (2, 3):
-        assert batch[r][1] == batch[r][2] and batch[r][3] == batch[r][4], r
-        for k, j in enumerate(js):
-            assert batch[r][k] == moment_sum_exact(CharacterIndex(ctx, int(j)), 16, r).value, (r, j)
+    for h in (3, 16):
+        batch = _moment_sums(ctx, js, h, (2, 3))
+        for r in (2, 3):
+            assert batch[r][1] == batch[r][2] and batch[r][3] == batch[r][4], (h, r)
+            for k, j in enumerate(js):
+                single = moment_sum_exact(CharacterIndex(ctx, int(j)), h, r).value
+                assert batch[r][k] == single, (h, r, j)
 
 
 def test_moment_batch_over_row_tiles_matches_single():
-    # at p = 2003, h = 16 a tile has _TILE // 2018 = 8 rows, so the batch's
-    # 1002 folded rows run as 125 full tiles and a last tile of rows 1000 and
-    # 1001; j = 7, 8 straddle the first tile boundary, 999 ends the last full
-    # tile and 1002 folds to row 1000
+    # at p = 2003, h = 16 a row holds the 1002 columns of half of F_p plus 15
+    # of wrap, so a tile has _TILE // 1017 = 16 rows, and the batch's 1002
+    # folded rows run as 62 full tiles and a last tile of rows 992..1001;
+    # j = 15, 16 straddle the first tile boundary, 991 ends the last full
+    # tile, 992 opens the short one and 1002 folds to row 1000
     p = 2003
     ctx = PrimeContext(p)
-    assert _TILE // (p + 15) == 8 and (p + 1) // 2 % 8 == 2
+    n = (p + 1) // 2 + 15
+    assert _TILE // n == 16 and (p + 1) // 2 % 16 == 10
     batch = moment_sums_all(ctx, 16, (1, 2, 3, 4))
     for r in (1, 2, 3, 4):
         assert np.array_equal(batch[r], batch[r][_conjugate_order(p)]), r
-    for j in (0, 1, 7, 8, 9, 999, 1000, 1001, 1002, 1500, 2001):
+    for j in (0, 1, 15, 16, 17, 991, 992, 1000, 1001, 1002, 1500, 2001):
         for r in (1, 2, 3, 4):
             assert batch[r][j] == moment_sum_exact(CharacterIndex(ctx, j), 16, r).value, (r, j)
 
 
 def test_moment_batch_of_one_row_tiles_matches_single():
-    # at p = 10007, h = 8 one row of 10014 entries fills a tile, so a batch
-    # runs each row alone in the same workspace
-    p = 10007
+    # at p = 32771, h = 8 one row of (p+1)/2 + 7 = 16393 entries is longer
+    # than a tile, so a batch runs each row alone in the same workspace
+    p = 32771
     ctx = PrimeContext(p)
-    assert _TILE // (p + 7) == 1
-    js = np.array([0, 1, 2, p - 3, 5003, p - 2])
+    assert (p + 1) // 2 + 7 > _TILE
+    js = np.array([0, 1, 2, p - 3, (p - 1) // 2, p - 2])
     batch = _moment_sums(ctx, js, 8, (1, 2, 3, 4))
     for r in (1, 2, 3, 4):
         for k, j in enumerate(js):
@@ -281,7 +305,8 @@ def test_moment_batch_of_one_row_tiles_matches_single():
 
 def test_moment_batch_memory_is_one_tile():
     # the batch allocates one workspace per call, sized for one tile of at
-    # most _TILE entries (8 rows of 2006 at p = 1999, h = 8): 0.75 MiB, not p^2
+    # most _TILE entries (16 rows of the 1000 columns of half of F_p plus 7
+    # of wrap at p = 1999, h = 8): 0.74 MiB, not p^2
     import tracemalloc
 
     ctx = PrimeContext(1999)
