@@ -6,13 +6,15 @@ exact rational and no float tolerance is involved.
 Run:  python demos/04_sieve_identities.py
 """
 
+from fractions import Fraction
+
+from gpbound.errors import ConfigError
 from gpbound.ntcore import PrimeContext
 from gpbound.sieve import (
     SieveConfig,
     admissible_configs,
     e_free,
     fe_identity_worst_slack,
-    sieve_factor,
     sieve_lower_bound_worst_slack,
 )
 
@@ -30,9 +32,19 @@ for cfg in admissible_configs(ctx):
     slack = sieve_lower_bound_worst_slack(cfg)
     print(
         f"  e={cfg.e:3d} excluded={str(cfg.excluded):10s} delta={cfg.delta} "
-        f"factor={float(sieve_factor(ctx.omega, cfg.s, cfg.delta)):7.3f} worst slack={slack}"
+        f"factor={float(cfg.factor):7.3f} worst slack={slack}"
     )
 
 cfg = SieveConfig.build(ctx, 4)
 print(f"\nconfig e=4: excluding {cfg.excluded} leaves density delta = {cfg.delta}")
 print("the inequality is tight (slack exactly 0) at primitive roots")
+
+print("\nthe fields are checked against p-1 on construction, not trusted:")
+try:
+    SieveConfig(omega=1, s=0, delta=Fraction(1), ctx=ctx, e=60)
+except ConfigError as exc:
+    print(f"  ConfigError: {exc}")
+
+worst = SieveConfig.worst_case(12, 9)
+print(f"\nover a threshold, omega=12 with the 9 largest primes excluded: "
+      f"delta >= {worst.delta}, factor = {float(worst.factor):.3f}")

@@ -9,24 +9,33 @@ from fractions import Fraction
 
 from gpbound.certify import (
     PowerShape,
-    SieveSummary,
+    SieveConfig,
     Threshold,
     optimize_params,
     soundness_crosscheck,
     certify_bound,
 )
-from gpbound.ntcore import factorize, is_prime, iter_primes, least_primitive_root
+from gpbound.errors import DomainError
+from gpbound.ntcore import PrimeContext, factorize, is_prime, iter_primes, least_primitive_root
 
 p = 10**9 + 7
 print(f"exact certificate at p = {p}:")
 result = optimize_params(p)
 print(f"  smallest certified H = {float(result.H):.4e}  (r={result.certificate.r}, h={result.h})")
 print(f"  brute force g(p) = {least_primitive_root(p)} — certificate confirmed")
+print(f"  sieve: {result.certificate.sieve.to_json()}")
+
+print("\nthe sieve carries its evidence: one built at another prime is refused")
+other = 2000000579  # a safe prime too, so the two sieve factors agree
+try:
+    certify_bound(p, SieveConfig.build(PrimeContext(other), other - 1), 2, 360, 150000)
+except DomainError as exc:
+    print(f"  DomainError: {exc}")
 
 print("\nthreshold certificate (all p >= 1e22 with omega = 8):")
 cert = certify_bound(
     Threshold(p_min=10**22, omega=8),
-    SieveSummary.all_kept(8),
+    SieveConfig.worst_case(8, 0),  # the sieve over every p with omega = 8
     2,
     PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True),  # h = ceil(2 p^(1/4))
     PowerShape(coef=Fraction(1), expo=Fraction(5, 8)),             # H = p^(5/8)

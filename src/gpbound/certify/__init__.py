@@ -4,6 +4,7 @@ All comparisons go through guaranteed enclosures so that verdicts are
 rigorous even at astronomically large thresholds.
 """
 
+from ..sieve import SieveConfig, worst_case_delta
 from .bounds import (
     BURGESS_C,
     BoundComparison,
@@ -13,7 +14,7 @@ from .bounds import (
     burgess_comparison_bound,
     compare_with_burgess,
 )
-from .cases import CaseReport, case_engine, worst_case_delta
+from .cases import CaseReport, case_engine
 from .search import (
     OptimizeResult,
     SoundnessReport,
@@ -26,7 +27,6 @@ from .certifier import (
     BurgessParams,
     Certificate,
     PowerShape,
-    SieveSummary,
     Threshold,
     certify_bound,
 )
@@ -47,7 +47,7 @@ __all__ = [
     "ChainReport",
     "OptimizeResult",
     "PowerShape",
-    "SieveSummary",
+    "SieveConfig",
     "SoundnessReport",
     "Threshold",
     "ThresholdOptimizeResult",

@@ -34,8 +34,8 @@ from ..enclosure import (
     working_precision,
 )
 from ..errors import DomainError
-from ..ntcore import first_primes, iter_primes, primorial
-from ..sieve import sieve_density, sieve_factor
+from ..ntcore import iter_primes, primorial
+from ..sieve import SieveConfig
 from .certifier import PowerShape, _hp_check, _w_threshold_sup, main_coefficient
 
 ROBIN_OMEGA_COEFF = Fraction(139, 100)  # omega(p-1) <= 1.39 log p / log log p
@@ -50,17 +50,6 @@ REGIMES = (
     (range(18, 51), 3, True),
     (range(51, 200), 5, True),
 )
-
-
-def worst_case_delta(omega: int, s: int) -> Fraction:
-    """Lower bound for delta when the s largest of omega primes are excluded.
-
-    The excluded primes, sorted, are at least q_(omega-s+1), ..., q_omega.
-    """
-    if not 0 <= s < omega:
-        raise DomainError(f"need 0 <= s < omega, got s={s}, omega={omega}")
-    qs = first_primes(omega)
-    return sieve_density(qs[omega - s :])
 
 
 @dataclass(frozen=True)
@@ -149,16 +138,15 @@ class CaseReport:
 def _case_row(regime, omega, s, const: Fraction, p_min: int, root: int):
     """Exact check const * F^4 < p_min^(1/root), at the worst-case delta;
     root in {2, 4}."""
-    delta_lo = worst_case_delta(omega, s)
-    F = sieve_factor(omega, s, delta_lo)
-    lhs = const * F**4
+    sieve = SieveConfig.worst_case(omega, s)
+    lhs = const * sieve.factor**4
     ok = lhs**root < p_min
     margin = math.log10(p_min) / root - math.log10(float(lhs))
     return CaseRow(
         regime=regime,
         omega=omega,
         s=s,
-        delta_lo=delta_lo if s > 0 else None,
+        delta_lo=sieve.delta if s > 0 else None,
         lhs=lhs,
         rhs_desc=f"p_min^(1/{root}), p_min=10^{math.log10(p_min):.1f}",
         margin_log10=margin,

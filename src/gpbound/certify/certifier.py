@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from ..enclosure import (
     CertifiedReal,
@@ -32,7 +31,7 @@ from ..enclosure import (
 )
 from ..errors import ConfigError, DomainError, ParameterError
 from ..ntcore import is_prime
-from ..sieve import sieve_factor
+from ..sieve import SieveConfig
 
 MAX_PRECISION = 1024
 
@@ -105,44 +104,13 @@ class BurgessParams:
             )
 
 
-@dataclass(frozen=True)
-class SieveSummary:
-    """What a certificate records about its sieve configuration."""
-
-    e_desc: str
-    s: int
-    delta: Fraction
-    omega: int
-
-    @classmethod
-    def from_config(cls, config) -> "SieveSummary":
-        """The summary of a `sieve.SieveConfig`."""
-        return cls(
-            e_desc=f"{config.e}",
-            s=config.s,
-            delta=config.delta,
-            omega=config.ctx.omega,
-        )
-
-    @classmethod
-    def all_kept(cls, omega: int) -> "SieveSummary":
-        return cls(e_desc="p-1", s=0, delta=Fraction(1), omega=omega)
-
-    @cached_property
-    def factor(self) -> Fraction:
-        return sieve_factor(self.omega, self.s, self.delta)
-
-    def to_json(self) -> dict:
-        return {"e_desc": self.e_desc, "s": self.s, "delta": str(self.delta)}
-
-
 @dataclass
 class Certificate:
     p_spec: str
     r: int
     h: str
     H: CertifiedReal  # value at the exact p, or at p_min for thresholds
-    sieve: SieveSummary
+    sieve: SieveConfig
     lhs: CertifiedReal | None
     rhs: CertifiedReal | None
     verdict: str  # certified | failed | indeterminate
@@ -167,26 +135,33 @@ class Certificate:
         }
 
 
-def certify_bound(p_spec, sieve: SieveSummary, r: int, h, H) -> Certificate:
+def certify_bound(p_spec, sieve: SieveConfig, r: int, h, H) -> Certificate:
     """Certificate for g(p) < H via the main inequality.
 
-    Exact mode: p_spec is a prime int (proved prime, else DomainError), h an
-    int, H an exact number.
-    Threshold mode: p_spec is a Threshold and h, H are PowerShapes; the
+    Exact mode: p_spec is a prime int (proved prime, else DomainError), sieve
+    is `SieveConfig.build` from that prime's context, h an int, H an exact
+    number.
+    Threshold mode: p_spec is a Threshold, sieve is
+    `SieveConfig.worst_case` for its omega, and h, H are PowerShapes; the
     verdict then covers every p >= p_min with the given omega, using
     worst-case monotonicity in p.
+    A sieve built for another prime or another omega raises DomainError.
     """
-    if not isinstance(sieve, SieveSummary):
-        raise ConfigError(f"sieve must be a SieveSummary, got {sieve!r}")
-    if sieve.s > 0 and sieve.delta <= 0:
-        raise ConfigError(f"delta = {sieve.delta} <= 0")
+    if not isinstance(sieve, SieveConfig):
+        raise ConfigError(f"sieve must be a SieveConfig, got {sieve!r}")
     if isinstance(p_spec, Threshold):
+        if sieve.ctx is not None or sieve.omega != p_spec.omega:
+            raise DomainError(
+                f"{p_spec.describe()} needs SieveConfig.worst_case({p_spec.omega}, s)"
+            )
         if not (isinstance(h, PowerShape) and isinstance(H, PowerShape)):
             raise ParameterError("threshold certification needs PowerShape h and H")
         return _certify_threshold(p_spec, sieve, r, h, H)
     p = int(p_spec)
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    if sieve.ctx is None or sieve.ctx.p != p:
+        raise DomainError(f"the sieve was not built from the factorization of p-1 at p = {p}")
     return _certify_exact(p, sieve, r, h, H)
 
 
@@ -219,7 +194,7 @@ def _verdict_from(checks: list[tuple[str, bool | None]]) -> tuple[str, list[str]
     return "certified", []
 
 
-def _certify_exact(p, summary, r, h, H) -> Certificate:
+def _certify_exact(p, sieve, r, h, H) -> Certificate:
     # preconditions are exact rational comparisons, decidable up front
     params = BurgessParams(r=r, h=h, H=Fraction(H))
     params.validate(p)
@@ -237,7 +212,7 @@ def _certify_exact(p, summary, r, h, H) -> Certificate:
             # B evaluated at the exact X (no sup needed: X is a point)
             b = envelope_b(x, h)
             w = w_factor_enclosure(p, h, r)
-            lhs = main_coefficient(a, b, summary.factor, r) * h * pe.sqrt() * w
+            lhs = main_coefficient(a, b, sieve.factor, r) * h * pe.sqrt() * w
             rhs = He**2
             checks.append(("condition", lhs.lt(rhs)))
             verdict, failed = _verdict_from(checks)
@@ -246,7 +221,7 @@ def _certify_exact(p, summary, r, h, H) -> Certificate:
                 r=r,
                 h=str(h),
                 H=He,
-                sieve=summary,
+                sieve=sieve,
                 lhs=lhs,
                 rhs=rhs,
                 verdict=verdict,
@@ -280,7 +255,7 @@ def _hp_check(p0: int, h_shape: PowerShape, H_shape: PowerShape) -> tuple[str, b
     return "2H^2 < hp coefficients", False
 
 
-def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape):
+def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
     if r < 1:
         raise ParameterError(f"need r >= 1, got r={r}")
     if h_shape.expo < 0 or H_shape.expo < 0:
@@ -299,12 +274,10 @@ def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape):
             # H >= 2h for all p >= p0: ratio improves with p iff expo(H) >= expo(h)
             checks.append(("expo(H) >= expo(h)", H_shape.expo >= h_shape.expo))
             checks.append(("H >= 2h at p_min", H_lo.ge(2 * h_hi)))
-
             checks.append(_hp_check(p0, h_shape, H_shape))
 
             # X = H/h >= X_lo, nondecreasing in p since expo(H) >= expo(h)
             x_lo = H_lo / h_hi
-            checks.append(("X >= 2", x_lo.ge(2)))
             a_min = envelope_a(x_lo)
             checks.append(("A > 0", a_min.gt(0)))
             b_max = envelope_b_sup(x_lo, h_lo)
@@ -314,7 +287,7 @@ def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape):
                 checks.append((w_note, False))
                 w_max = enclose(0)
 
-            coeff = main_coefficient(a_min, b_max, summary.factor, r) * w_max
+            coeff = main_coefficient(a_min, b_max, sieve.factor, r) * w_max
             # condition for all p >= p0:
             #   coeff * (c_h p^e_h + [ceil]) * sqrt(p) < c_H^2 p^(2 e_H)
             # normalized so every p-power has nonpositive exponent
@@ -336,7 +309,7 @@ def _certify_threshold(th: Threshold, summary, r, h_shape, H_shape):
                 r=r,
                 h=h_shape.describe(),
                 H=H_lo,
-                sieve=summary,
+                sieve=sieve,
                 lhs=lhs,
                 rhs=rhs,
                 verdict=verdict,

@@ -12,20 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 
 from ..enclosure import envelopes, w_factor, window_recipe
 from ..errors import DomainError
-from ..ntcore import Factorization, factorize, is_prime, least_primitive_root
-from ..sieve import sieve_density
-from .cases import worst_case_delta
-from .certifier import (
-    Certificate,
-    PowerShape,
-    SieveSummary,
-    Threshold,
-    _certify_exact,
-    certify_bound,
-)
+from ..ntcore import Factorization, PrimeContext, is_prime, least_primitive_root
+from ..sieve import SieveConfig
+from .certifier import Certificate, PowerShape, Threshold, _certify_exact, certify_bound
 
 R_SEARCH_RANGE = tuple(range(2, 21))  # r tried at an exact prime
 R_THRESHOLD_RANGE = tuple(range(2, 11))  # r tried over a threshold
@@ -56,26 +49,19 @@ class OptimizeResult:
         }
 
 
-def _sieve_candidates(pm1: Factorization) -> list[SieveSummary]:
-    """Exclude the largest odd primes of p-1 one at a time (2 always kept)."""
-    omega = pm1.omega
-    odd_desc = sorted((q for q in pm1.primes if q != 2), reverse=True)
-    out = [SieveSummary.all_kept(omega)]
-    excluded: list[int] = []
-    for q in odd_desc:
-        excluded.append(q)
-        delta = sieve_density(excluded)
-        if delta <= 0:
+def _sieve_candidates(ctx: PrimeContext) -> list[SieveConfig]:
+    """Exclude the largest odd primes of p-1 one at a time (2 always kept)
+    while delta stays positive: e is p-1 with their full powers divided out."""
+    e = ctx.p - 1
+    out = [SieveConfig.build(ctx, e)]
+    for q, k in reversed(ctx.pm1_factors.entries):
+        if q == 2:
             break
-        kept = [x for x in pm1.primes if x not in excluded]
-        out.append(
-            SieveSummary(
-                e_desc="p-1 restricted to primes {" + ",".join(map(str, kept)) + "}",
-                s=len(excluded),
-                delta=delta,
-                omega=omega,
-            )
-        )
+        e //= q**k
+        config = SieveConfig.build(ctx, e)
+        if config.delta <= 0:
+            break
+        out.append(config)
     return out
 
 
@@ -94,10 +80,10 @@ def _h_candidates(p: int, r: int) -> list[int]:
 
 
 def _min_certified_H(
-    p: int, summary: SieveSummary, r: int, h: int
+    p: int, sieve: SieveConfig, r: int, h: int
 ) -> tuple[Fraction, Certificate] | None:
     """Smallest certifiable H for fixed (p, sieve, r, h), or None."""
-    F = summary.factor
+    F = sieve.factor
     base = (math.pi**2 / 6) * float(F) ** (2 * r) * h * math.sqrt(p) * w_factor(p, h, r)
     if base <= 0:
         return None
@@ -112,7 +98,7 @@ def _min_certified_H(
         H_try = max(Fraction(H * (1 + bump)).limit_denominator(10**12), Fraction(2 * h))
         if 2 * H_try * H_try >= h * p:
             return None
-        cert = _certify_exact(p, summary, r, h, H_try)
+        cert = _certify_exact(p, sieve, r, h, H_try)
         if cert.certified:
             return H_try, cert
     return None
@@ -122,29 +108,29 @@ def optimize_params(p: int, pm1_factors: Factorization | None = None) -> Optimiz
     """Search (r, sieve, h) for the smallest certified H < p.
 
     Deterministic: candidates are enumerated in a fixed order and ties on H
-    break toward smaller r, then smaller s.
+    break toward smaller r, then smaller s.  A given factorization of p-1
+    is proved (DomainError if it is wrong), not trusted.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError("optimize_params needs an odd prime")
-    pm1 = pm1_factors or factorize(p - 1)
     best: tuple[Fraction, int, int, int, Certificate] | None = None
     tried = 0
-    summaries = _sieve_candidates(pm1)
+    sieves = _sieve_candidates(PrimeContext(p, pm1_factors))
     for r in R_SEARCH_RANGE:
-        for summary in summaries:
+        for sieve in sieves:
             for h in _h_candidates(p, r):
                 if 2 * (2 * h) ** 2 >= h * p:  # even the minimal H fails 2H^2 < hp
                     continue
                 tried += 1
-                found = _min_certified_H(p, summary, r, h)
+                found = _min_certified_H(p, sieve, r, h)
                 if found is None:
                     continue
                 H, cert = found
                 if H >= p:
                     continue
-                key = (H, r, summary.s)
+                key = (H, r, sieve.s)
                 if best is None or key < (best[0], best[1], best[2]):
-                    best = (H, r, summary.s, h, cert)
+                    best = (H, r, sieve.s, h, cert)
     if best is None:
         return OptimizeResult(
             p=p,
@@ -199,27 +185,19 @@ def optimize_threshold(p_min: int, omega: int) -> ThresholdOptimizeResult:
 
     Candidates are certified best first and the first certificate is the
     answer: r from 10 down to 2 (exponent 1/4 + 1/(4r) increasing), and
-    within one r the sieve summaries by increasing F, so by increasing
+    within one r the worst-case sieves by increasing F, so by increasing
     coefficient 2r F^r.  F ties between s = 0 and s = 1 (both 2^omega);
     the stable sort keeps the smaller s first, so it wins the tie.
     """
     th = Threshold(p_min=p_min, omega=omega)
-    summaries = []
-    for s in range(omega):
-        delta = worst_case_delta(omega, s)
-        if delta <= 0:
-            break
-        summaries.append(SieveSummary(
-            e_desc=f"p-1 with the {s} largest primes excluded", s=s,
-            delta=delta, omega=omega,
-        ))
-    summaries.sort(key=lambda summary: summary.factor)
+    worst = (SieveConfig.worst_case(omega, s) for s in range(omega))
+    sieves = sorted(takewhile(lambda c: c.delta > 0, worst), key=lambda c: c.factor)
     for r in sorted(R_THRESHOLD_RANGE, reverse=True):
         expo = Fraction(1, 4) + Fraction(1, 4 * r)
         h_shape = _threshold_h_shape(r)
-        for summary in summaries:
-            coef = 2 * r * summary.factor**r
-            cert = certify_bound(th, summary, r, h_shape, PowerShape(coef=coef, expo=expo))
+        for sieve in sieves:
+            coef = 2 * r * sieve.factor**r
+            cert = certify_bound(th, sieve, r, h_shape, PowerShape(coef=coef, expo=expo))
             if cert.certified:
                 return ThresholdOptimizeResult(
                     threshold=th, certificate=cert, exponent=expo, coefficient=coef,

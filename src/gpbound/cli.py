@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import certify as cert
 from .errors import DomainError, GpboundError
 from .ntcore import PrimeContext, factorize, is_prime, iter_primes, least_primitive_root
-from .sieve import SieveConfig
 
 
 def _fraction(text: str) -> Fraction:
@@ -59,7 +58,7 @@ def _factor_exact_prime(p: int):
         raise argparse.ArgumentTypeError(
             "exact p must be below 2^64: the CLI proves p prime and factors p-1 "
             "itself; past that, give a threshold such as 1e56 with --omega, or "
-            "build a SieveSummary in the library"
+            "build a SieveConfig in the library"
         )
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -113,13 +112,9 @@ def cmd_bound(args) -> int:
 
 def cmd_certify(args) -> int:
     p = args.p
-    pm1 = _factor_exact_prime(p)
-    if args.e is not None:
-        ctx = PrimeContext(p, pm1)
-        summary = cert.SieveSummary.from_config(SieveConfig.build(ctx, args.e))
-    else:
-        summary = cert.SieveSummary.all_kept(pm1.omega)
-    certificate = cert.certify_bound(p, summary, args.r, args.h, args.H)
+    ctx = PrimeContext(p, _factor_exact_prime(p))
+    sieve = cert.SieveConfig.build(ctx, p - 1 if args.e is None else args.e)
+    certificate = cert.certify_bound(p, sieve, args.r, args.h, args.H)
     _emit(args, certificate.to_json())
     return 0 if certificate.certified else 1
 

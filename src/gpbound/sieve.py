@@ -33,9 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .errors import ConfigError, ConsistencyError, DomainError
-from .ntcore import PrimeContext, ramanujan_sum, squarefree_divisors
+from .ntcore import PrimeContext, first_primes, ramanujan_sum, squarefree_divisors
 
 # A right-hand side as (weight w, character order d): sum_j w_j c_{d_j}(k).
 Terms = list[tuple[Fraction, int]]
@@ -61,29 +62,85 @@ def sieve_density(excluded) -> Fraction:
     return Fraction(P - sum(P // q for q in excluded), P)
 
 
+@cache  # every worst-case SieveConfig is checked against it on construction
+def worst_case_delta(omega: int, s: int) -> Fraction:
+    """Lower bound for delta when the s largest of omega primes are excluded.
+
+    The excluded primes, sorted, are at least q_(omega-s+1), ..., q_omega.
+    """
+    if not 0 <= s < omega:
+        raise DomainError(f"need 0 <= s < omega, got s={s}, omega={omega}")
+    return sieve_density(first_primes(omega)[omega - s :])
+
+
+def _evidence(ctx: PrimeContext, e: int) -> dict:
+    """The fields that the factorization of p-1 fixes for an even e | p-1."""
+    if e <= 0 or e % 2 != 0:
+        raise ConfigError(f"e must be even and positive, got {e}")
+    if (ctx.p - 1) % e != 0:
+        raise ConfigError(f"e = {e} does not divide p-1 = {ctx.p - 1}")
+    excluded = tuple(q for q in ctx.pm1_factors.primes if e % q != 0)
+    return {
+        "omega": ctx.omega,
+        "s": len(excluded),
+        "delta": sieve_density(excluded),
+        "excluded": excluded,
+    }
+
+
 @dataclass(frozen=True)
 class SieveConfig:
-    """An even divisor e of p-1 with the excluded primes and their density.
+    """The sieve behind a certificate: s of the omega primes of p-1 are
+    excluded, with density delta, and F = sieve_factor(omega, s, delta).
 
-    The excluded set is recomputed from the factorization of p-1 rather than
-    trusted from the caller: delta is safety-critical downstream.
+    Each constructor works from evidence, and __post_init__ checks it, so a
+    direct call cannot get round it:
+    - `build(ctx, e)`, at one prime: e is an even divisor of p-1, and
+      omega, the excluded primes and delta come from the proved
+      factorization in ctx;
+    - `worst_case(omega, s)`, over a threshold: no ctx, and delta is at
+      most worst_case_delta(omega, s), its least value at any prime.
     """
 
-    ctx: PrimeContext
-    e: int
-    excluded: tuple[int, ...]
+    omega: int
     s: int
     delta: Fraction
+    ctx: PrimeContext | None = None
+    e: int | None = None
+    excluded: tuple[int, ...] = ()
 
     @classmethod
     def build(cls, ctx: PrimeContext, e: int) -> "SieveConfig":
-        if e % 2 != 0:
-            raise ConfigError(f"e must be even, got {e}")
-        if (ctx.p - 1) % e != 0:
-            raise ConfigError(f"e = {e} does not divide p-1 = {ctx.p - 1}")
-        excluded = tuple(q for q in ctx.pm1_factors.primes if e % q != 0)
-        delta = sieve_density(excluded)
-        return cls(ctx=ctx, e=e, excluded=excluded, s=len(excluded), delta=delta)
+        return cls(ctx=ctx, e=e, **_evidence(ctx, e))
+
+    @classmethod
+    def worst_case(cls, omega: int, s: int) -> "SieveConfig":
+        return cls(omega=omega, s=s, delta=worst_case_delta(omega, s))
+
+    def __post_init__(self):
+        if self.ctx is None:
+            if self.delta > worst_case_delta(self.omega, self.s):
+                raise ConfigError(
+                    f"delta = {self.delta} exceeds the worst case for omega = "
+                    f"{self.omega}, s = {self.s}"
+                )
+        elif any(getattr(self, k) != v for k, v in _evidence(self.ctx, self.e).items()):
+            raise ConfigError(
+                f"sieve fields disagree with the factorization of p-1 = {self.ctx.p - 1}"
+            )
+
+    @property
+    def e_desc(self) -> str:
+        if self.ctx is None:
+            return f"p-1 with the {self.s} largest primes excluded"
+        return str(self.e) if self.excluded else "p-1"
+
+    @cached_property
+    def factor(self) -> Fraction:
+        return sieve_factor(self.omega, self.s, self.delta)
+
+    def to_json(self) -> dict:
+        return {"e_desc": self.e_desc, "s": self.s, "delta": str(self.delta)}
 
     def require_positive_delta(self) -> None:
         if self.delta <= 0:

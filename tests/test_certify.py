@@ -9,7 +9,7 @@ import pytest
 from gpbound.certify import (
     BURGESS_C,
     PowerShape,
-    SieveSummary,
+    SieveConfig,
     Threshold,
     bound_sieved,
     bound_log_free,
@@ -20,15 +20,27 @@ from gpbound.certify import (
     soundness_crosscheck,
     certify_bound,
 )
-from gpbound.certify.cases import worst_case_delta
 from gpbound.certify.search import (
     R_THRESHOLD_RANGE,
     ThresholdOptimizeResult,
+    _sieve_candidates,
     _threshold_h_shape,
 )
 from gpbound.errors import ConfigError, DomainError, ParameterError, UnsupportedRangeError
-from gpbound.ntcore import factorize, is_prime, iter_primes, least_primitive_root
-from gpbound.sieve import sieve_factor
+from gpbound.ntcore import (
+    Factorization,
+    PrimeContext,
+    factorize,
+    is_prime,
+    iter_primes,
+    least_primitive_root,
+)
+from gpbound.sieve import sieve_factor, worst_case_delta
+
+
+def _sieve_at(p: int) -> SieveConfig:
+    """The all-kept sieve at p, from the proved factorization of p-1."""
+    return SieveConfig.build(PrimeContext(p), p - 1)
 
 
 def test_sieve_factor_values():
@@ -55,17 +67,18 @@ def test_threshold_rejects_omega_below_one():
 
 def test_sieve_factor_implementations_agree():
     # one definition of the exact factor, in the sieve layer; the certify
-    # name and a certificate's summary both go through it
-    from gpbound import sieve
-    from gpbound.ntcore import PrimeContext
-    from gpbound.sieve import SieveConfig
+    # name and a certificate's sieve both go through it
+    from gpbound import certify, sieve
 
     assert sieve_factor is sieve.sieve_factor
+    assert certify.SieveConfig is sieve.SieveConfig
     ctx = PrimeContext(61)
     for e in (2, 4, 6, 12, 60):
         cfg = SieveConfig.build(ctx, e)
-        summary = SieveSummary.from_config(cfg)
-        assert summary.factor == sieve_factor(ctx.omega, cfg.s, cfg.delta)
+        assert cfg.factor == sieve_factor(ctx.omega, cfg.s, cfg.delta)
+    for omega, s in ((3, 0), (3, 2), (12, 9)):
+        cfg = SieveConfig.worst_case(omega, s)
+        assert cfg.factor == sieve_factor(omega, s, worst_case_delta(omega, s))
 
 
 def test_sieve_factor_shape_over_s():
@@ -73,8 +86,6 @@ def test_sieve_factor_shape_over_s():
     and can climb back up as delta degrades; blanket monotonicity in s is
     false (omega=3 already gives 8, 8, 58/7).  What the case engines need is
     only that sieving beats s=0 from omega ~ 9 on, which does hold."""
-    from gpbound.certify import worst_case_delta
-
     assert sieve_factor(3, 1, worst_case_delta(3, 1)) == 2**3
     assert sieve_factor(3, 2, worst_case_delta(3, 2)) == Fraction(58, 7) > 2**3
     for omega in range(4, 12):
@@ -134,8 +145,7 @@ def test_comparison_ratio_r2():
 
 def test_exact_certificate_and_brute_force():
     p = 10**9 + 7
-    summary = SieveSummary.all_kept(factorize(p - 1).omega)
-    cert = certify_bound(p, summary, 2, 360, 150000)
+    cert = certify_bound(p, _sieve_at(p), 2, 360, 150000)
     assert cert.certified
     assert least_primitive_root(p) < 150000
     assert cert.lhs.hi < cert.rhs.lo
@@ -143,8 +153,7 @@ def test_exact_certificate_and_brute_force():
 
 def test_exact_certificate_failure_when_H_too_small():
     p = 10**9 + 7
-    summary = SieveSummary.all_kept(2)
-    cert = certify_bound(p, summary, 2, 360, 5000)
+    cert = certify_bound(p, _sieve_at(p), 2, 360, 5000)
     assert cert.verdict == "failed"
 
 
@@ -161,47 +170,61 @@ def test_burgess_params_invariants():
 
 
 def test_exact_certificate_parameter_errors():
-    summary = SieveSummary.all_kept(2)
+    sieve = _sieve_at(10**9 + 7)
     with pytest.raises(ParameterError):
-        certify_bound(10**9 + 7, summary, 2, 1, 100)
+        certify_bound(10**9 + 7, sieve, 2, 1, 100)
     with pytest.raises(ParameterError, match="H >= 2h"):
-        certify_bound(10**9 + 7, summary, 2, 400, 700)
+        certify_bound(10**9 + 7, sieve, 2, 400, 700)
     with pytest.raises(ParameterError, match="2H\\^2 < hp"):
-        certify_bound(10**9 + 7, summary, 2, 4, 10**6)
+        certify_bound(10**9 + 7, sieve, 2, 4, 10**6)
 
 
-def test_certify_bound_takes_only_a_sieve_summary():
-    # a SieveConfig is converted by the caller (SieveSummary.from_config)
-    from gpbound.ntcore import PrimeContext
-    from gpbound.sieve import SieveConfig
-
-    config = SieveConfig.build(PrimeContext(10**9 + 7), 2)
-    with pytest.raises(ConfigError, match="SieveSummary"):
-        certify_bound(10**9 + 7, config, 2, 360, 150000)
-    with pytest.raises(ConfigError, match="SieveSummary"):
+def test_certify_bound_takes_only_a_sieve_config():
+    with pytest.raises(ConfigError, match="SieveConfig"):
+        certify_bound(10**9 + 7, {"s": 0, "delta": 1, "omega": 2}, 2, 360, 150000)
+    with pytest.raises(ConfigError, match="SieveConfig"):
         certify_bound(10**9 + 7, None, 2, 360, 150000)
 
 
+def test_exact_certificate_rejects_a_sieve_without_the_primes_evidence():
+    # omega(p-1) = 2 at p = 1e9+7: an omega of 1 would certify H = 40000,
+    # which the true sieve factor fails
+    p = 10**9 + 7
+    assert certify_bound(p, _sieve_at(p), 2, 360, 40000).verdict == "failed"
+    with pytest.raises(ConfigError, match="disagree"):
+        SieveConfig(omega=1, s=0, delta=Fraction(1), ctx=PrimeContext(p), e=p - 1)
+    for omega in (1, 2):
+        with pytest.raises(DomainError, match="not built from the factorization of p-1"):
+            certify_bound(p, SieveConfig.worst_case(omega, 0), 2, 360, 40000)
+
+
+def test_exact_certificate_rejects_a_sieve_from_another_prime():
+    # both are safe primes: the two sieves differ only in their prime
+    q = 2000000579
+    assert _sieve_at(q).factor == _sieve_at(10**9 + 7).factor
+    with pytest.raises(DomainError, match="factorization of p-1 at p = 1000000007"):
+        certify_bound(10**9 + 7, _sieve_at(q), 2, 360, 150000)
+
+
 def test_exact_certificate_needs_a_proved_prime():
-    summary = SieveSummary.all_kept(2)
+    sieve = _sieve_at(10**9 + 7)
     with pytest.raises(DomainError, match="1000000008 is not prime"):
-        certify_bound(10**9 + 8, summary, 2, 360, 150000)
+        certify_bound(10**9 + 8, sieve, 2, 360, 150000)
     with pytest.raises(DomainError, match="1000000005 is not prime"):
-        certify_bound(10**9 + 5, summary, 2, 360, 150000)
+        certify_bound(10**9 + 5, sieve, 2, 360, 150000)
     # past the deterministic primality range nothing is certified on trust
     with pytest.raises(UnsupportedRangeError):
-        certify_bound(10**25 + 13, summary, 2, 360, 150000)
+        certify_bound(10**25 + 13, sieve, 2, 360, 150000)
 
 
 def test_certificate_json_schema():
-    summary = SieveSummary.all_kept(2)
-    cert = certify_bound(10**9 + 7, summary, 2, 360, 150000)
+    cert = certify_bound(10**9 + 7, _sieve_at(10**9 + 7), 2, 360, 150000)
     blob = cert.to_json()
     assert set(blob) >= {"p_spec", "r", "h", "H", "sieve", "lhs", "rhs", "verdict"}
     assert set(blob["lhs"]) == {"lo", "hi"}
     assert set(blob["H"]) == {"lo", "hi"}
     assert set(blob["sieve"]) == {"e_desc", "s", "delta"}
-    assert blob["sieve"]["s"] == 0
+    assert blob["sieve"] == {"e_desc": "p-1", "s": 0, "delta": "1"}
     assert blob["provenance"]["H_exact"] == "150000"
 
 
@@ -216,24 +239,25 @@ def _p58_shapes():
 
 def test_threshold_p58_instance():
     h, H = _p58_shapes()
-    cert = certify_bound(Threshold(10**22, 8), SieveSummary.all_kept(8), 2, h, H)
+    cert = certify_bound(Threshold(10**22, 8), SieveConfig.worst_case(8, 0), 2, h, H)
     assert cert.certified
     assert "r=2 branch" in cert.provenance["W_sup"]
 
 
 def test_threshold_fails_at_omega9():
     h, H = _p58_shapes()
-    cert = certify_bound(Threshold(10**22, 9), SieveSummary.all_kept(9), 2, h, H)
+    cert = certify_bound(Threshold(10**22, 9), SieveConfig.worst_case(9, 0), 2, h, H)
     assert cert.verdict == "failed"
 
 
 def test_exact_lhs_nondecreasing_in_p():
-    # at fixed (r, h, H, sieve) the condition's left side grows like sqrt(p)
-    summary = SieveSummary.all_kept(2)
+    # at fixed (r, h, H) and sieve factor the condition's left side grows
+    # like sqrt(p); each p is a safe prime, so F = 2^omega(p-1) = 4
     prev = None
-    for p in (10**9 + 7, 2 * 10**9 + 11, 4 * 10**9 + 7):
-        assert is_prime(p)
-        cert = certify_bound(p, summary, 2, 360, 150000)
+    for p in (10**9 + 7, 2000000579, 4000000559):
+        assert is_prime(p) and is_prime((p - 1) // 2)
+        cert = certify_bound(p, _sieve_at(p), 2, 360, 150000)
+        assert cert.sieve.factor == 4
         if prev is not None:
             assert cert.lhs.lo >= prev
         prev = cert.lhs.lo
@@ -244,7 +268,7 @@ def test_threshold_lhs_monotone_in_p():
     prev = None
     for expo in (20, 22, 26, 30):
         cert = certify_bound(
-            Threshold(10**expo, 6), SieveSummary.all_kept(6), 2, h, H
+            Threshold(10**expo, 6), SieveConfig.worst_case(6, 0), 2, h, H
         )
         assert cert.certified
         value = cert.lhs.lo
@@ -258,7 +282,7 @@ def test_threshold_consistent_with_exact_instances():
     concrete primes inside the range (found offline: p and the odd part of
     p-1 both prime, so omega(p-1) = 2)."""
     h_shape, H_shape = _p58_shapes()
-    th = certify_bound(Threshold(10**22, 2), SieveSummary.all_kept(2), 2, h_shape, H_shape)
+    th = certify_bound(Threshold(10**22, 2), SieveConfig.worst_case(2, 0), 2, h_shape, H_shape)
     assert th.certified
     for p in (10000000000000000002479, 10000000000000000005053):
         assert is_prime(p)
@@ -266,7 +290,7 @@ def test_threshold_consistent_with_exact_instances():
         assert is_prime(m)  # omega(p-1) = 2
         h = 1 + math.isqrt(math.isqrt(16 * p))  # ceil(2 p^(1/4)): 16p is no 4th power
         H = math.isqrt(math.isqrt(math.isqrt(p**5)))  # floor(p^(5/8))
-        cert = certify_bound(p, SieveSummary.all_kept(2), 2, h, H)
+        cert = certify_bound(p, _sieve_at(p), 2, h, H)
         assert cert.certified, p
 
 
@@ -310,13 +334,47 @@ def test_hp_check_needs_the_ceil_at_equal_exponents():
         assert _hp_check(10**20, ceiled, H) == ("2H^2 < hp (ceil strictness)", True)
 
 
+def _p38_shapes():
+    return _threshold_h_shape(2), PowerShape(coef=Fraction(64), expo=Fraction(3, 8))
+
+
+def test_threshold_rejects_a_sieve_for_another_omega():
+    # a worst-case omega of 2 would certify H = 64 p^(3/8) over omega = 8
+    th = Threshold(10**22, 8)
+    h, H = _p38_shapes()
+    assert certify_bound(th, SieveConfig.worst_case(8, 0), 2, h, H).verdict == "failed"
+    with pytest.raises(DomainError, match="worst_case\\(8, s\\)"):
+        certify_bound(th, SieveConfig.worst_case(2, 0), 2, h, H)
+
+
+def test_threshold_rejects_a_sieve_built_at_one_prime():
+    # same omega and factor as the worst case, but the evidence covers one p
+    sieve = _sieve_at(10**9 + 7)
+    assert sieve.factor == SieveConfig.worst_case(2, 0).factor
+    with pytest.raises(DomainError, match="worst_case\\(2, s\\)"):
+        certify_bound(Threshold(10**22, 2), sieve, 2, *_p38_shapes())
+
+
+def test_threshold_rejects_H_below_2h_at_p_min():
+    # H = 1.9 h with both like sqrt(p): X < 2 at every p
+    h = PowerShape(coef=Fraction(1000), expo=Fraction(1, 2))
+    H = PowerShape(coef=Fraction(1900), expo=Fraction(1, 2))
+    cert = certify_bound(Threshold(10**40, 2), SieveConfig.worst_case(2, 0), 2, h, H)
+    assert cert.verdict == "failed"
+    assert cert.provenance["failed_checks"] == [
+        "H >= 2h at p_min",
+        "A > 0",
+        "condition at worst case",
+    ]
+
+
 def test_threshold_requires_shapes():
     with pytest.raises(ParameterError):
-        certify_bound(Threshold(10**22, 8), SieveSummary.all_kept(8), 2, 100, 10**6)
+        certify_bound(Threshold(10**22, 8), SieveConfig.worst_case(8, 0), 2, 100, 10**6)
     with pytest.raises(ParameterError, match="nonnegative"):
         certify_bound(
             Threshold(10**22, 8),
-            SieveSummary.all_kept(8),
+            SieveConfig.worst_case(8, 0),
             2,
             PowerShape(coef=Fraction(2), expo=Fraction(-1, 4)),
             PowerShape(coef=Fraction(1), expo=Fraction(5, 8)),
@@ -329,7 +387,7 @@ def test_threshold_rejects_H_exponent_below_h_exponent():
     # stands between this shape and a certificate
     h = PowerShape(coef=Fraction(1), expo=Fraction(3, 5))
     H = PowerShape(coef=Fraction(10**6), expo=Fraction(11, 20))
-    cert = certify_bound(Threshold(10**40, 2), SieveSummary.all_kept(2), 2, h, H)
+    cert = certify_bound(Threshold(10**40, 2), SieveConfig.worst_case(2, 0), 2, h, H)
     assert cert.verdict == "failed"
     assert cert.provenance["failed_checks"] == ["expo(H) >= expo(h)"]
 
@@ -342,7 +400,7 @@ def test_threshold_rejects_h_below_2_at_p_min():
     # guard is pinned by its report
     h = PowerShape(coef=Fraction(3, 2 * 10**10), expo=Fraction(1, 4))
     H = PowerShape(coef=Fraction(1, 2), expo=Fraction(1, 2))
-    cert = certify_bound(Threshold(10**40, 2), SieveSummary.all_kept(2), 2, h, H)
+    cert = certify_bound(Threshold(10**40, 2), SieveConfig.worst_case(2, 0), 2, h, H)
     assert cert.verdict == "failed"
     assert cert.provenance["failed_checks"] == ["h >= 2 at p_min", "condition at worst case"]
 
@@ -352,7 +410,7 @@ def test_threshold_rejects_growing_general_branch():
     # certifying it would take W's general branch past the threshold
     h = PowerShape(coef=Fraction(1), expo=Fraction(1, 5), ceil=True)
     H = PowerShape(coef=Fraction(1000), expo=Fraction(1, 2))
-    cert = certify_bound(Threshold(10**40, 2), SieveSummary.all_kept(2), 2, h, H)
+    cert = certify_bound(Threshold(10**40, 2), SieveConfig.worst_case(2, 0), 2, h, H)
     assert cert.verdict == "failed"
     assert cert.provenance["failed_checks"] == ["W unbounded over threshold (sqrt(p)/h^r grows)"]
 
@@ -362,7 +420,7 @@ def test_threshold_rejects_growing_condition():
     # like p^0.15, so holding at p_min proves nothing past it
     h = PowerShape(coef=Fraction(1), expo=Fraction(1, 4), ceil=True)
     H = PowerShape(coef=Fraction(10**10), expo=Fraction(3, 10))
-    cert = certify_bound(Threshold(10**40, 2), SieveSummary.all_kept(2), 2, h, H)
+    cert = certify_bound(Threshold(10**40, 2), SieveConfig.worst_case(2, 0), 2, h, H)
     assert cert.verdict == "failed"
     assert cert.provenance["failed_checks"] == [
         "condition exponents nonincreasing in p",
@@ -374,7 +432,7 @@ def test_threshold_rejects_unbounded_w():
     # h constant in p leaves W unbounded over the threshold
     h = PowerShape(coef=Fraction(100), expo=Fraction(0))
     H = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
-    cert = certify_bound(Threshold(10**22, 4), SieveSummary.all_kept(4), 2, h, H)
+    cert = certify_bound(Threshold(10**22, 4), SieveConfig.worst_case(4, 0), 2, h, H)
     assert cert.verdict == "failed"
 
 
@@ -388,6 +446,24 @@ def test_optimize_on_safe_prime():
     assert res.H < p**0.7
     assert least_primitive_root(p) < res.H
     assert res.certificate.to_json()["verdict"] == "certified"
+
+
+def test_optimize_sieves_divide_out_the_excluded_primes():
+    # p-1 = 2 * 500000003; excluding 500000003 leaves e = 2
+    sieves = _sieve_candidates(PrimeContext(10**9 + 7))
+    assert [(c.e_desc, c.s) for c in sieves] == [("p-1", 0), ("2", 1)]
+    # p-1 = 6300 = 2^2 3^2 5^2 7: 7, then 5^2, then 3^2 leave e
+    sieves = _sieve_candidates(PrimeContext(6301))
+    assert [c.e for c in sieves] == [6300, 900, 36, 4]
+    assert [c.s for c in sieves] == [0, 1, 2, 3]
+
+
+def test_optimize_proves_the_given_factorization():
+    # omega(p-1) = 2; an unproved omega of 1 certified H ~ 3.14e4, not 1.216e5
+    p = 10**9 + 7
+    with pytest.raises(DomainError):
+        optimize_params(p, Factorization(((2, 1),)))
+    assert optimize_params(p, factorize(p - 1)).H == optimize_params(p).H
 
 
 def test_optimize_infeasible_small_p_large_omega():
@@ -449,16 +525,12 @@ def _exhaustive_threshold_search(p_min: int, omega: int) -> ThresholdOptimizeRes
     for r in R_THRESHOLD_RANGE:
         expo = Fraction(1, 4) + Fraction(1, 4 * r)
         for s in range(omega):
-            delta = worst_case_delta(omega, s)
-            if delta <= 0:
+            sieve = SieveConfig.worst_case(omega, s)
+            if sieve.delta <= 0:
                 break
-            summary = SieveSummary(
-                e_desc=f"p-1 with the {s} largest primes excluded", s=s,
-                delta=delta, omega=omega,
-            )
-            coef = 2 * r * summary.factor**r
+            coef = 2 * r * sieve.factor**r
             shape = PowerShape(coef=coef, expo=expo)
-            cert = certify_bound(th, summary, r, _threshold_h_shape(r), shape)
+            cert = certify_bound(th, sieve, r, _threshold_h_shape(r), shape)
             if cert.certified and (best is None or (expo, coef, s) < best[:3]):
                 best = (expo, coef, s, cert)
     if best is None:

@@ -239,6 +239,17 @@ def test_bound_at_a_composite_p_is_an_error():
     assert err == "error: 1000000008 is not prime\n"
 
 
+def test_certify_e_is_checked_against_p_minus_1():
+    argv = ("certify", "--p", "1000000007", "--r", "2", "--h", "360", "--H", "150000")
+    code, out, _ = run_cli(*argv, "--e", "1000000006")
+    assert code == 0
+    assert json.loads(out)["sieve"] == {"e_desc": "p-1", "s": 0, "delta": "1"}
+    for e in ("0", "3", "4"):
+        code, out, err = run_cli(*argv, "--e", e)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: e ")
+
+
 def test_certify_at_p_2_is_an_error():
     code, out, err = run_cli("certify", "--p", "2", "--r", "2", "--h", "3", "--H", "4")
     assert (code, out) == (1, "")

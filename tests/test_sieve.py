@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gpbound import sieve
-from gpbound.errors import ConfigError, ConsistencyError
+from gpbound.errors import ConfigError, ConsistencyError, DomainError
 from gpbound.ntcore import PrimeContext, first_primes, is_primitive_root, primes_upto
 from gpbound.sieve import (
     SieveConfig,
@@ -20,6 +20,7 @@ from gpbound.sieve import (
     sieve_density,
     sieve_factor,
     sieve_lower_bound_worst_slack,
+    worst_case_delta,
 )
 
 
@@ -89,6 +90,43 @@ def test_config_rejects_bad_e(ctx61):
         SieveConfig.build(ctx61, 3)  # odd
     with pytest.raises(ConfigError):
         SieveConfig.build(ctx61, 8)  # not a divisor
+    for e in (0, -2, -60):
+        with pytest.raises(ConfigError, match="positive"):
+            SieveConfig.build(ctx61, e)
+
+
+_FORGED = {"omega": 2, "s": 1, "delta": Fraction(1, 2), "excluded": (3,)}
+
+
+@pytest.mark.parametrize("field", _FORGED)
+def test_config_fields_must_agree_with_the_context(ctx61, field):
+    # p-1 = 60 = 2^2 3 5, and e = 4 excludes 3 and 5: omega 3, s 2, delta 7/15
+    fields = {"omega": 3, "s": 2, "delta": Fraction(7, 15), "excluded": (3, 5)}
+    assert SieveConfig(ctx=ctx61, e=4, **fields) == SieveConfig.build(ctx61, 4)
+    with pytest.raises(ConfigError, match="disagree with the factorization of p-1 = 60"):
+        SieveConfig(ctx=ctx61, e=4, **{**fields, field: _FORGED[field]})
+
+
+def test_worst_case_config_takes_no_delta_above_the_worst_case():
+    cfg = SieveConfig.worst_case(12, 9)
+    assert cfg.ctx is None and cfg.delta == worst_case_delta(12, 9) > 0
+    # a smaller delta only raises F, so it is sound; a larger one is not
+    low = SieveConfig(omega=12, s=9, delta=cfg.delta / 2)
+    assert low.factor > cfg.factor
+    with pytest.raises(ConfigError, match="exceeds the worst case"):
+        SieveConfig(omega=12, s=9, delta=cfg.delta + Fraction(1, 10**9))
+    with pytest.raises(ConfigError, match="exceeds the worst case"):
+        SieveConfig(omega=3, s=0, delta=Fraction(2))
+    for omega, s in ((3, 3), (3, -1), (0, 0)):
+        with pytest.raises(DomainError, match="0 <= s < omega"):
+            SieveConfig.worst_case(omega, s)
+
+
+def test_config_e_desc(ctx61):
+    assert SieveConfig.build(ctx61, 60).e_desc == "p-1"
+    assert SieveConfig.build(ctx61, 30).e_desc == "p-1"  # same primes as p-1
+    assert SieveConfig.build(ctx61, 4).to_json() == {"e_desc": "4", "s": 2, "delta": "7/15"}
+    assert SieveConfig.worst_case(5, 0).e_desc == "p-1 with the 0 largest primes excluded"
 
 
 def test_config_factor_s0(ctx13):
