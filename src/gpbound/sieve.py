@@ -62,7 +62,7 @@ def sieve_density(excluded) -> Fraction:
     return Fraction(P - sum(P // q for q in excluded), P)
 
 
-@cache  # every worst-case SieveConfig is checked against it on construction
+@cache  # worst_case computes it, and __post_init__ again to check it
 def worst_case_delta(omega: int, s: int) -> Fraction:
     """Lower bound for delta when the s largest of omega primes are excluded.
 
@@ -75,8 +75,8 @@ def worst_case_delta(omega: int, s: int) -> Fraction:
 
 def _evidence(ctx: PrimeContext, e: int) -> dict:
     """The fields that the factorization of p-1 fixes for an even e | p-1."""
-    if e <= 0 or e % 2 != 0:
-        raise ConfigError(f"e must be even and positive, got {e}")
+    if not isinstance(e, int) or e <= 0 or e % 2 != 0:
+        raise ConfigError(f"e must be an even positive integer, got {e!r}")
     if (ctx.p - 1) % e != 0:
         raise ConfigError(f"e = {e} does not divide p-1 = {ctx.p - 1}")
     excluded = tuple(q for q in ctx.pm1_factors.primes if e % q != 0)
@@ -270,11 +270,18 @@ def fe_identity_worst_slack(ctx: PrimeContext, e: int) -> float:
     return float(Fraction(max(abs(s) for s in slacks.values()), den))
 
 
+def _context(config: SieveConfig) -> PrimeContext:
+    """The prime a sieve was built at; a worst-case sieve has none."""
+    if config.ctx is None:
+        raise ConfigError("a worst-case sieve has no prime: use SieveConfig.build(ctx, e)")
+    return config.ctx
+
+
 def sieve_lower_bound_worst_slack(config: SieveConfig) -> float:
     """min over every n of f(n)/(delta theta(e)) - RHS, exactly; raises
     ConsistencyError on a breach."""
     config.require_positive_delta()
-    ctx = config.ctx
+    ctx = _context(config)
     primes_e = _primes_of(ctx, config.e)
     slacks, den, codes = _slacks_by_class(
         ctx,
@@ -302,7 +309,7 @@ def intermediate_identities_check(config: SieveConfig, n: int) -> dict:
     (b) f_{p_i e}(n) - theta(p_i) f_e(n)
         = theta(p_i e) sum_{d|e} (mu(p_i d)/phi(p_i d)) sum_{ord = p_i d} chi(n)
     """
-    ctx = config.ctx
+    ctx = _context(config)
     e = config.e
     primes_e = _primes_of(ctx, e)
     k = ctx.dlog(n)

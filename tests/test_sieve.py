@@ -90,9 +90,12 @@ def test_config_rejects_bad_e(ctx61):
         SieveConfig.build(ctx61, 3)  # odd
     with pytest.raises(ConfigError):
         SieveConfig.build(ctx61, 8)  # not a divisor
-    for e in (0, -2, -60):
-        with pytest.raises(ConfigError, match="positive"):
+    for e in (0, -2, -60, None, 4.0, "4"):
+        with pytest.raises(ConfigError, match="even positive integer"):
             SieveConfig.build(ctx61, e)
+    # a direct call with a context but no e
+    with pytest.raises(ConfigError, match="even positive integer, got None"):
+        SieveConfig(omega=3, s=0, delta=Fraction(1), ctx=ctx61)
 
 
 _FORGED = {"omega": 2, "s": 1, "delta": Fraction(1, 2), "excluded": (3,)}
@@ -120,6 +123,15 @@ def test_worst_case_config_takes_no_delta_above_the_worst_case():
     for omega, s in ((3, 3), (3, -1), (0, 0)):
         with pytest.raises(DomainError, match="0 <= s < omega"):
             SieveConfig.worst_case(omega, s)
+
+
+def test_identity_checks_need_a_sieve_built_at_a_prime(ctx61):
+    worst = SieveConfig.worst_case(3, 1)
+    for check in (sieve_lower_bound_worst_slack,
+                  lambda cfg: intermediate_identities_check(cfg, 2)):
+        with pytest.raises(ConfigError, match="worst-case sieve has no prime"):
+            check(worst)
+    assert sieve_lower_bound_worst_slack(SieveConfig.build(ctx61, 4)) >= 0
 
 
 def test_config_e_desc(ctx61):

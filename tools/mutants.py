@@ -10,9 +10,7 @@ An unmutated control runs first and must pass.
 
 Run from the repository root (about 30 s per mutant):
 
-    python tools/mutants.py                 # every mutant
-    python tools/mutants.py --only NAME ... # a subset, by name
-    python tools/mutants.py --list          # the names
+    python tools/mutants.py
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when the
 control fails or a mutant no longer matches its file.
@@ -20,7 +18,6 @@ control fails or a mutant no longer matches its file.
 
 from __future__ import annotations
 
-import argparse
 import os
 import pathlib
 import re
@@ -60,7 +57,14 @@ MUTANTS = (
         for field in ("omega", "s", "delta", "excluded")
     ),
     Mutant("config: e <= 0 accepted", "src/gpbound/sieve.py",
-           "if e <= 0 or e % 2 != 0:", "if e % 2 != 0:"),
+           "if not isinstance(e, int) or e <= 0 or e % 2 != 0:",
+           "if not isinstance(e, int) or e % 2 != 0:"),
+    Mutant("config: e of any type accepted", "src/gpbound/sieve.py",
+           "if not isinstance(e, int) or e <= 0 or e % 2 != 0:",
+           "if e <= 0 or e % 2 != 0:"),
+    # the identity checks need a sieve built at a prime
+    Mutant("identities: worst-case sieve unguarded", "src/gpbound/sieve.py",
+           "    if config.ctx is None:\n", "    if False:\n"),
     # certify_bound: the sieve must be evidence for this p or this threshold
     Mutant("certify: any sieve type", "src/gpbound/certify/certifier.py",
            "if not isinstance(sieve, SieveConfig):", "if sieve is None:"),
@@ -119,26 +123,14 @@ def copy_tree(dest: pathlib.Path) -> pathlib.Path:
     return dest
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="print the mutant names")
-    args = parser.parse_args(argv)
-    if args.list:
-        print("\n".join(m.name for m in MUTANTS))
-        return 0
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="gpbound-mutants-") as scratch:
         failed = run_tier1(copy_tree(pathlib.Path(scratch) / "control"))
         if failed:
             print(f"control fails: {failed}", file=sys.stderr)
             return 2
         survivors = 0
-        for i, mutant in enumerate(chosen):
+        for i, mutant in enumerate(MUTANTS):
             tree = copy_tree(pathlib.Path(scratch) / f"mutant{i}")
             apply(mutant, tree)
             failed = run_tier1(tree)
