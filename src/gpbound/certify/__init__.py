@@ -24,7 +24,6 @@ from .search import (
     soundness_crosscheck,
 )
 from .certifier import (
-    BurgessParams,
     Certificate,
     PowerShape,
     Threshold,
@@ -41,7 +40,6 @@ __all__ = [
     "BURGESS_C",
     "BoundComparison",
     "BoundValue",
-    "BurgessParams",
     "CaseReport",
     "Certificate",
     "ChainReport",

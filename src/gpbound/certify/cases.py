@@ -1,14 +1,16 @@
 """Case engines for the two headline threshold bounds.
 
-Target "cor2": g(p) < p^(5/8) for p >= 1e22, via the reduced condition
-    13 F^4 < sqrt(p),   F = (2 + (s-1)/delta) 2^(omega-s),
-with five omega regimes: s=0 for omega <= 8; s = omega-3 for 9..17 (against
-p >= 1e22) and for 18..50 (against the primorial lower bound); s=0 with the
-omega <= 1.39 log p / log log p bound for p >= 1e1000; s = omega-5 for
-50 < omega < 200 (primorial bound).
-
-Target "lonely": g(p) < 0.999 sqrt(p) for p >= 1e56 via the analogous
-condition against p^(1/4), same regime structure.
+The targets are rows of one table, TARGETS: "cor2", g(p) < p^(5/8) for
+p >= 1e22 with h = ceil(2 p^(1/4)), and "lonely", g(p) < 0.999 sqrt(p) for
+p >= 1e56 with h = ceil(p^(1/4)), both at r = 2.  One reduction derives
+each target's constant kappa from the certifier's threshold worst case, so
+that  kappa F^4 < p^(1/2) (cor2) or p^(1/4) (lonely) implies the main
+inequality, F = (2 + (s-1)/delta) 2^(omega-s), and reports kappa
+beside the constant the source states and the target's own side checks.
+The omega table then checks the constant used in five regimes: s=0 for
+omega <= 8; s = omega-3 for 9..17 (against p_base) and for 18..50
+(against the primorial lower bound); s = omega-5 for 50 < omega < 200
+(primorial bound); s=0 with omega <= 1.39 log p / log log p for p >= 1e1000.
 
 Every case is evaluated with exact rationals (or enclosures where logs are
 unavoidable) and reported verbatim: a failing case is never patched, it is
@@ -22,21 +24,15 @@ prime:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..enclosure import (
-    CertifiedReal,
-    enclose,
-    envelope_a,
-    envelope_b_sup,
-    pow_frac,
-    working_precision,
-)
+from ..enclosure import CertifiedReal, enclose, pow_frac, working_precision
 from ..errors import DomainError
 from ..ntcore import iter_primes, primorial
 from ..sieve import SieveConfig
-from .certifier import PowerShape, _hp_check, _w_threshold_sup, main_coefficient
+from .certifier import PowerShape, WorstCase, main_coefficient, threshold_worst_case
 
 ROBIN_OMEGA_COEFF = Fraction(139, 100)  # omega(p-1) <= 1.39 log p / log log p
 ROBIN_P_MIN = 10**1000
@@ -195,119 +191,103 @@ def _robin_check(const: Fraction, root: int) -> CheckRow:
     )
 
 
-def _reduction_envelopes(p0: int, h_shape: PowerShape, H_shape: PowerShape):
-    """h_min, H_min, X_min = H_min/(h_min+1), A(X_min) and sup B at p0."""
-    h_min, H_min = h_shape.lower_at(p0), H_shape.lower_at(p0)
-    x_min = H_min / h_shape.upper_at(p0)
-    return h_min, H_min, x_min, envelope_a(x_min), envelope_b_sup(x_min, h_min)
-
-
-def _reduction_constant(a_min, b_sup, w_cap, p0: int, h_shape, H_shape) -> CertifiedReal:
-    """kappa = (pi^2/6)(B^3/A^4) W (c + p0^(-1/4)) / H_coef^2 at r = 2, F = 1:
-    h <= c p^(1/4) + 1 bounds h sqrt(p) by (c + p^(-1/4)) p^(3/4)."""
-    coef = main_coefficient(a_min, b_sup, Fraction(1), 2) * w_cap
-    return coef * (h_shape.coef + pow_frac(p0, -h_shape.expo)) / H_shape.coef**2
-
-
-def _reduction_checks_cor2() -> list[CheckRow]:
-    """Certify that 13 F^4 < sqrt(p) suffices for the main condition with
-    H = p^(5/8), h = ceil(2 p^(1/4)), r = 2, p >= 1e20."""
-    p0 = 10**20
-    h_shape = PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True)
-    H_shape = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
-    out = []
-    with working_precision():
-        h_min, _, x_min, a_min, b_sup = _reduction_envelopes(p0, h_shape, H_shape)
-        out.append(
-            CheckRow(
-                "X >= 1e7 at p_min",
-                f"X_min in {x_min.to_json()}",
-                x_min.ge(10**7) is True,
-            )
-        )
+def _cor2_side_checks(wc: WorstCase) -> list[CheckRow]:
+    """X, h, A and B at p0 = 1e20, and the exact W and 2H^2 < hp."""
+    a_ok, b_ok = wc.a.ge(1 - Fraction(1, 10**6)), wc.b.le(1 + Fraction(1, 10**5))
+    return [
+        CheckRow("X >= 1e7 at p_min", f"X_min in {wc.x_lo.to_json()}", wc.x_lo.ge(10**7) is True),
         # 2 p^(1/4) >= 2e5 iff 16 p >= (2e5)^4, exact at the boundary p = 1e20
-        out.append(
-            CheckRow(
-                "h >= 2e5 at p_min",
-                f"h_min >= {h_min.lo_str(8)}",
-                16 * p0 >= (2 * 10**5) ** 4,
-            )
-        )
-        out.append(
-            CheckRow(
-                "A(X) >= 1 - 1e-6",
-                f"A_min = {a_min.lo_str(12)}",
-                a_min.ge(1 - Fraction(1, 10**6)) is True,
-            )
-        )
-        out.append(
-            CheckRow(
-                "B(X) <= 1 + 1e-5",
-                f"B_sup = {b_sup.hi_str(12)}",
-                b_sup.le(1 + Fraction(1, 10**5)) is True,
-            )
-        )
+        CheckRow("h >= 2e5 at p_min", f"h_min >= {wc.h_lo.lo_str(8)}", 16 * wc.p0 >= (2 * 10**5) ** 4),
+        CheckRow("A(X) >= 1 - 1e-6", f"A_min = {wc.a.lo_str(12)}", a_ok is True),
+        CheckRow("B(X) <= 1 + 1e-5", f"B_sup = {wc.b.hi_str(12)}", b_ok is True),
         # h >= 2 p^(1/4) gives sqrt(p)/h^2 <= 1/4, so the r = 2 branch is 15/4
-        w_cap, _ = _w_threshold_sup(p0, h_shape, 2)
-        out.append(
-            CheckRow(
-                "W(p,h,2) <= 15/4",
-                "h >= 2 p^(1/4) so sqrt(p)/h^2 <= 1/4 exactly",
-                w_cap.le(Fraction(15, 4)) is True,
-            )
-        )
+        CheckRow(
+            "W(p,h,2) <= 15/4",
+            "h >= 2 p^(1/4) so sqrt(p)/h^2 <= 1/4 exactly",
+            wc.w.le(Fraction(15, 4)) is True,
+        ),
         # 2H^2 = 2 p^(5/4) < hp: ceil(2 p^(1/4)) > 2 p^(1/4) since p^(1/4) is
         # irrational for prime p
-        hp_ok = _hp_check(p0, h_shape, H_shape)[1] is True
-        out.append(CheckRow("2H^2 < hp", "strict via ceil of an irrational power", hp_ok))
-        kappa = _reduction_constant(a_min, b_sup, w_cap, p0, h_shape, H_shape)
-        out.append(
-            CheckRow(
-                "reduction constant <= 13",
-                f"derived constant in {kappa.to_json()}",
-                kappa.lt(13) is True,
-            )
-        )
-    return out
+        CheckRow("2H^2 < hp", "strict via ceil of an irrational power", wc.hp[1] is True),
+    ]
 
 
-def _reduction_checks_lonely() -> tuple[list[CheckRow], Fraction]:
-    """Derive the valid reduced-condition constant for H = 0.999 sqrt(p),
-    h = ceil(p^(1/4)), r = 2, p >= 1e56; the stated constant 7 is checked
-    against it and reported as-is.
+def _lonely_side_checks(wc: WorstCase) -> list[CheckRow]:
+    """H >= 2h and 2H^2 < hp at p0 = 1e56."""
+    H_ok = wc.H_lo.ge(2 * wc.h_hi)
+    return [
+        CheckRow("H >= 2h at p_min", f"H_min = {wc.H_lo.lo_str(8)}", H_ok is True),
+        CheckRow("2H^2 < hp at p_min", "2*(0.999)^2 p < p^(5/4) for p >= 1e56", wc.hp[1] is True),
+    ]
 
-    Returns (checks, constant actually used for the per-omega table)."""
-    p0 = 10**56
-    h_shape = PowerShape(coef=Fraction(1), expo=Fraction(1, 4), ceil=True)
-    H_shape = PowerShape(coef=Fraction(999, 1000), expo=Fraction(1, 2))
-    used = Fraction(99, 10)
-    out = []
+
+@dataclass(frozen=True)
+class Target:
+    """A headline bound g(p) < H for every p >= p_base, reduced at r = 2."""
+
+    h_shape: PowerShape
+    H_shape: PowerShape
+    p0: int  # where the reduction constant is derived
+    p_base: int  # where the omega table starts
+    stated: Fraction  # the reduction constant as the source states it
+    used: Fraction  # the constant the omega table is checked against
+    side_checks: Callable[[WorstCase], list[CheckRow]]
+
+
+TARGETS = {
+    "cor2": Target(
+        PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True),
+        PowerShape(coef=Fraction(1), expo=Fraction(5, 8)),
+        p0=10**20, p_base=10**22, stated=Fraction(13), used=Fraction(13),
+        side_checks=_cor2_side_checks,
+    ),
+    "lonely": Target(
+        PowerShape(coef=Fraction(1), expo=Fraction(1, 4), ceil=True),
+        PowerShape(coef=Fraction(999, 1000), expo=Fraction(1, 2)),
+        p0=10**56, p_base=10**56, stated=Fraction(7), used=Fraction(99, 10),
+        side_checks=_lonely_side_checks,
+    ),
+}
+
+
+def _reduction(target: Target) -> tuple[list[CheckRow], int]:
+    """The target's side checks and constant checks, and root.
+
+    With the worst case at p0 and e_max the largest term exponent,
+        kappa = main_coefficient(A, B, 1, 2) W sum c_i p0^(e_i - e_max) / c_H^2
+    bounds the main inequality's left side over H^2 by kappa F^4 p^e_max
+    for every p >= p0, so kappa F^4 < p^(-e_max) implies it (root = -1/e_max).
+    """
+    stated, used = target.stated, target.used
     with working_precision():
-        h_min, H_min, _, a_min, b_sup = _reduction_envelopes(p0, h_shape, H_shape)
-        out.append(
-            CheckRow("H >= 2h at p_min", f"H_min = {H_min.lo_str(8)}", H_min.ge(2 * (h_min + 1)) is True)
+        wc = threshold_worst_case(target.p0, target.h_shape, target.H_shape, 2)
+        e_max = max(e for _, e in wc.terms)
+        kappa = (
+            main_coefficient(wc.a, wc.b, Fraction(1), 2)
+            * wc.w
+            * sum(c * pow_frac(target.p0, e - e_max) for c, e in wc.terms)
+            / target.H_shape.coef**2
         )
-        hp_ok = _hp_check(p0, h_shape, H_shape)[1] is True
-        out.append(CheckRow("2H^2 < hp at p_min", "2*(0.999)^2 p < p^(5/4) for p >= 1e56", hp_ok))
-        # W <= 6: h >= p^(1/4) gives sqrt(p)/h^2 <= 1 exactly
-        w_cap, _ = _w_threshold_sup(p0, h_shape, 2)
-        kappa = _reduction_constant(a_min, b_sup, w_cap, p0, h_shape, H_shape)
-        out.append(
-            CheckRow(
-                "stated reduction constant 7 is sufficient",
-                f"derived constant in {kappa.to_json()}; 7 < derived lower bound, "
-                "so the stated condition does not imply the main inequality",
-                kappa.le(7) is True,
+        derived = f"derived constant in {kappa.to_json()}"
+        checks = target.side_checks(wc)
+        if stated == used:
+            checks.append(CheckRow(f"reduction constant <= {stated}", derived, kappa.le(stated) is True))
+        else:
+            refuted = (
+                f"; {stated} < derived lower bound, so the stated condition "
+                "does not imply the main inequality"
             )
-        )
-        out.append(
-            CheckRow(
-                f"derived constant <= {used} (used for the case table)",
-                f"derived constant in {kappa.to_json()}",
-                kappa.le(used) is True,
-            )
-        )
-    return out, used
+            checks.append(CheckRow(
+                f"stated reduction constant {stated} is sufficient",
+                derived + refuted if kappa.gt(stated) is True else derived,
+                kappa.le(stated) is True,
+            ))
+            checks.append(CheckRow(
+                f"derived constant <= {used} (used for the case table)", derived, kappa.le(used) is True
+            ))
+    root = -1 / e_max
+    assert root.denominator == 1, f"kappa F^4 < p^({-e_max}) needs an integer root"
+    return checks, int(root)
 
 
 def case_engine(target: str) -> CaseReport:
@@ -315,17 +295,13 @@ def case_engine(target: str) -> CaseReport:
 
     Any failing case is reported with its exact margin; nothing is patched.
     """
-    if target == "cor2":
-        const, root, p_base = Fraction(13), 2, 10**22
-        condition = "13 F^4 < p^(1/2), p >= 1e22"
-        reduction = _reduction_checks_cor2()
-    elif target == "lonely":
-        reduction, const = _reduction_checks_lonely()
-        root, p_base = 4, 10**56
-        condition = f"{const} F^4 < p^(1/4), p >= 1e56 (stated constant 7)"
-    else:
+    if target not in TARGETS:
         raise DomainError(f"unknown target {target!r}; use 'cor2' or 'lonely'")
-
+    spec = TARGETS[target]
+    reduction, root = _reduction(spec)
+    condition = f"{spec.used} F^4 < p^(1/{root}), p >= 1e{round(math.log10(spec.p_base))}"
+    if spec.stated != spec.used:
+        condition += f" (stated constant {spec.stated})"
     report = CaseReport(target=target, condition=condition, reduction=reduction)
 
     for omegas, offset, floor in REGIMES:
@@ -333,9 +309,9 @@ def case_engine(target: str) -> CaseReport:
         regime += ", primorial" if floor else ""
         for omega in omegas:
             s = 0 if offset is None else omega - offset
-            p_min = max(p_base, primorial(omega)) if floor else p_base
-            report.rows.append(_case_row(regime, omega, s, const, p_min, root))
-    report.reduction.append(_robin_check(const, root))
+            p_min = max(spec.p_base, primorial(omega)) if floor else spec.p_base
+            report.rows.append(_case_row(regime, omega, s, spec.used, p_min, root))
+    report.reduction.append(_robin_check(spec.used, root))
 
     omega_cap = _max_omega_below(ROBIN_P_MIN)
     last_omega = REGIMES[-1][0][-1]

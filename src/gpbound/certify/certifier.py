@@ -26,6 +26,7 @@ from ..enclosure import (
     envelope_b_sup,
     WORKING_BITS,
     pow_frac,
+    w_branch,
     w_factor_enclosure,
     working_precision,
 )
@@ -67,41 +68,10 @@ class PowerShape:
     def lower_at(self, p: int) -> CertifiedReal:
         return self.coef * pow_frac(p, self.expo)
 
-    def upper_at(self, p: int) -> CertifiedReal:
-        v = self.coef * pow_frac(p, self.expo)
-        return v + 1 if self.ceil else v
-
     def describe(self) -> str:
         c = "" if self.coef == 1 else f"{self.coef}*"
         s = f"{c}p^({self.expo})"
         return f"ceil({s})" if self.ceil else s
-
-
-@dataclass(frozen=True)
-class BurgessParams:
-    """Amplification parameters for a concrete prime.
-
-    Invariants (checked by validate): h >= 2, H >= 2h (equivalently
-    X = H/h >= 2), and 2H^2 < hp.
-    """
-
-    r: int
-    h: int
-    H: Fraction
-
-    @property
-    def X(self) -> Fraction:
-        return Fraction(self.H, self.h)
-
-    def validate(self, p: int) -> None:
-        if self.r < 1 or self.h < 2:
-            raise ParameterError(f"need r >= 1 and h >= 2, got r={self.r}, h={self.h}")
-        if self.H < 2 * self.h:
-            raise ParameterError(f"H >= 2h required, got H = {self.H}, h = {self.h}")
-        if 2 * self.H * self.H >= self.h * p:
-            raise ParameterError(
-                f"2H^2 < hp required, got 2H^2 = {float(2 * self.H * self.H):.4g}"
-            )
 
 
 @dataclass
@@ -196,9 +166,13 @@ def _verdict_from(checks: list[tuple[str, bool | None]]) -> tuple[str, list[str]
 
 def _certify_exact(p, sieve, r, h, H) -> Certificate:
     # preconditions are exact rational comparisons, decidable up front
-    params = BurgessParams(r=r, h=h, H=Fraction(H))
-    params.validate(p)
-    H = params.H
+    H = Fraction(H)
+    if r < 1 or h < 2:
+        raise ParameterError(f"need r >= 1 and h >= 2, got r={r}, h={h}")
+    if H < 2 * h:
+        raise ParameterError(f"H >= 2h required, got H = {H}, h = {h}")
+    if 2 * H * H >= h * p:
+        raise ParameterError(f"2H^2 < hp required, got 2H^2 = {float(2 * H * H):.4g}")
 
     def evaluate(bits: int) -> Certificate:
         with working_precision(bits):
@@ -255,6 +229,46 @@ def _hp_check(p0: int, h_shape: PowerShape, H_shape: PowerShape) -> tuple[str, b
     return "2H^2 < hp coefficients", False
 
 
+@dataclass(frozen=True)
+class WorstCase:
+    """The main inequality over every p >= p0, for shapes h and H at r.
+
+    h lies in [h_lo, h_hi] and H >= H_lo at p0.  Once expo(H) >= expo(h),
+    X = H/h >= x_lo for every p >= p0, so A(X) >= a and B(X) <= b.  W <= w,
+    None when unbounded, with w_note naming its branch; hp is the check of
+    2H^2 < hp.  h sqrt(p) / H^2 <= sum c_i p^e_i / c_H^2 over the terms
+    (c_i, e_i), which is nonincreasing in p when every e_i <= 0.
+    """
+
+    p0: int
+    h_lo: CertifiedReal
+    h_hi: CertifiedReal
+    H_lo: CertifiedReal
+    x_lo: CertifiedReal
+    a: CertifiedReal
+    b: CertifiedReal
+    w: CertifiedReal | None
+    w_note: str
+    hp: tuple[str, bool | None]
+    terms: tuple[tuple[Fraction, Fraction], ...]
+
+
+def threshold_worst_case(p0: int, h_shape: PowerShape, H_shape: PowerShape, r: int) -> WorstCase:
+    """The WorstCase of the shapes at r over p >= p0, in the working precision."""
+    h_lo = h_shape.lower_at(p0)
+    h_hi = h_lo + 1 if h_shape.ceil else h_lo
+    H_lo = H_shape.lower_at(p0)
+    x_lo = H_lo / h_hi
+    w, w_note = _w_threshold_sup(p0, h_shape, r)
+    # (c_h p^e_h + [ceil]) sqrt(p) / (c_H^2 p^(2 e_H)), one term per p-power
+    terms = [(h_shape.coef, h_shape.expo + Fraction(1, 2) - 2 * H_shape.expo)]
+    if h_shape.ceil:
+        terms.append((Fraction(1), Fraction(1, 2) - 2 * H_shape.expo))
+    a, b = envelope_a(x_lo), envelope_b_sup(x_lo, h_lo)
+    hp = _hp_check(p0, h_shape, H_shape)
+    return WorstCase(p0, h_lo, h_hi, H_lo, x_lo, a, b, w, w_note, hp, tuple(terms))
+
+
 def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
     if r < 1:
         raise ParameterError(f"need r >= 1, got r={r}")
@@ -266,39 +280,27 @@ def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
 
     def evaluate(bits: int) -> Certificate:
         with working_precision(bits):
-            checks: list[tuple[str, bool | None]] = []
-            h_lo = h_shape.lower_at(p0)
-            h_hi = h_shape.upper_at(p0)
-            H_lo = H_shape.lower_at(p0)
-            checks.append(("h >= 2 at p_min", h_lo.ge(2) if not h_shape.ceil else h_lo.gt(1)))
-            # H >= 2h for all p >= p0: ratio improves with p iff expo(H) >= expo(h)
-            checks.append(("expo(H) >= expo(h)", H_shape.expo >= h_shape.expo))
-            checks.append(("H >= 2h at p_min", H_lo.ge(2 * h_hi)))
-            checks.append(_hp_check(p0, h_shape, H_shape))
-
-            # X = H/h >= X_lo, nondecreasing in p since expo(H) >= expo(h)
-            x_lo = H_lo / h_hi
-            a_min = envelope_a(x_lo)
-            checks.append(("A > 0", a_min.gt(0)))
-            b_max = envelope_b_sup(x_lo, h_lo)
-
-            w_max, w_note = _w_threshold_sup(p0, h_shape, r)
+            wc = threshold_worst_case(p0, h_shape, H_shape, r)
+            checks: list[tuple[str, bool | None]] = [
+                ("h >= 2 at p_min", wc.h_lo.ge(2) if not h_shape.ceil else wc.h_lo.gt(1)),
+                # H >= 2h for all p >= p0: ratio improves with p iff expo(H) >= expo(h)
+                ("expo(H) >= expo(h)", H_shape.expo >= h_shape.expo),
+                ("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),
+                wc.hp,
+                ("A > 0", wc.a.gt(0)),
+            ]
+            w_max = wc.w
             if w_max is None:
-                checks.append((w_note, False))
+                checks.append((wc.w_note, False))
                 w_max = enclose(0)
 
-            coeff = main_coefficient(a_min, b_max, sieve.factor, r) * w_max
-            # condition for all p >= p0:
-            #   coeff * (c_h p^e_h + [ceil]) * sqrt(p) < c_H^2 p^(2 e_H)
-            # normalized so every p-power has nonpositive exponent
-            terms = [(h_shape.coef, h_shape.expo + Fraction(1, 2) - 2 * H_shape.expo)]
-            if h_shape.ceil:
-                terms.append((Fraction(1), Fraction(1, 2) - 2 * H_shape.expo))
-            expos_ok = all(expo <= 0 for _, expo in terms)
+            coeff = main_coefficient(wc.a, wc.b, sieve.factor, r) * w_max
+            # condition for all p >= p0: coeff * sum c_i p^e_i < c_H^2
+            expos_ok = all(expo <= 0 for _, expo in wc.terms)
             checks.append(("condition exponents nonincreasing in p", expos_ok))
             lhs = enclose(0)
             if expos_ok:
-                for coef, expo in terms:
+                for coef, expo in wc.terms:
                     lhs = lhs + coeff * coef * pow_frac(p0, expo)
             rhs = enclose(H_shape.coef) ** 2
             checks.append(("condition at worst case", lhs.lt(rhs) if expos_ok else False))
@@ -308,7 +310,7 @@ def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
                 p_spec=th.describe(),
                 r=r,
                 h=h_shape.describe(),
-                H=H_lo,
+                H=wc.H_lo,
                 sieve=sieve,
                 lhs=lhs,
                 rhs=rhs,
@@ -316,8 +318,8 @@ def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
                 provenance={
                     "mode": "threshold",
                     "H_shape": H_shape.describe(),
-                    "W_sup": w_note,
-                    "X_min": x_lo.lo_str(16),
+                    "W_sup": wc.w_note,
+                    "X_min": wc.x_lo.lo_str(16),
                     "failed_checks": failed,
                 },
             )
@@ -326,27 +328,11 @@ def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
 
 
 def _w_threshold_sup(p0: int, h_shape: PowerShape, r: int):
-    """Sup of W(p, h(p), r) over p >= p0 with h(p) >= coef * p**expo.
-
-    Both branches decay in p once the exponent of sqrt(p)/h^k is
-    nonpositive; otherwise the branch is unbounded over the threshold.
-    """
-    branches = []
-    gen_expo = Fraction(1, 2) - r * h_shape.expo
-    if gen_expo <= 0:
-        gen = (
-            CertifiedReal(2).sqrt()
-            * (2 * r / (CertifiedReal.euler_e() * enclose(h_shape.coef))) ** r
-            * pow_frac(p0, gen_expo)
-            + (2 * r - 1)
-        )
-        branches.append((gen, f"general branch at p_min (exponent {gen_expo})"))
-    if r == 2:
-        r2_expo = Fraction(1, 2) - 2 * h_shape.expo
-        if r2_expo <= 0:
-            r2 = 3 * (1 + pow_frac(p0, r2_expo) / enclose(h_shape.coef) ** 2)
-            branches.append((r2, f"r=2 branch at p_min (exponent {r2_expo})"))
-    if not branches:
+    """Sup of W(p, h(p), r) over p >= p0 with h(p) >= coef * p**expo: W grows
+    with u = sqrt(p)/h^r <= p^(1/2 - r expo) / coef^r, whose sup is at p0
+    when that exponent is nonpositive and unbounded otherwise."""
+    expo = Fraction(1, 2) - r * h_shape.expo
+    if expo > 0:
         return None, "W unbounded over threshold (sqrt(p)/h^r grows)"
-    best = min(branches, key=lambda t: t[0].hi)
-    return best[0], best[1]
+    w, branch = w_branch(pow_frac(p0, expo) / enclose(h_shape.coef) ** r, r)
+    return w, f"{branch} branch at p_min (exponent {expo})"

@@ -54,12 +54,6 @@ def _parse_p_spec(text: str, omega: int | None):
 
 def _factor_exact_prime(p: int):
     """The factorization of p-1, once p is proved an odd prime."""
-    if p >= 2**64:
-        raise argparse.ArgumentTypeError(
-            "exact p must be below 2^64: the CLI proves p prime and factors p-1 "
-            "itself; past that, give a threshold such as 1e56 with --omega, or "
-            "build a SieveConfig in the library"
-        )
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p == 2:

@@ -12,6 +12,7 @@ steers the parameter searches.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -114,9 +115,6 @@ class CertifiedReal:
     def log(self) -> "CertifiedReal":
         return CertifiedReal(iv.log(self.ival))
 
-    def exp(self) -> "CertifiedReal":
-        return CertifiedReal(iv.exp(self.ival))
-
     def __abs__(self):
         return CertifiedReal(abs(self.ival))
 
@@ -164,10 +162,6 @@ class CertifiedReal:
 
     def hi_str(self, digits: int = 24) -> str:
         return mpmath.nstr(mpmath.mpf(self.hi_mpf()), digits)
-
-    @property
-    def width(self) -> float:
-        return float(self.ival.delta)
 
     def contains(self, value) -> bool:
         other = self._coerce(value)
@@ -265,19 +259,30 @@ def w_factor(p: int, h: int, r: int) -> float:
 
 
 def w_factor_enclosure(p, h, r: int) -> CertifiedReal:
-    """Enclosure of the moment-sum coefficient W(p,h,r) with
-    S <= W sqrt(p) h^(2r): min of the general branch
-    sqrt(2) (2r/(e h))^r sqrt(p) + (2r-1) and, at r=2, 3(1 + sqrt(p)/h^2)."""
-    p = enclose(p)
-    h = enclose(h)
-    sq = p.sqrt()
-    general = (
-        CertifiedReal(2).sqrt() * (2 * r / (CertifiedReal.euler_e() * h)) ** r * sq
-        + (2 * r - 1)
-    )
-    if r == 2:
-        return emin(general, 3 * (1 + sq / h**2))
-    return general
+    """Enclosure of the moment-sum coefficient W(p,h,r): S <= W sqrt(p) h^(2r)."""
+    return w_branch(enclose(p).sqrt() / enclose(h) ** r, r)[0]
+
+
+@functools.cache
+def _w_general_slope(r: int, bits: int) -> CertifiedReal:
+    """sqrt(2) (2r/e)^r at `bits` of working precision."""
+    return CertifiedReal(2).sqrt() * (2 * r / CertifiedReal.euler_e()) ** r
+
+
+def w_branch(u: CertifiedReal, r: int) -> tuple[CertifiedReal, str]:
+    """W from u = sqrt(p)/h^r, and the name of its smaller branch: the min
+    of sqrt(2) (2r/e)^r u + (2r-1) ("general") and, at r=2, 3(1 + u).
+
+    It takes the ratio, not p and h, so that a threshold can give u in
+    shape form: for h = 2 p^(1/4), u = p^0/4 = 1/4 and W = 15/4 exactly,
+    while W at the point h = 2 p0^(1/4) only encloses 15/4, so le(15/4)
+    on it is undecided.
+    """
+    general = _w_general_slope(r, iv.prec) * u + (2 * r - 1)
+    if r != 2:
+        return general, "general"
+    r2 = 3 * (1 + u)
+    return emin(general, r2), "general" if general.hi_mpf() <= r2.hi_mpf() else "r=2"
 
 
 def window_recipe(p, r: int) -> float:

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from gpbound.certify import case_engine, worst_case_delta
+from gpbound.certify import SieveConfig, Threshold, case_engine, certify_bound, worst_case_delta
+from gpbound.certify.cases import TARGETS
 from gpbound.errors import DomainError
 from gpbound.ntcore import primorial
 from gpbound.sieve import sieve_factor
@@ -131,6 +132,20 @@ def test_lonely_robin_tail_fails(lonely):
     assert len(robin) == 1
     assert not robin[0].passed
     assert not lonely.overall_pass
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_every_passing_row_is_a_threshold_certificate(target, cor2, lonely):
+    """Each row's reduced check against its p_min agrees with a certificate
+    of the target's shapes over the same threshold, with the worst-case
+    sieve of the row: the table and the certifier give one verdict."""
+    report, spec = {"cor2": cor2, "lonely": lonely}[target], TARGETS[target]
+    for row in report.rows:
+        floor = primorial(row.omega) if "primorial" in row.regime else 0
+        th = Threshold(max(spec.p_base, floor), row.omega)
+        sieve = SieveConfig.worst_case(row.omega, row.s)
+        cert = certify_bound(th, sieve, 2, spec.h_shape, spec.H_shape)
+        assert cert.certified == row.passed, (row, cert.provenance)
 
 
 def test_tsv_table_shape(cor2):

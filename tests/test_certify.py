@@ -157,18 +157,6 @@ def test_exact_certificate_failure_when_H_too_small():
     assert cert.verdict == "failed"
 
 
-def test_burgess_params_invariants():
-    from gpbound.certify import BurgessParams
-
-    params = BurgessParams(r=2, h=360, H=Fraction(150000))
-    assert params.X == Fraction(150000, 360)
-    params.validate(10**9 + 7)
-    with pytest.raises(ParameterError):
-        BurgessParams(r=2, h=360, H=Fraction(500)).validate(10**9 + 7)
-    with pytest.raises(ParameterError):
-        BurgessParams(r=2, h=4, H=Fraction(10**6)).validate(10**9 + 7)
-
-
 def test_exact_certificate_parameter_errors():
     sieve = _sieve_at(10**9 + 7)
     with pytest.raises(ParameterError):
@@ -429,11 +417,14 @@ def test_threshold_rejects_growing_condition():
 
 
 def test_threshold_rejects_unbounded_w():
-    # h constant in p leaves W unbounded over the threshold
+    # h constant in p leaves W unbounded over the threshold.  Every other
+    # check passes, and W taken at p_min would certify this (lhs ~2.6e5
+    # against 1e6), although W grows like sqrt(p)
     h = PowerShape(coef=Fraction(100), expo=Fraction(0))
-    H = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
-    cert = certify_bound(Threshold(10**22, 4), SieveConfig.worst_case(4, 0), 2, h, H)
+    H = PowerShape(coef=Fraction(1000), expo=Fraction(3, 8))
+    cert = certify_bound(Threshold(10**22, 1), SieveConfig.worst_case(1, 0), 2, h, H)
     assert cert.verdict == "failed"
+    assert cert.provenance["failed_checks"] == ["W unbounded over threshold (sqrt(p)/h^r grows)"]
 
 
 # -- search + soundness --------------------------------------------------------------

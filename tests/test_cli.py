@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from gpbound.cli import main
+from gpbound.ntcore import MR_DETERMINISTIC_LIMIT
 
 
 def run_cli(*argv):
@@ -270,21 +271,40 @@ def test_omega_with_an_exact_p_is_usage_error(argv):
     assert err.startswith("usage error: --omega is for threshold p only")
 
 
-_PRIME_PAST_2_64 = str(2**64 + 13)
+_CERTIFY_ARGS = ("--r", "2", "--h", "360", "--H", "150000")
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("bound", "thm1", "--p", _PRIME_PAST_2_64, "--r", "2"),
-        ("certify", "--p", _PRIME_PAST_2_64, "--r", "2", "--h", "360", "--H", "150000"),
+        ("bound", "thm1", "--r", "2"),
+        ("certify", *_CERTIFY_ARGS),
+        ("optimize",),
     ],
+    ids=lambda argv: argv[0],
 )
-def test_exact_p_past_2_64_is_usage_error(argv):
-    # the CLI neither proves p prime nor factors p-1 past 2^64
-    code, out, err = run_cli(*argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("usage error: exact p must be below 2^64")
+def test_exact_p_at_the_proven_primality_limit_is_an_error(argv):
+    # every subcommand reaches is_prime, whose witness set is proven below
+    # MR_DETERMINISTIC_LIMIT; there is no lower ceiling for an exact p
+    code, out, err = run_cli(*argv, "--p", str(MR_DETERMINISTIC_LIMIT))
+    assert (code, out) == (1, "")
+    assert err == f"error: deterministic witness set only proven below {MR_DETERMINISTIC_LIMIT}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, expected",
+    [
+        (("bound", "thm1", "--r", "2"), 0, {"bound": "log_free"}),
+        # 2H^2 < hp holds and the condition does not: a failed certificate
+        (("certify", *_CERTIFY_ARGS), 1, {"p_spec": str(2**64 + 13), "verdict": "failed"}),
+    ],
+    ids=["bound", "certify"],
+)
+def test_exact_p_past_2_64_gets_a_verdict(argv, exit_code, expected):
+    code, out, err = run_cli(*argv, "--p", str(2**64 + 13))
+    assert (code, err) == (exit_code, "")
+    blob = json.loads(out)
+    assert {k: blob[k] for k in expected} == expected
 
 
 def test_optimize_threshold():

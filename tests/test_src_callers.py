@@ -2,8 +2,10 @@
 under `src/gpbound` that a test loads is also loaded by a caller, unless it
 is kept on purpose below.
 
-Callers are `src/`, `bench/*.py` and `demos/`.  A use is an `ast.Name` or
-`ast.Attribute` load of the bare name; import lines do not count.  Matching
+Callers are `src/`, `bench/*.py` and `demos/`.  A use of a function or
+class is an `ast.Name` or `ast.Attribute` load of the bare name; a use of a
+method is an `ast.Attribute` load only, so a local variable named like a
+method does not count as calling it.  Import lines do not count.  Matching
 by bare name can only miss test-only code (a caller's `.build` covers every
 `build`), never invent it.
 """
@@ -28,7 +30,7 @@ KEPT = {
 
 def _definitions(tree: ast.Module) -> dict[str, str]:
     """{qualified name: bare name} for module-level functions and classes
-    and their methods, dunders left out."""
+    and their methods, dunders left out; a method's bare name is `.name`."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -36,18 +38,20 @@ def _definitions(tree: ast.Module) -> dict[str, str]:
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    out[f"{node.name}.{item.name}"] = item.name
+                    out[f"{node.name}.{item.name}"] = f".{item.name}"
     return out
 
 
 def _loads(paths) -> set[str]:
+    """Bare names loaded: `name` for an `ast.Name` or `ast.Attribute` load,
+    and `.name` for an `ast.Attribute` load."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+                names.update((node.attr, f".{node.attr}"))
     return names
 
 

@@ -79,12 +79,24 @@ MUTANTS = (
     Mutant("certify: exact p takes a ctx-less sieve", "src/gpbound/certify/certifier.py",
            "if sieve.ctx is None or sieve.ctx.p != p:",
            "if sieve.ctx is not None and sieve.ctx.p != p:"),
+    # an exact certificate's preconditions
+    Mutant("exact: h >= 2 unchecked", "src/gpbound/certify/certifier.py",
+           "if r < 1 or h < 2:", "if r < 1:"),
+    Mutant("exact: H >= 2h unchecked", "src/gpbound/certify/certifier.py",
+           "if H < 2 * h:", "if False:"),
+    Mutant("exact: 2H^2 < hp unchecked", "src/gpbound/certify/certifier.py",
+           "if 2 * H * H >= h * p:", "if False:"),
     # the merged threshold check H >= 2h (it was also tested as X >= 2)
     Mutant("threshold: H >= 2h dropped", "src/gpbound/certify/certifier.py",
-           'checks.append(("H >= 2h at p_min", H_lo.ge(2 * h_hi)))', "pass"),
+           '("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),', ""),
     Mutant("threshold: H >= 2h weakened to H >= h", "src/gpbound/certify/certifier.py",
-           'checks.append(("H >= 2h at p_min", H_lo.ge(2 * h_hi)))',
-           'checks.append(("H >= 2h at p_min", H_lo.ge(h_hi)))'),
+           '("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),',
+           '("H >= 2h at p_min", wc.H_lo.ge(wc.h_hi)),'),
+    # W and the condition must not grow past the threshold's p_min
+    Mutant("threshold: unbounded W taken at p_min", "src/gpbound/certify/certifier.py",
+           "    if expo > 0:\n        return None,", "    if False:\n        return None,"),
+    Mutant("threshold: growing condition taken at p_min", "src/gpbound/certify/certifier.py",
+           "expos_ok = all(expo <= 0 for _, expo in wc.terms)", "expos_ok = True"),
     # the search's sieves rest on a proved factorization of p-1
     Mutant("search: p-1 factorization unproved", "src/gpbound/ntcore.py",
            "self.pm1_factors.validate(p - 1)", "pass"),
