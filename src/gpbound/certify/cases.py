@@ -24,13 +24,15 @@ prime:
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, takewhile
 
 from ..enclosure import CertifiedReal, enclose, pow_frac, working_precision
 from ..errors import DomainError
-from ..ntcore import iter_primes, primorial
+from ..ntcore import first_primes
 from ..sieve import SieveConfig
 from .certifier import PowerShape, WorstCase, main_coefficient, threshold_worst_case
 
@@ -150,15 +152,12 @@ def _case_row(regime, omega, s, const: Fraction, p_min: int, root: int):
     )
 
 
-def _max_omega_below(p_cap: int) -> int:
-    """Largest omega with primorial(omega) <= p_cap."""
-    omega, prod = 0, 1
-    for q in iter_primes(2, p_cap + 1):
-        prod *= q
-        if prod > p_cap:
-            return omega
-        omega += 1
-    return omega
+def _primorials(p_cap: int) -> list[int]:
+    """[primorial(0), primorial(1), ...] while <= p_cap, as one running
+    product; primorial(k) >= 2^k, so the first bit_length(p_cap) primes
+    reach past p_cap."""
+    products = accumulate(first_primes(p_cap.bit_length()), operator.mul, initial=1)
+    return list(takewhile(lambda prod: prod <= p_cap, products))
 
 
 def _robin_check(const: Fraction, root: int) -> CheckRow:
@@ -304,16 +303,17 @@ def case_engine(target: str) -> CaseReport:
         condition += f" (stated constant {spec.stated})"
     report = CaseReport(target=target, condition=condition, reduction=reduction)
 
+    primorials = _primorials(ROBIN_P_MIN)
     for omegas, offset, floor in REGIMES:
         regime = "s=0" if offset is None else f"s=omega-{offset}"
         regime += ", primorial" if floor else ""
         for omega in omegas:
             s = 0 if offset is None else omega - offset
-            p_min = max(spec.p_base, primorial(omega)) if floor else spec.p_base
+            p_min = max(spec.p_base, primorials[omega]) if floor else spec.p_base
             report.rows.append(_case_row(regime, omega, s, spec.used, p_min, root))
     report.reduction.append(_robin_check(spec.used, root))
 
-    omega_cap = _max_omega_below(ROBIN_P_MIN)
+    omega_cap = len(primorials) - 1  # the largest omega with primorial(omega) <= 1e1000
     last_omega = REGIMES[-1][0][-1]
     if omega_cap > last_omega:
         report.notes.append(

@@ -15,8 +15,11 @@ certainty.  Indeterminate comparisons escalate the working precision
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from mpmath import iv
 
 from ..enclosure import (
     CertifiedReal,
@@ -35,6 +38,25 @@ from ..ntcore import is_prime
 from ..sieve import SieveConfig
 
 MAX_PRECISION = 1024
+
+# The memos below are sized from the keys one optimize_threshold reads at
+# each precision of the escalation ladder: 9 values of r (R_THRESHOLD_RANGE
+# in search.py), and at each r one W sup and 4 powers of p_min (p^(1/(2r))
+# for h, p^(1/4+1/(4r)) for H, p^0 for W and the condition's first term,
+# p^(-1/(2r)) for its ceil term).  They are bounded because a process that
+# searches many p_min would otherwise keep every key it ever read.
+_PRECISIONS = (MAX_PRECISION // WORKING_BITS).bit_length()
+
+
+def _p_power(p0: int, expo: Fraction) -> CertifiedReal:
+    """pow_frac(p0, expo) in the working precision, computed once per
+    precision: every sieve at one r reads the same powers of p_min."""
+    return _p_power_at(p0, expo, iv.prec)
+
+
+@functools.lru_cache(maxsize=9 * 4 * _PRECISIONS)
+def _p_power_at(p0: int, expo: Fraction, bits: int) -> CertifiedReal:
+    return pow_frac(p0, expo)
 
 
 @dataclass(frozen=True)
@@ -66,7 +88,7 @@ class PowerShape:
     ceil: bool = False
 
     def lower_at(self, p: int) -> CertifiedReal:
-        return self.coef * pow_frac(p, self.expo)
+        return self.coef * _p_power(p, self.expo)
 
     def describe(self) -> str:
         c = "" if self.coef == 1 else f"{self.coef}*"
@@ -259,7 +281,7 @@ def threshold_worst_case(p0: int, h_shape: PowerShape, H_shape: PowerShape, r: i
     h_hi = h_lo + 1 if h_shape.ceil else h_lo
     H_lo = H_shape.lower_at(p0)
     x_lo = H_lo / h_hi
-    w, w_note = _w_threshold_sup(p0, h_shape, r)
+    w, w_note = _w_threshold_sup(p0, h_shape, r, iv.prec)
     # (c_h p^e_h + [ceil]) sqrt(p) / (c_H^2 p^(2 e_H)), one term per p-power
     terms = [(h_shape.coef, h_shape.expo + Fraction(1, 2) - 2 * H_shape.expo)]
     if h_shape.ceil:
@@ -301,7 +323,7 @@ def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
             lhs = enclose(0)
             if expos_ok:
                 for coef, expo in wc.terms:
-                    lhs = lhs + coeff * coef * pow_frac(p0, expo)
+                    lhs = lhs + coeff * coef * _p_power(p0, expo)
             rhs = enclose(H_shape.coef) ** 2
             checks.append(("condition at worst case", lhs.lt(rhs) if expos_ok else False))
 
@@ -327,12 +349,14 @@ def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
     return _escalate(evaluate)
 
 
-def _w_threshold_sup(p0: int, h_shape: PowerShape, r: int):
-    """Sup of W(p, h(p), r) over p >= p0 with h(p) >= coef * p**expo: W grows
-    with u = sqrt(p)/h^r <= p^(1/2 - r expo) / coef^r, whose sup is at p0
-    when that exponent is nonpositive and unbounded otherwise."""
+@functools.lru_cache(maxsize=9 * _PRECISIONS)
+def _w_threshold_sup(p0: int, h_shape: PowerShape, r: int, bits: int):
+    """Sup of W(p, h(p), r) over p >= p0 with h(p) >= coef * p**expo, at
+    `bits` of working precision: W grows with u = sqrt(p)/h^r <=
+    p^(1/2 - r expo) / coef^r, whose sup is at p0 when that exponent is
+    nonpositive and unbounded otherwise."""
     expo = Fraction(1, 2) - r * h_shape.expo
     if expo > 0:
         return None, "W unbounded over threshold (sqrt(p)/h^r grows)"
-    w, branch = w_branch(pow_frac(p0, expo) / enclose(h_shape.coef) ** r, r)
+    w, branch = w_branch(_p_power(p0, expo) / enclose(h_shape.coef) ** r, r)
     return w, f"{branch} branch at p_min (exponent {expo})"

@@ -26,6 +26,7 @@ from gpbound.certify.search import (
     _sieve_candidates,
     _threshold_h_shape,
 )
+from gpbound.enclosure import working_precision
 from gpbound.errors import ConfigError, DomainError, ParameterError, UnsupportedRangeError
 from gpbound.ntcore import (
     Factorization,
@@ -312,7 +313,6 @@ def test_hp_check_needs_the_ceil_at_equal_exponents():
     # H = p^(5/8) gives 2H^2 = 2 p^(5/4) = hp exactly for h = 2 p^(1/4); only
     # the ceil of the irrational power makes the inequality strict
     from gpbound.certify.certifier import _hp_check
-    from gpbound.enclosure import working_precision
 
     H = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
     bare = PowerShape(coef=Fraction(2), expo=Fraction(1, 4))
@@ -540,6 +540,59 @@ def _exhaustive_threshold_search(p_min: int, omega: int) -> ThresholdOptimizeRes
 def test_optimize_threshold_matches_exhaustive_search(k, omega):
     want = _exhaustive_threshold_search(10**k, omega).to_json()
     assert optimize_threshold(10**k, omega).to_json() == want
+
+
+def _endpoints(wc) -> tuple:
+    """Every enclosure of a WorstCase as exact endpoints, with its notes."""
+    reals = (wc.h_lo, wc.h_hi, wc.H_lo, wc.x_lo, wc.a, wc.b, wc.w)
+    return tuple((v.lo_mpf(), v.hi_mpf()) for v in reals), wc.w_note, wc.hp, wc.terms
+
+
+def test_threshold_worst_case_memo_is_keyed_by_precision():
+    """Powers of p_min and the W sup are cached per working precision: a
+    worst case read through caches warmed at another precision equals a
+    fresh computation, bit for bit, so escalation reads enclosures at the
+    precision it asked for."""
+    from gpbound.certify.certifier import _p_power_at, _w_threshold_sup, threshold_worst_case
+
+    h, H = _threshold_h_shape(3), PowerShape(coef=Fraction(6 * 64**3), expo=Fraction(1, 3))
+
+    def at(bits):
+        with working_precision(bits):
+            return _endpoints(threshold_worst_case(10**37, h, H, 3))
+
+    def fresh(bits):
+        _p_power_at.cache_clear()
+        _w_threshold_sup.cache_clear()
+        return at(bits)
+
+    cold = {bits: fresh(bits) for bits in (128, 256)}
+    fresh(128)
+    assert at(256) == cold[256]
+    fresh(256)
+    assert at(128) == cold[128]
+    # the 256-bit enclosure of H at p_min is the narrower one
+    (lo128, hi128), (lo256, hi256) = cold[128][0][2], cold[256][0][2]
+    assert hi256 - lo256 < hi128 - lo128
+
+
+def test_optimize_threshold_computes_each_power_of_p_min_once(monkeypatch):
+    import gpbound.certify.certifier as certifier_mod
+    from gpbound.enclosure import pow_frac
+
+    calls = []
+
+    def counting_pow_frac(base, expo):
+        calls.append((base, expo))
+        return pow_frac(base, expo)
+
+    monkeypatch.setattr(certifier_mod, "pow_frac", counting_pow_frac)
+    certifier_mod._p_power_at.cache_clear()
+    certifier_mod._w_threshold_sup.cache_clear()
+    optimize_threshold(10**37, 30)
+    # 225 certificates, all at 128 bits; per r the exponents 1/(2r),
+    # 1/4 + 1/(4r) and -1/(2r), and exponent 0 shared by all nine r
+    assert len(calls) == 28
 
 
 def test_soundness_crosscheck_small_batch():

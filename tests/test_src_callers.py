@@ -5,9 +5,11 @@ is kept on purpose below.
 Callers are `src/`, `bench/*.py` and `demos/`.  A use of a function or
 class is an `ast.Name` or `ast.Attribute` load of the bare name; a use of a
 method is an `ast.Attribute` load only, so a local variable named like a
-method does not count as calling it.  Import lines do not count.  Matching
-by bare name can only miss test-only code (a caller's `.build` covers every
-`build`), never invent it.
+method does not count as calling it.  Import lines do not count, and
+neither does an attribute of a name that an `import x [as y]` of another
+package bound, such as `np.exp` or `math.log`: that is that package's
+function.  Matching by bare name can only miss test-only code (a caller's
+`.build` covers every `build`), never invent it.
 """
 
 import ast
@@ -44,13 +46,24 @@ def _definitions(tree: ast.Module) -> dict[str, str]:
 
 def _loads(paths) -> set[str]:
     """Bare names loaded: `name` for an `ast.Name` or `ast.Attribute` load,
-    and `.name` for an `ast.Attribute` load."""
+    and `.name` for an `ast.Attribute` load, unless the attribute is read
+    off a name bound by `import x [as y]` of a package other than gpbound."""
     names = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name.split(".")[0] != "gpbound"
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    continue
                 names.update((node.attr, f".{node.attr}"))
     return names
 

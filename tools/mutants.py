@@ -97,6 +97,10 @@ MUTANTS = (
            "    if expo > 0:\n        return None,", "    if False:\n        return None,"),
     Mutant("threshold: growing condition taken at p_min", "src/gpbound/certify/certifier.py",
            "expos_ok = all(expo <= 0 for _, expo in wc.terms)", "expos_ok = True"),
+    # escalation must read powers of p_min at the precision it asked for
+    Mutant("threshold: powers of p_min cached without their precision",
+           "src/gpbound/certify/certifier.py",
+           "return _p_power_at(p0, expo, iv.prec)", "return _p_power_at(p0, expo, WORKING_BITS)"),
     # the search's sieves rest on a proved factorization of p-1
     Mutant("search: p-1 factorization unproved", "src/gpbound/ntcore.py",
            "self.pm1_factors.validate(p - 1)", "pass"),
