@@ -79,10 +79,11 @@ def _h_candidates(p: int, r: int) -> list[int]:
     return out
 
 
-def _min_certified_H(
-    p: int, sieve: SieveConfig, r: int, h: int
-) -> tuple[Fraction, Certificate] | None:
-    """Smallest certifiable H for fixed (p, sieve, r, h), or None."""
+_BUMPS = (1e-9, 1e-6, 1e-3)  # relative raises of the float H tried in turn
+
+
+def _presolve_H(p: int, sieve: SieveConfig, r: int, h: int) -> float | None:
+    """Float estimate of the least H that (p, sieve, r, h) certifies, or None."""
     F = sieve.factor
     base = (math.pi**2 / 6) * float(F) ** (2 * r) * h * math.sqrt(p) * w_factor(p, h, r)
     if base <= 0:
@@ -93,9 +94,20 @@ def _min_certified_H(
         if a <= 0:
             return None
         H = math.sqrt(base * b ** (2 * r - 1) / a ** (2 * r))
-    H = max(H, 2 * h)
-    for bump in (1e-9, 1e-6, 1e-3):
-        H_try = max(Fraction(H * (1 + bump)).limit_denominator(10**12), Fraction(2 * h))
+    return max(H, 2 * h)
+
+
+def _H_try(H: float, bump: float, h: int) -> Fraction:
+    """The exact H tried for the float H raised by `bump`, at least 2h."""
+    return max(Fraction(H * (1 + bump)).limit_denominator(10**12), Fraction(2 * h))
+
+
+def _min_certified_H(
+    p: int, sieve: SieveConfig, r: int, h: int, H: float
+) -> tuple[Fraction, Certificate] | None:
+    """Smallest certifiable H_try over the bumps of the presolved H, or None."""
+    for bump in _BUMPS:
+        H_try = _H_try(H, bump, h)
         if 2 * H_try * H_try >= h * p:
             return None
         cert = _certify_exact(p, sieve, r, h, H_try)
@@ -107,30 +119,48 @@ def _min_certified_H(
 def optimize_params(p: int, pm1_factors: Factorization | None = None) -> OptimizeResult:
     """Search (r, sieve, h) for the smallest certified H < p.
 
-    Deterministic: candidates are enumerated in a fixed order and ties on H
-    break toward smaller r, then smaller s.  A given factorization of p-1
-    is proved (DomainError if it is wrong), not trusted.
+    Best first: every candidate is presolved in floats, and its first
+    H_try (the smallest bump) is a lower bound on any H it certifies,
+    since the bumps increase, limit_denominator is monotone and the max
+    with 2h only raises it.  Candidates are certified by increasing key
+    (first H_try, r, s, enumeration index), and the search stops once the
+    next key exceeds the best certified (H, r, s, index): no later
+    candidate can win.  The result is the exhaustive search's: least H,
+    ties toward smaller r, then smaller s, then the candidate enumerated
+    first (r, then sieve, then h in `_h_candidates` order).  `tried`
+    counts every candidate considered, certified or not.  A given
+    factorization of p-1 is proved (DomainError if it is wrong), not
+    trusted.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError("optimize_params needs an odd prime")
-    best: tuple[Fraction, int, int, int, Certificate] | None = None
     tried = 0
+    queue = []  # (key, sieve, h, presolved H)
     sieves = _sieve_candidates(PrimeContext(p, pm1_factors))
     for r in R_SEARCH_RANGE:
+        # even the minimal H = 2h fails 2H^2 < hp unless 8h < p
+        hs = [h for h in _h_candidates(p, r) if 2 * (2 * h) ** 2 < h * p]
         for sieve in sieves:
-            for h in _h_candidates(p, r):
-                if 2 * (2 * h) ** 2 >= h * p:  # even the minimal H fails 2H^2 < hp
-                    continue
+            for h in hs:
                 tried += 1
-                found = _min_certified_H(p, sieve, r, h)
-                if found is None:
+                H = _presolve_H(p, sieve, r, h)
+                if H is None:
                     continue
-                H, cert = found
-                if H >= p:
+                first = _H_try(H, _BUMPS[0], h)
+                if 2 * first * first >= h * p or first >= p:
                     continue
-                key = (H, r, sieve.s)
-                if best is None or key < (best[0], best[1], best[2]):
-                    best = (H, r, sieve.s, h, cert)
+                queue.append(((first, r, sieve.s, tried), sieve, h, H))
+    queue.sort(key=lambda c: c[0])
+    best: tuple[tuple, int, Certificate] | None = None
+    for key, sieve, h, H in queue:
+        if best is not None and key > best[0]:
+            break
+        found = _min_certified_H(p, sieve, key[1], h, H)
+        if found is None:
+            continue
+        H_cert, cert = found
+        if best is None or (H_cert, *key[1:]) < best[0]:
+            best = ((H_cert, *key[1:]), h, cert)
     if best is None:
         return OptimizeResult(
             p=p,
@@ -140,7 +170,7 @@ def optimize_params(p: int, pm1_factors: Factorization | None = None) -> Optimiz
             tried=tried,
             reason="infeasible at this p: no (r, sieve, h) certifies H < p",
         )
-    H, r, s, h, cert = best
+    (H, *_), h, cert = best
     return OptimizeResult(p=p, certificate=cert, h=h, H=H, tried=tried, reason="certified")
 
 

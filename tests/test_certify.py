@@ -2,6 +2,7 @@
 the comparison table, and the parameter search with its soundness hook."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,14 @@ from gpbound.certify import (
     soundness_crosscheck,
     certify_bound,
 )
+import gpbound.certify.search as search_mod
+from gpbound.certify.certifier import _certify_exact
 from gpbound.certify.search import (
+    R_SEARCH_RANGE,
     R_THRESHOLD_RANGE,
+    OptimizeResult,
     ThresholdOptimizeResult,
+    _h_candidates,
     _sieve_candidates,
     _threshold_h_shape,
 )
@@ -469,7 +475,6 @@ def test_optimize_infeasible_small_p_large_omega():
 
 def test_optimize_needs_a_proved_prime(monkeypatch):
     import gpbound.certify.certifier as certifier_mod
-    import gpbound.certify.search as search_mod
 
     for p in (10**9 + 5, 10**9 + 8, 1):
         with pytest.raises(DomainError, match="optimize_params needs an odd prime"):
@@ -494,6 +499,85 @@ def test_optimize_deterministic():
     a = optimize_params(10**9 + 7)
     b = optimize_params(10**9 + 7)
     assert a.H == b.H and a.h == b.h and a.certificate.r == b.certificate.r
+
+
+def _exhaustive_params_search(p: int) -> OptimizeResult:
+    """Certify every (r, sieve, h) candidate in enumeration order and keep
+    the first with the least (H, r, s)."""
+    best, tried = None, 0
+    for r in R_SEARCH_RANGE:
+        for sieve in _sieve_candidates(PrimeContext(p)):
+            for h in _h_candidates(p, r):
+                if 2 * (2 * h) ** 2 >= h * p:
+                    continue
+                tried += 1
+                H0 = search_mod._presolve_H(p, sieve, r, h)
+                found = None if H0 is None else search_mod._min_certified_H(p, sieve, r, h, H0)
+                if found is None or found[0] >= p:
+                    continue
+                if best is None or (found[0], r, sieve.s) < best[:3]:
+                    best = (found[0], r, sieve.s, h, found[1])
+    if best is None:
+        return OptimizeResult(
+            p=p, certificate=None, h=None, H=None, tried=tried,
+            reason="infeasible at this p: no (r, sieve, h) certifies H < p",
+        )
+    H, _, _, h, cert = best
+    return OptimizeResult(p=p, certificate=cert, h=h, H=H, tried=tried, reason="certified")
+
+
+def _seeded_primes(lo_exp: int, hi_exp: int, n: int, seed: int) -> list[int]:
+    """n primes spread log-uniformly over [10^lo_exp, 10^hi_exp]."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        q = int(10 ** rng.uniform(lo_exp, hi_exp)) | 1
+        while not is_prime(q):
+            q += 2
+        out.append(q)
+    return out
+
+
+def test_optimize_params_matches_exhaustive_search():
+    # every prime below 3000 covers the infeasible and small-h cases
+    for p in [*iter_primes(3, 3000), *_seeded_primes(4, 18, 24, seed=20)]:
+        assert optimize_params(p).to_json() == _exhaustive_params_search(p).to_json(), p
+
+
+def test_optimize_params_breaks_ties_in_enumeration_order(monkeypatch):
+    """Equal (H, r, s): the candidate enumerated first wins, even when a
+    later one has the smaller first H_try and so is certified first."""
+    p = 10**9 + 7
+    hs = _h_candidates(p, 2)
+
+    def presolve(p, sieve, r, h):  # only r = 2, s = 0; larger h presolves lower
+        return 10.0**5 - h if (r, sieve.s) == (2, 0) else None
+
+    def certify(p, sieve, r, h, H):  # every candidate certifies the same H
+        return Fraction(10**5), ("certificate", h)
+
+    monkeypatch.setattr(search_mod, "_presolve_H", presolve)
+    monkeypatch.setattr(search_mod, "_min_certified_H", certify)
+    want = _exhaustive_params_search(p)
+    res = optimize_params(p)
+    assert (res.H, res.h, res.certificate) == (10**5, hs[0], ("certificate", hs[0]))
+    assert (res.H, res.h, res.certificate, res.tried) == (want.H, want.h, want.certificate, want.tried)
+
+
+def test_optimize_params_certifies_only_candidates_that_can_win(monkeypatch):
+    # the exhaustive search makes 15 exact certificates at this prime
+    p = 1000000000163
+    calls = []
+
+    def counting_certify_exact(*args):
+        calls.append(args)
+        return _certify_exact(*args)
+
+    monkeypatch.setattr(search_mod, "_certify_exact", counting_certify_exact)
+    res = optimize_params(p)
+    assert res.feasible and res.tried == 231
+    assert len(calls) == 1
+    assert calls[0][2:] == (res.certificate.r, res.h, res.H)
 
 
 def test_optimize_threshold_minimal_exponent():

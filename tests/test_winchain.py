@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpbound.certify import win_chain_sieved_derive, win_chain_derive, win_chain_sweep
+from gpbound.certify import winchain, win_chain_sieved_derive, win_chain_derive, win_chain_sweep
 from gpbound.enclosure import pow_frac, recipe_coefficient, window_recipe
 from gpbound.errors import DomainError
 
@@ -62,13 +62,41 @@ def test_win2_caps_weaker_than_win():
 
 
 def test_fallback_constant_tightest_at_r2():
+    # the row depends on r alone: pin its value where it is tightest and far out
     values = []
-    for r in (2, 3, 5, 20):
-        rep = win_chain_derive(r)
-        values.append(float(_check(rep, "fallback constant").value))
+    for r in (2, 3, 5, 20, 100):
+        check = _check(win_chain_derive(r), "fallback constant")
+        assert check.certified
+        values.append(float(check.value))
     assert values == sorted(values)
     assert values[0] == pytest.approx((math.sqrt(2) / 3) ** 0.25, rel=1e-9)
+    assert values[-1] == pytest.approx((math.sqrt(2) * 99 / 199) ** (1 / 200), rel=1e-9)
     assert values[0] >= math.sqrt(math.e) / 2
+
+
+def test_closing_constant_row_fails_at_or_above_4():
+    # the plain chain's caps, but 1.29 on B(X)^r: the closing constant is 4.29
+    rep = winchain._chain("plain", 2, factor_min=Fraction(4), x_floor=2000,
+                          a_floor=Fraction(998, 1000), ry_cap=Fraction(129, 1000),
+                          b_cap=Fraction(129, 100))
+    closing = _check(rep, "closing constant")
+    assert 4 <= float(closing.value) < 5
+    assert rep.failed() == ["closing constant < 4"]
+
+
+def test_b_power_row_needs_ry_at_most_035(monkeypatch):
+    # At p_min = 1e15 every x_floor keeps rY below 0.29 (r/h <= 1/8 and
+    # log(X)/X <= 1/e), so the chain starts at 2^16 here: with X >= 3 the
+    # sieved rY is 0.41, inside its cap 1/2, and B(X)^r = 1.58 <= 2 would
+    # pass but for the rY <= 0.35 precondition of (1+Y)^r <= 1 + rY + (rY)^2.
+    monkeypatch.setattr(winchain, "P_MIN", 2**16)
+    rep = winchain._chain("sieved", 2, factor_min=Fraction(3), x_floor=3,
+                          a_floor=Fraction(992, 1000), ry_cap=Fraction(1, 2),
+                          b_cap=Fraction(2))
+    ry, b_r = _check(rep, "rY <="), _check(rep, "B(X)^r")
+    assert ry.certified and 0.35 < float(ry.value) <= 0.5
+    assert float(b_r.value) <= 2
+    assert not b_r.certified
 
 
 def test_full_sweep():

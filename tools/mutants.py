@@ -6,14 +6,19 @@ copies the working tree to a scratch directory, applies one mutant at a
 time, and runs the tier-1 suite there with criterion 5 deselected (it is red
 on purpose).  A mutant is killed when at least one test fails; the failing
 tests are printed, so each guard can be traced to the tests that pin it.
-An unmutated control runs first and must pass.
+An unmutated control runs first and must pass.  Each mutant's run gets
+TIMEOUT_FACTOR times the control's wall time; one that runs longer is
+stopped, with every process it started, and counts as killed (`timeout`).
+A mutant recorded as equivalent carries the reason no input can tell it
+from the real code; it is run all the same and must survive.
 
-Run from the repository root (about 30 s per mutant):
+Run from the repository root (about 40 s per mutant):
 
     python tools/mutants.py
 
-Exit status: 0 when every mutant is killed, 1 when one survives, 2 when the
-control fails or a mutant no longer matches its file.
+Exit status: 0 when every mutant is killed or, if recorded as equivalent,
+survives; 1 otherwise; 2 when the control fails or a mutant no longer
+matches its file.
 """
 
 from __future__ import annotations
@@ -22,13 +27,17 @@ import os
 import pathlib
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DESELECT = "tests/test_acceptance.py::test_criterion_5_case_engines"
+TIMEOUT_FACTOR = 10
+TIMEOUT = "timeout"
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,7 @@ class Mutant:
     path: str  # relative to the repository root
     old: str  # a fragment that occurs exactly once in the file
     new: str
+    equivalent: str = ""  # why no input tells it from the real code, if none does
 
 
 _EVIDENCE_ITEMS = "_evidence(self.ctx, self.e).items())"
@@ -106,6 +116,25 @@ MUTANTS = (
            "self.pm1_factors.validate(p - 1)", "pass"),
     Mutant("search: one power of an excluded prime divided out",
            "src/gpbound/certify/search.py", "e //= q**k", "e //= q"),
+    # best-first optimize_params: the order and the stop keep the exhaustive answer
+    Mutant("search: stop once the next key ties the best", "src/gpbound/certify/search.py",
+           "key > best[0]:", "key >= best[0]:",
+           equivalent="keys end in the enumeration index, so two candidates never tie"),
+    Mutant("search: key without the enumeration index", "src/gpbound/certify/search.py",
+           "(first, r, sieve.s, tried)", "(first, r, sieve.s)"),
+    Mutant("search: first H_try = p kept", "src/gpbound/certify/search.py",
+           "first >= p:", "first > p:",
+           equivalent="2H^2 < hp with 8h < p (the h filter) gives H < p/4"),
+    # win-chain rows whose inputs are constant in every shipped chain
+    Mutant("win chain: closing cap 4 raised to 5", "src/gpbound/certify/winchain.py",
+           "closing.lt(4) is True", "closing.lt(5) is True"),
+    Mutant("win chain: rY <= 0.35 precondition dropped", "src/gpbound/certify/winchain.py",
+           "ry.le(Fraction(35, 100)) is True and b_r.le(b_cap) is True",
+           "b_r.le(b_cap) is True"),
+    Mutant("win chain: fallback row forced true", "src/gpbound/certify/winchain.py",
+           "fb_root.ge(target) is True,", "True,",
+           equivalent="the row depends on r alone and holds for every r >= 2: its "
+                      "value increases in r from 0.8286 > sqrt(e)/2 at r = 2"),
 )
 
 
@@ -119,15 +148,24 @@ def apply(mutant: Mutant, tree: pathlib.Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def run_tier1(tree: pathlib.Path) -> list[str]:
-    """The tests that fail in `tree`, as pytest names them."""
+def run_tier1(tree: pathlib.Path, timeout: float | None = None) -> list[str]:
+    """The tests that fail in `tree`, as pytest names them, or [TIMEOUT]
+    when the run takes longer than `timeout` seconds."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run(
+    # a session of its own, so that a timeout also stops the CLI subprocesses
+    with subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--deselect", DESELECT],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
-    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return [TIMEOUT]
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", stdout, re.MULTILINE)
     if proc.returncode not in (0, 1) and not failed:
         failed = [f"pytest exit {proc.returncode}"]
     return failed
@@ -141,21 +179,32 @@ def copy_tree(dest: pathlib.Path) -> pathlib.Path:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="gpbound-mutants-") as scratch:
+        start = time.monotonic()
         failed = run_tier1(copy_tree(pathlib.Path(scratch) / "control"))
         if failed:
             print(f"control fails: {failed}", file=sys.stderr)
             return 2
-        survivors = 0
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
+        wrong = 0
         for i, mutant in enumerate(MUTANTS):
             tree = copy_tree(pathlib.Path(scratch) / f"mutant{i}")
             apply(mutant, tree)
-            failed = run_tier1(tree)
-            survivors += not failed
-            print(f"{'killed' if failed else 'SURVIVED':8s}  {mutant.name}", flush=True)
-            for test in failed:
-                print(f"          {test}", flush=True)
+            failed = run_tier1(tree, timeout)
+            if failed == [TIMEOUT]:
+                status, failed = TIMEOUT, []
+            else:
+                status = "killed" if failed else "survived"
+            notes = failed
+            if mutant.equivalent and status == "survived":
+                status, notes = "equivalent", [mutant.equivalent]
+            # a survivor, or a mutant recorded as equivalent that the tests kill
+            bad = status == "survived" or (mutant.equivalent and status != "equivalent")
+            wrong += bool(bad)
+            print(f"{status.upper() if bad else status:10s}  {mutant.name}", flush=True)
+            for note in notes:
+                print(f"            {note}", flush=True)
             shutil.rmtree(tree)
-    return 1 if survivors else 0
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
