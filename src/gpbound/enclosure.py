@@ -1,9 +1,15 @@
 """Certified real arithmetic on guaranteed enclosures [lo, hi].
 
-Thin wrapper over mpmath's interval context: every operation returns an
-interval containing the exact result under outward rounding, so strict
-inequality verdicts derived from enclosures are rigorous.  Comparisons are
-three-valued: True / False / None (indeterminate, intervals overlap).
+A `CertifiedReal` holds its endpoint pair of mpmath mpf values and calls
+mpmath's interval primitives (`libmp.mpi_add`, `mpi_mul`, `mpi_log`, ...)
+on it directly: every operation returns an interval containing the exact
+result under outward rounding, so strict inequality verdicts derived from
+enclosures are rigorous.  Comparisons are three-valued: True / False / None
+(indeterminate, intervals overlap).  Operands convert as mpmath's `iv.mpf`
+converts them (ints and floats rounded floor and ceiling, rationals as the
+quotient of their integer ends), at the one precision register `iv.prec`,
+which `working_precision` sets; so every endpoint is the one `iv` gives.
+CI pins mpmath 1.3.0 because the CLI goldens record its rounding.
 
 The coefficients of the main inequality live here in both forms: the
 enclosures every verdict uses, and beside each its float twin, which only
@@ -20,6 +26,32 @@ from numbers import Rational
 
 import mpmath
 from mpmath import iv
+from mpmath.libmp import (
+    ComplexResult,
+    finf,
+    fninf,
+    fnan,
+    from_float,
+    from_int,
+    mpf_e,
+    mpf_le,
+    mpf_pi,
+    mpi_abs,
+    mpi_add,
+    mpi_div,
+    mpi_le,
+    mpi_log,
+    mpi_lt,
+    mpi_mid,
+    mpi_mul,
+    mpi_neg,
+    mpi_pow,
+    mpi_sqrt,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    to_float,
+)
 
 from .errors import DomainError
 
@@ -37,100 +69,120 @@ def working_precision(bits: int = WORKING_BITS):
         iv.prec = old
 
 
+def _pair(value) -> tuple:
+    """The endpoint pair of an operand at the working precision."""
+    if isinstance(value, CertifiedReal):
+        return value._mpi
+    if isinstance(value, bool):
+        raise DomainError("boolean is not a real value")
+    if isinstance(value, int):
+        prec = iv.prec
+        return from_int(value, prec, round_floor), from_int(value, prec, round_ceiling)
+    if isinstance(value, Rational):
+        return mpi_div(_pair(int(value.numerator)), _pair(int(value.denominator)), iv.prec)
+    if isinstance(value, float):
+        # floats are exact binary rationals; no hidden decimal intent
+        prec = iv.prec
+        lo, hi = from_float(value, prec, round_floor), from_float(value, prec, round_ceiling)
+        return (fninf, finf) if fnan in (lo, hi) else (lo, hi)
+    raise DomainError(f"cannot enclose {type(value).__name__}")
+
+
+def _make(pair: tuple) -> "CertifiedReal":
+    out = object.__new__(CertifiedReal)
+    out._mpi = pair
+    return out
+
+
+def _real(op: str, f, *args) -> "CertifiedReal":
+    """f(*args) for a primitive that raises ComplexResult off the reals."""
+    try:
+        return _make(f(*args))
+    except ComplexResult:
+        raise DomainError(f"{op}: no real value on this enclosure") from None
+
+
 class CertifiedReal:
     """A real number known only through a rigorous enclosure."""
 
-    __slots__ = ("ival",)
+    __slots__ = ("_mpi",)
 
     def __init__(self, value):
-        if isinstance(value, CertifiedReal):
-            self.ival = value.ival
-        elif isinstance(value, iv.mpf):
-            self.ival = value
-        elif isinstance(value, bool):
-            raise DomainError("boolean is not a real value")
-        elif isinstance(value, int):
-            self.ival = iv.mpf(value)
-        elif isinstance(value, Rational):
-            self.ival = iv.mpf(int(value.numerator)) / iv.mpf(int(value.denominator))
-        elif isinstance(value, float):
-            # floats are exact binary rationals; no hidden decimal intent
-            self.ival = iv.mpf(value)
-        else:
-            raise DomainError(f"cannot enclose {type(value).__name__}")
+        self._mpi = _pair(value)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_endpoints(cls, lo, hi) -> "CertifiedReal":
-        return cls(iv.mpf([lo, hi]))
+        """[lo, hi]: mpmath mpf endpoints exactly, other reals rounded outward."""
+        a = lo._mpf_ if isinstance(lo, mpmath.mpf) else _pair(lo)[0]
+        b = hi._mpf_ if isinstance(hi, mpmath.mpf) else _pair(hi)[1]
+        if not mpf_le(a, b):
+            raise DomainError("endpoints must be ordered lo <= hi")
+        return _make((a, b))
 
     @staticmethod
     def pi() -> "CertifiedReal":
-        return CertifiedReal(+iv.pi)
+        prec = iv.prec
+        return _make((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)))
 
     @staticmethod
     def euler_e() -> "CertifiedReal":
-        return CertifiedReal(+iv.e)
+        prec = iv.prec
+        return _make((mpf_e(prec, round_floor), mpf_e(prec, round_ceiling)))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        return other if isinstance(other, CertifiedReal) else CertifiedReal(other)
-
     def __add__(self, other):
-        return CertifiedReal(self.ival + self._coerce(other).ival)
+        return _make(mpi_add(self._mpi, _pair(other), iv.prec))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return CertifiedReal(self.ival - self._coerce(other).ival)
+        return _make(mpi_sub(self._mpi, _pair(other), iv.prec))
 
     def __rsub__(self, other):
-        return CertifiedReal(self._coerce(other).ival - self.ival)
+        return _make(mpi_sub(_pair(other), self._mpi, iv.prec))
 
     def __mul__(self, other):
-        return CertifiedReal(self.ival * self._coerce(other).ival)
+        return _make(mpi_mul(self._mpi, _pair(other), iv.prec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return CertifiedReal(self.ival / self._coerce(other).ival)
+        return _make(mpi_div(self._mpi, _pair(other), iv.prec))
 
     def __rtruediv__(self, other):
-        return CertifiedReal(self._coerce(other).ival / self.ival)
+        return _make(mpi_div(_pair(other), self._mpi, iv.prec))
 
     def __neg__(self):
-        return CertifiedReal(-self.ival)
+        return _make(mpi_neg(self._mpi, iv.prec))
 
     def __pow__(self, expo):
-        if isinstance(expo, int):
-            return CertifiedReal(self.ival**expo)
-        expo = self._coerce(expo)
-        return CertifiedReal(self.ival**expo.ival)
+        return _real("**", mpi_pow, self._mpi, _pair(expo), iv.prec)
 
     def sqrt(self) -> "CertifiedReal":
-        return CertifiedReal(iv.sqrt(self.ival))
+        return _real("sqrt", mpi_sqrt, self._mpi, iv.prec)
 
     def log(self) -> "CertifiedReal":
-        return CertifiedReal(iv.log(self.ival))
+        return _real("log", mpi_log, self._mpi, iv.prec)
 
     def __abs__(self):
-        return CertifiedReal(abs(self.ival))
+        return _make(mpi_abs(self._mpi, iv.prec))
 
     # -- comparisons: True / False / None ----------------------------------
 
     def lt(self, other) -> bool | None:
-        return self.ival < self._coerce(other).ival
+        return mpi_lt(self._mpi, _pair(other))
 
     def le(self, other) -> bool | None:
-        return self.ival <= self._coerce(other).ival
+        return mpi_le(self._mpi, _pair(other))
 
     def gt(self, other) -> bool | None:
-        return self.ival > self._coerce(other).ival
+        return mpi_lt(_pair(other), self._mpi)
 
     def ge(self, other) -> bool | None:
-        return self.ival >= self._coerce(other).ival
+        return mpi_le(_pair(other), self._mpi)
 
     # -- inspection ---------------------------------------------------------
 
@@ -150,10 +202,10 @@ class CertifiedReal:
 
     def lo_mpf(self):
         """The exact lower endpoint, at whatever precision it carries."""
-        return mpmath.mp.make_mpf(self.ival.a._mpi_[0])
+        return mpmath.mp.make_mpf(self._mpi[0])
 
     def hi_mpf(self):
-        return mpmath.mp.make_mpf(self.ival.b._mpi_[1])
+        return mpmath.mp.make_mpf(self._mpi[1])
 
     # The strings round the endpoints to nearest at mpmath's 53-bit default,
     # so they may lie just inside the enclosure; only .lo/.hi are bounds.
@@ -164,8 +216,8 @@ class CertifiedReal:
         return mpmath.nstr(mpmath.mpf(self.hi_mpf()), digits)
 
     def contains(self, value) -> bool:
-        other = self._coerce(value)
-        return bool(self.ival.a <= other.ival.a and other.ival.b <= self.ival.b)
+        (lo, hi), (a, b) = self._mpi, _pair(value)
+        return mpf_le(lo, a) and mpf_le(b, hi)
 
     def to_json(self) -> dict:
         return {"lo": self.lo_str(), "hi": self.hi_str()}
@@ -174,7 +226,7 @@ class CertifiedReal:
         return f"CertifiedReal[{self.lo_str(12)}, {self.hi_str(12)}]"
 
     def __float__(self):
-        return float(self.ival.mid)
+        return to_float(mpi_mid(self._mpi, iv.prec))
 
 
 def enclose(value) -> CertifiedReal:

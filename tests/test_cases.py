@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from gpbound.certify import SieveConfig, Threshold, case_engine, certify_bound, worst_case_delta
+from gpbound.certify import cases
 from gpbound.certify.cases import TARGETS
 from gpbound.errors import DomainError
 from gpbound.ntcore import primorial
@@ -97,6 +98,17 @@ def test_cor2_large_omega_regime(cor2):
 def test_cor2_robin_branch(cor2):
     robin = [c for c in cor2.reduction if "Robin" in c.name]
     assert len(robin) == 1 and robin[0].passed
+
+
+def test_robin_row_needs_log_log_p_above_2(monkeypatch):
+    """Value and derivative positive at u0 suffice only where (log u - 1)/log^2 u
+    decreases, i.e. log u > 2.  With p_min = 17, log log 17 = 1.04 and both
+    are positive (const 1e-6, root 1), yet the row must fail; at p_min = 1e4,
+    log log p = 2.22, the same row passes."""
+    monkeypatch.setattr(cases, "ROBIN_P_MIN", 17)
+    assert not cases._robin_check(Fraction(1, 10**6), 1).passed
+    monkeypatch.setattr(cases, "ROBIN_P_MIN", 10**4)
+    assert cases._robin_check(Fraction(1, 10**6), 1).passed
 
 
 def test_cor2_coverage_note(cor2, lonely):

@@ -111,6 +111,39 @@ MUTANTS = (
     Mutant("threshold: powers of p_min cached without their precision",
            "src/gpbound/certify/certifier.py",
            "return _p_power_at(p0, expo, iv.prec)", "return _p_power_at(p0, expo, WORKING_BITS)"),
+    # strict conditions relaxed to non-strict, which only a tie could tell apart
+    Mutant("exact: condition lhs < rhs relaxed to <=", "src/gpbound/certify/certifier.py",
+           '("condition", lhs.lt(rhs))', '("condition", lhs.le(rhs))',
+           equivalent="mpi_le and mpi_lt differ only when an endpoint of lhs equals one of "
+                      "rhs = H^2; lhs carries pi^2 and sqrt(p), so the values never tie, and "
+                      "no input makes the endpoints meet at every escalation precision"),
+    Mutant("threshold: condition lhs < rhs relaxed to <=", "src/gpbound/certify/certifier.py",
+           "lhs.lt(rhs) if expos_ok", "lhs.le(rhs) if expos_ok",
+           equivalent="mpi_le and mpi_lt differ only when an endpoint of lhs equals one of "
+                      "rhs = c_H^2; lhs carries pi^2 through A and B, so the values never tie, "
+                      "and no input makes the endpoints meet at every escalation precision"),
+    Mutant("exact: 2H^2 < hp relaxed to <=", "src/gpbound/certify/certifier.py",
+           "if 2 * H * H >= h * p:", "if 2 * H * H > h * p:",
+           equivalent="with H >= 2h (checked first), 2H^2 = hp gives H <= p/4, while for "
+                      "an odd prime p it makes H a multiple of p, and at p = 2 it gives "
+                      "H <= 1/2 < 2h"),
+    # the Robin row's monotonicity argument needs log log p > 2
+    Mutant("robin: log u > 2 weakened to > 1", "src/gpbound/certify/cases.py",
+           "lu.gt(2) is True", "lu.gt(1) is True"),
+    # the enclosure kernel owns its rounding directions and its verdicts
+    Mutant("kernel: integer conversion floor and ceiling swapped", "src/gpbound/enclosure.py",
+           "from_int(value, prec, round_floor), from_int(value, prec, round_ceiling)",
+           "from_int(value, prec, round_ceiling), from_int(value, prec, round_floor)"),
+    Mutant("kernel: pi floor and ceiling swapped", "src/gpbound/enclosure.py",
+           "mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)",
+           "mpf_pi(prec, round_ceiling), mpf_pi(prec, round_floor)"),
+    Mutant("kernel: lt through mpi_le", "src/gpbound/enclosure.py",
+           "return mpi_lt(self._mpi, _pair(other))", "return mpi_le(self._mpi, _pair(other))"),
+    Mutant("kernel: gt without its operand swap", "src/gpbound/enclosure.py",
+           "return mpi_lt(_pair(other), self._mpi)", "return mpi_lt(self._mpi, _pair(other))"),
+    Mutant("kernel: a non-real result returned as a point", "src/gpbound/enclosure.py",
+           'raise DomainError(f"{op}: no real value on this enclosure") from None',
+           "return CertifiedReal(0)"),
     # the search's sieves rest on a proved factorization of p-1
     Mutant("search: p-1 factorization unproved", "src/gpbound/ntcore.py",
            "self.pm1_factors.validate(p - 1)", "pass"),
