@@ -77,6 +77,9 @@ def _pair(value) -> tuple:
         raise DomainError("boolean is not a real value")
     if isinstance(value, int):
         prec = iv.prec
+        if value.bit_length() <= prec:  # exact: the floor is the ceiling
+            x = from_int(value)
+            return x, x
         return from_int(value, prec, round_floor), from_int(value, prec, round_ceiling)
     if isinstance(value, Rational):
         return mpi_div(_pair(int(value.numerator)), _pair(int(value.denominator)), iv.prec)

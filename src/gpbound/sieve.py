@@ -17,15 +17,19 @@ the bound itself:
 (the excluded-prime inner sum deliberately includes d = 1, as displayed).
 
 Every check is exact, with no float tolerance.  At n = g^k the sum over the
-characters of exact order d is the Ramanujan sum c_d(k), an integer given by
-Hölder's formula c_d(k) = mu(d/(d,k)) phi(d)/phi(d/(d,k)) (O. Hölder,
-Prace Mat.-Fiz. 43 (1936) 13-23; see ntcore.ramanujan_sum).  Only
-squarefree d carry weight, and for those c_d(k) depends only on which
-primes of d divide k.  So each right-hand side takes one exact rational
-value per class of k, the set of relevant primes dividing k.  The worst-slack
-checks still visit every n: one strided pass over k in [0, p-1) pairs each
-k's class with its independently computed indicator, and every
-(class, indicator) pair that occurs is checked.
+characters of exact order d is the Ramanujan sum c_d(k), an integer.  Only
+squarefree d carry weight, and for those c_d(k) = prod_{q | d} c_q(k), with
+c_q(k) = q-1 if q | k and -1 otherwise: both follow from Hölder's formula
+c_d(k) = mu(d/(d,k)) phi(d)/phi(d/(d,k)) (O. Hölder, Prace Mat.-Fiz. 43
+(1936) 13-23).  So c_d(k) depends only on the class of k, the set of key
+primes dividing k, and one integer transform over the key primes gives
+every class's right-hand side at once: put each term's weight at its d's
+bitmask, then map (x0, x1) -> (x0 - x1, x0 + (q-1) x1) across each key
+prime q's bit.  The worst-slack checks still visit every n: k's class and
+its independently computed indicator depend only on k mod P, the product of
+the key primes, which divides p-1; so one pass over k in [0, P) meets every
+(class, indicator) pair that occurs in [0, p-1), each first at the same k,
+and every pair is checked.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .errors import ConfigError, ConsistencyError, DomainError
-from .ntcore import PrimeContext, first_primes, ramanujan_sum, squarefree_divisors
+from .ntcore import PrimeContext, first_primes, squarefree_divisors
 
 # A right-hand side as (weight w, character order d): sum_j w_j c_{d_j}(k).
 Terms = list[tuple[Fraction, int]]
@@ -178,17 +182,6 @@ def e_free(ctx: PrimeContext, e: int, n: int) -> int:
     return int(all(k % q != 0 for q in primes))
 
 
-def e_free_all(ctx: PrimeContext, e: int):
-    """numpy bool array: the e-free indicator for all k in [0, p-1), indexed
-    by discrete log."""
-    import numpy as np
-
-    mask = np.ones(ctx.p - 1, dtype=bool)
-    for q in _primes_of(ctx, e):
-        mask[::q] = False
-    return mask
-
-
 def _identity_terms(primes_e: tuple[int, ...]) -> Terms:
     """1 + sum_{d|e, d>1} (mu(d)/phi(d)) c_d: d = 1 is the leading 1, and
     non-squarefree d have mu(d) = 0."""
@@ -212,9 +205,23 @@ def _lower_bound_terms(config: SieveConfig, primes_e: tuple[int, ...]) -> Terms:
     return terms
 
 
-def _class_rhs(coefs: list[tuple[int, int]], k: int, primes: tuple[int, ...]) -> int:
-    """sum_j a_j c_{d_j}(k) for integer weights a_j."""
-    return sum(a * ramanujan_sum(d, k, primes) for a, d in coefs)
+def _class_of(k: int, key_primes: tuple[int, ...]) -> int:
+    """The bitmask of k's class: bit i set iff key_primes[i] divides k."""
+    return sum(1 << i for i, q in enumerate(key_primes) if k % q == 0)
+
+
+def _rhs_by_class(coefs: list[tuple[int, int]], key_primes: tuple[int, ...]) -> list[int]:
+    """sum_j a_j c_{d_j}(k) for integer weights a_j, for every class of k,
+    indexed by _class_of; every d_j is squarefree over key_primes."""
+    x = [0] * (1 << len(key_primes))
+    for a, d in coefs:
+        x[_class_of(d, key_primes)] += a
+    for i, q in enumerate(key_primes):
+        bit = 1 << i
+        for m in range(len(x)):
+            if not m & bit:
+                x[m], x[m | bit] = x[m] - x[m | bit], x[m] + (q - 1) * x[m | bit]
+    return x
 
 
 def _scaled(terms: Terms, *extra: Fraction) -> tuple[int, list[tuple[int, int]]]:
@@ -224,39 +231,42 @@ def _scaled(terms: Terms, *extra: Fraction) -> tuple[int, list[tuple[int, int]]]
     return den, [(w.numerator * (den // w.denominator), d) for w, d in terms]
 
 
-def _evaluate(ctx: PrimeContext, terms: Terms, k: int) -> Fraction:
+def _evaluate(terms: Terms, key_primes: tuple[int, ...], k: int) -> Fraction:
     den, coefs = _scaled(terms)
-    return Fraction(_class_rhs(coefs, k, ctx.pm1_factors.primes), den)
+    return Fraction(_rhs_by_class(coefs, key_primes)[_class_of(k, key_primes)], den)
 
 
 def _slacks_by_class(
-    ctx: PrimeContext,
     key_primes: tuple[int, ...],
+    mask_primes: tuple[int, ...],
     terms: Terms,
     lhs_unit: Fraction,
-    mask,
 ) -> tuple:
     """Exact lhs - rhs for every (class, f) pair that occurs over k in [0, p-1).
 
-    k is coded 2 class + f, with f = mask[k] and bit i of the class set iff
-    key_primes[i] divides k; the lhs is f lhs_unit.  Every order d in the
-    terms is squarefree over key_primes, so the rhs is constant on a class
-    and is evaluated at the product of the class's primes.  Slacks are
-    integer numerators over one common denominator, which is returned with
-    them and with the code of every k (a numpy array, like `mask`).
+    k is coded 2 class + f, with class = _class_of(k, key_primes) and f = 1
+    iff no mask prime divides k; the lhs is f lhs_unit.  The mask primes are
+    among the key primes, whose product P divides p-1, so the codes over
+    [0, p-1) are (p-1)/P copies of those over [0, P), the one period
+    scanned.  Slacks are integer numerators over one common denominator,
+    which is returned with them and with the code of every k in the period
+    (a numpy array).
     """
     import numpy as np
 
-    codes = mask.astype(np.intp)
+    P = math.prod(key_primes)
+    codes = np.ones(P, dtype=np.intp)
+    for q in mask_primes:
+        codes[::q] = 0
     for i, q in enumerate(key_primes):
         codes[::q] |= 2 << i
     den, coefs = _scaled(terms, lhs_unit)
     lhs = lhs_unit.numerator * (den // lhs_unit.denominator)
-    primes = ctx.pm1_factors.primes
-    slacks = {}
-    for code in np.flatnonzero(np.bincount(codes)).tolist():
-        rep = math.prod(q for i, q in enumerate(key_primes) if code >> (i + 1) & 1)
-        slacks[code] = (code & 1) * lhs - _class_rhs(coefs, rep, primes)
+    rhs = _rhs_by_class(coefs, key_primes)
+    slacks = {
+        code: (code & 1) * lhs - rhs[code >> 1]
+        for code in np.flatnonzero(np.bincount(codes)).tolist()
+    }
     return slacks, den, codes
 
 
@@ -265,7 +275,7 @@ def fe_identity_worst_slack(ctx: PrimeContext, e: int) -> float:
     0.0 unless the identity fails."""
     primes_e = _primes_of(ctx, e)
     slacks, den, _ = _slacks_by_class(
-        ctx, primes_e, _identity_terms(primes_e), 1 / _theta(primes_e), e_free_all(ctx, e)
+        primes_e, primes_e, _identity_terms(primes_e), 1 / _theta(primes_e)
     )
     return float(Fraction(max(abs(s) for s in slacks.values()), den))
 
@@ -283,12 +293,9 @@ def sieve_lower_bound_worst_slack(config: SieveConfig) -> float:
     config.require_positive_delta()
     ctx = _context(config)
     primes_e = _primes_of(ctx, config.e)
+    primes = ctx.pm1_factors.primes
     slacks, den, codes = _slacks_by_class(
-        ctx,
-        ctx.pm1_factors.primes,
-        _lower_bound_terms(config, primes_e),
-        1 / (config.delta * _theta(primes_e)),
-        e_free_all(ctx, ctx.p - 1),
+        primes, primes, _lower_bound_terms(config, primes_e), 1 / (config.delta * _theta(primes_e))
     )
     code = min(slacks, key=slacks.__getitem__)
     worst = Fraction(slacks[code], den)
@@ -323,7 +330,7 @@ def intermediate_identities_check(config: SieveConfig, n: int) -> dict:
         term = e_free(ctx, p_i * e, n) - theta_i * f_e_val
         rhs_exact += term
         expansion = theta_i * _theta(primes_e) * _evaluate(
-            ctx, _excluded_terms(p_i, primes_e), k
+            _excluded_terms(p_i, primes_e), (p_i, *primes_e), k
         )
         worst_expansion = max(worst_expansion, abs(term - expansion))
     rhs_exact += config.delta * f_e_val

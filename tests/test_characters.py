@@ -30,8 +30,9 @@ from gpbound.characters import (
 )
 from gpbound.enclosure import w_factor
 from gpbound.errors import DomainError
-from gpbound.ntcore import PrimeContext, euler_phi, is_primitive_root, primes_upto, ramanujan_sum
+from gpbound.ntcore import PrimeContext, euler_phi, is_primitive_root, primes_upto
 from gpbound.sieve import e_free, fe_identity_worst_slack
+from hoelder import ramanujan_sum
 
 
 def moment_oracle(ctx: PrimeContext, j: int, h: int, r: int):

@@ -130,14 +130,19 @@ def test_verify_sieve_small():
 
 
 def test_verify_sieve_reports_failures(monkeypatch):
-    # Perturb the exact right-hand side of the class of k = 1 (the e-free
-    # class, and the primitive roots): every (p, e) must be reported failed.
+    # Perturb the exact right-hand side of the class that no key prime
+    # divides (the e-free class, and the primitive roots): every (p, e) must
+    # be reported failed.
     from gpbound import sieve
 
-    original = sieve._class_rhs
-    monkeypatch.setattr(
-        sieve, "_class_rhs", lambda coefs, k, primes: original(coefs, k, primes) + (k == 1)
-    )
+    original = sieve._rhs_by_class
+
+    def perturbed(coefs, key_primes):
+        rhs = original(coefs, key_primes)
+        rhs[0] += 1
+        return rhs
+
+    monkeypatch.setattr(sieve, "_rhs_by_class", perturbed)
     code, out, _ = run_cli("verify", "sieve", "--pmax", "7")
     assert code == 1
     blob = json.loads(out)

@@ -204,6 +204,22 @@ def test_integer_conversion_rounds_outward():
     assert _exact(minus.hi_mpf()) == -_exact(x.lo_mpf())
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_integer_conversion_is_a_point_exactly_when_it_fits(bits):
+    # odd integers of `bits` and `bits + 1` bits, of either sign: those that
+    # fit are points, the others lie strictly between their two roundings
+    rng = random.Random(bits)
+    for size in (bits, bits + 1):
+        odd = [2**size - 1, 2 ** (size - 1) + 1]
+        odd += [rng.getrandbits(size - 1) | 2 ** (size - 1) | 1 for _ in range(20)]
+        for n in odd + [-n for n in odd]:
+            with working_precision(bits):
+                x = enclose(n)
+            lo, hi = _exact(x.lo_mpf()), _exact(x.hi_mpf())
+            assert lo <= n <= hi
+            assert (lo == hi) == (size <= bits), (size, n)
+
+
 def test_constants_strictly_bracket_higher_precision_values():
     # the 128-bit endpoints must sit on either side of a 256-bit value; the
     # doubles around math.pi cannot tell floor from ceiling here

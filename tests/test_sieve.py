@@ -1,11 +1,18 @@
 """Sieve: e-free indicators, the character identity, and the lower-bound
 inequality, with the order-test oracle as the independent route.  Every
 identity and bound is checked exactly: slacks are compared with 0, not with
-a tolerance."""
+a tolerance.  The class transform is pinned term by term against Hölder's
+formula, and the one-period scan against the scan over every k in
+[0, p-1)."""
 
+import math
+import tracemalloc
 from fractions import Fraction
+from functools import cache, partial
 
+import numpy as np
 import pytest
+from hoelder import ramanujan_sum
 
 from gpbound import sieve
 from gpbound.errors import ConfigError, ConsistencyError, DomainError
@@ -14,7 +21,6 @@ from gpbound.sieve import (
     SieveConfig,
     admissible_configs,
     e_free,
-    e_free_all,
     fe_identity_worst_slack,
     intermediate_identities_check,
     sieve_density,
@@ -57,14 +63,13 @@ def test_e_free_one_never(ctx13):
 
 
 def test_e_free_monotone_in_divisibility(ctx61):
-    # e | e' implies freeness for e' is at most freeness for e
+    # e | e' implies freeness for e' is at most freeness for e, at every n
     divisors = [e for e in ctx61.divisors_of_pm1() if e > 1]
+    free = {e: [e_free(ctx61, e, n) for n in range(1, 61)] for e in divisors}
     for e in divisors:
         for e2 in divisors:
             if e2 % e == 0:
-                a = e_free_all(ctx61, e2)
-                b = e_free_all(ctx61, e)
-                assert (a <= b).all(), (e, e2)
+                assert all(a <= b for a, b in zip(free[e2], free[e])), (e, e2)
 
 
 def test_config_recomputes_excluded(ctx61):
@@ -201,12 +206,14 @@ def _perturb_coprime_class(monkeypatch):
     """Add 1 to the right-hand-side numerator of the class of k coprime to
     every key prime: the e-free class of the identity, and the primitive
     roots, where the lower bound is tight."""
-    original = sieve._class_rhs
+    original = sieve._rhs_by_class
 
-    def perturbed(coefs, k, primes):
-        return original(coefs, k, primes) + (k == 1)
+    def perturbed(coefs, key_primes):
+        rhs = original(coefs, key_primes)
+        rhs[0] += 1
+        return rhs
 
-    monkeypatch.setattr(sieve, "_class_rhs", perturbed)
+    monkeypatch.setattr(sieve, "_rhs_by_class", perturbed)
 
 
 def test_exact_checks_catch_a_perturbed_class(ctx61, monkeypatch):
@@ -234,3 +241,99 @@ def test_sieve_checks_leave_context_unchanged():
     after = vars(ctx)
     assert set(after) == set(before)
     assert all(after[key] is before[key] for key in set(before) - lazy)
+
+
+def _identity_checks(ctx, e_max):
+    """(key primes, mask e, terms, lhs unit) of the identity at every even
+    e <= e_max."""
+    out = []
+    for e in ctx.divisors_of_pm1():
+        if e % 2 == 0 and e <= e_max:
+            primes_e = sieve._primes_of(ctx, e)
+            out.append((primes_e, e, sieve._identity_terms(primes_e), 1 / sieve._theta(primes_e)))
+    return out
+
+
+def _lower_bound_checks(ctx):
+    """The same for the lower bound at every admissible config."""
+    out = []
+    for cfg in admissible_configs(ctx):
+        primes_e = sieve._primes_of(ctx, cfg.e)
+        out.append((ctx.pm1_factors.primes, ctx.p - 1, sieve._lower_bound_terms(cfg, primes_e),
+                    1 / (cfg.delta * sieve._theta(primes_e))))
+    return out
+
+
+def _hoelder(ctx):
+    """c_d(k) by Hölder's formula over the primes of p-1, memoized on (d, k):
+    the checks at one prime share their orders and class representatives."""
+    return cache(partial(ramanujan_sum, primes=ctx.pm1_factors.primes))
+
+
+def _hoelder_rhs(c, coefs, k):
+    return sum(a * c(d, k) for a, d in coefs)
+
+
+def test_class_transform_matches_hoelder_termwise():
+    # every class's right-hand side, at the product of the class's primes
+    for p in primes_upto(2000)[1:]:
+        ctx = PrimeContext(p)
+        c = _hoelder(ctx)
+        for key, _, terms, _ in _identity_checks(ctx, p) + _lower_bound_checks(ctx):
+            _, coefs = sieve._scaled(terms)
+            rhs = sieve._rhs_by_class(coefs, key)
+            for cls, value in enumerate(rhs):
+                rep = math.prod(q for i, q in enumerate(key) if cls >> i & 1)
+                assert value == _hoelder_rhs(c, coefs, rep), (p, key, cls)
+
+
+def _scan_every_k(ctx, c, key_primes, mask_e, terms, lhs_unit):
+    """The scan over every k in [0, p-1), with each class's right-hand side
+    by Hölder's formula: (slacks, denominator, first k of every code)."""
+    mask = np.ones(ctx.p - 1, dtype=bool)
+    for q in sieve._primes_of(ctx, mask_e):
+        mask[::q] = False
+    codes = mask.astype(np.intp)
+    for i, q in enumerate(key_primes):
+        codes[::q] |= 2 << i
+    den, coefs = sieve._scaled(terms, lhs_unit)
+    lhs = lhs_unit.numerator * (den // lhs_unit.denominator)
+    slacks, first = {}, {}
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
+        rep = math.prod(q for i, q in enumerate(key_primes) if code >> (i + 1) & 1)
+        slacks[code] = (code & 1) * lhs - _hoelder_rhs(c, coefs, rep)
+        first[code] = int((codes == code).argmax())
+    return slacks, den, first
+
+
+def _scan_one_period(ctx, key_primes, mask_e, terms, lhs_unit):
+    slacks, den, codes = sieve._slacks_by_class(
+        key_primes, sieve._primes_of(ctx, mask_e), terms, lhs_unit
+    )
+    return slacks, den, {code: int((codes == code).argmax()) for code in slacks}
+
+
+def test_period_scan_matches_the_scan_over_every_k():
+    ctx = PrimeContext(960961)  # p-1 = 2^6 3 5 7 11 13
+    c = _hoelder(ctx)
+    for check in _identity_checks(ctx, 30):
+        assert _scan_one_period(ctx, *check) == _scan_every_k(ctx, c, *check), check[1]
+    for p in primes_upto(10**4)[1:]:
+        ctx = PrimeContext(p)
+        c = _hoelder(ctx)
+        for check in _lower_bound_checks(ctx):
+            assert _scan_one_period(ctx, *check) == _scan_every_k(ctx, c, *check), p
+
+
+def test_identity_check_memory_does_not_grow_with_p():
+    # the period of e = 30 is 30 at any p; a scan over [0, p-1) here holds
+    # 8 MiB of codes
+    ctx = PrimeContext(960961)
+    fe_identity_worst_slack(ctx, 30)
+    tracemalloc.start()
+    try:
+        assert fe_identity_worst_slack(ctx, 30) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -75,6 +75,13 @@ MUTANTS = (
     # the identity checks need a sieve built at a prime
     Mutant("identities: worst-case sieve unguarded", "src/gpbound/sieve.py",
            "    if config.ctx is None:\n", "    if False:\n"),
+    # the exact sieve checks: one transform for every class, one period of k
+    Mutant("sieve: transform's c_q(k) = q-1 at q | k raised to q", "src/gpbound/sieve.py",
+           "(q - 1) * x[m | bit]", "q * x[m | bit]"),
+    Mutant("sieve: transform's c_q(k) = -1 at q not | k flipped to +1", "src/gpbound/sieve.py",
+           "x[m] - x[m | bit], ", "x[m] + x[m | bit], "),
+    Mutant("sieve: period drops one key prime", "src/gpbound/sieve.py",
+           "P = math.prod(key_primes)", "P = math.prod(key_primes[:-1])"),
     # certify_bound: the sieve must be evidence for this p or this threshold
     Mutant("certify: any sieve type", "src/gpbound/certify/certifier.py",
            "if not isinstance(sieve, SieveConfig):", "if sieve is None:"),
@@ -134,6 +141,8 @@ MUTANTS = (
     Mutant("kernel: integer conversion floor and ceiling swapped", "src/gpbound/enclosure.py",
            "from_int(value, prec, round_floor), from_int(value, prec, round_ceiling)",
            "from_int(value, prec, round_ceiling), from_int(value, prec, round_floor)"),
+    Mutant("kernel: integers one bit too wide taken as exact", "src/gpbound/enclosure.py",
+           "if value.bit_length() <= prec:", "if value.bit_length() <= prec + 1:"),
     Mutant("kernel: pi floor and ceiling swapped", "src/gpbound/enclosure.py",
            "mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)",
            "mpf_pi(prec, round_ceiling), mpf_pi(prec, round_floor)"),
