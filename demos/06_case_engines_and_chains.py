@@ -33,7 +33,7 @@ for target in ("cor2", "lonely"):
 print("=== bootstrap chain at r = 2 (p >= 1e15) ===")
 rep = win_chain_derive(2)
 for c in rep.checks:
-    print(f"  {'ok ' if c.certified else 'BAD'} {c.name}: {c.value}")
+    print(f"  {'ok ' if c.passed else 'BAD'} {c.name}: {c.value}")
 
 print("\n=== full sweep r in [2, 100], both variants ===")
 print(win_chain_sweep(range(2, 101)))

@@ -34,7 +34,7 @@ from ..enclosure import CertifiedReal, enclose, pow_frac, working_precision
 from ..errors import DomainError
 from ..ntcore import first_primes
 from ..sieve import SieveConfig
-from .certifier import PowerShape, WorstCase, main_coefficient, threshold_worst_case
+from .certifier import Check, PowerShape, WorstCase, main_coefficient, threshold_worst_case
 
 ROBIN_OMEGA_COEFF = Fraction(139, 100)  # omega(p-1) <= 1.39 log p / log log p
 ROBIN_P_MIN = 10**1000
@@ -76,18 +76,11 @@ class CaseRow:
         )
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    detail: str
-    passed: bool
-
-
 @dataclass
 class CaseReport:
     target: str
     condition: str
-    reduction: list[CheckRow] = field(default_factory=list)
+    reduction: list[Check] = field(default_factory=list)
     rows: list[CaseRow] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -111,7 +104,7 @@ class CaseReport:
             "target": self.target,
             "condition": self.condition,
             "reduction": [
-                {"name": c.name, "detail": c.detail, "pass": c.passed}
+                {"name": c.name, "detail": c.value, "pass": c.passed}
                 for c in self.reduction
             ],
             "cases": [
@@ -160,7 +153,7 @@ def _primorials(p_cap: int) -> list[int]:
     return list(takewhile(lambda prod: prod <= p_cap, products))
 
 
-def _robin_check(const: Fraction, root: int) -> CheckRow:
+def _robin_check(const: Fraction, root: int) -> Check:
     """Certify const * 2^(4 omega) < p^(1/root) for all p >= 1e1000 with
     omega <= 1.39 log p / log log p.
 
@@ -183,40 +176,35 @@ def _robin_check(const: Fraction, root: int) -> CheckRow:
             f"margin at p=1e1000: {value.lo_str(8)} (log scale), "
             f"derivative {deriv.lo_str(8)}"
         )
-    return CheckRow(
-        name=f"Robin regime: {const} 2^(4 omega) < p^(1/{root}) for p >= 1e1000, s=0",
-        detail=detail,
-        passed=ok,
-    )
+    name = f"Robin regime: {const} 2^(4 omega) < p^(1/{root}) for p >= 1e1000, s=0"
+    return Check(name, ok, detail)
 
 
-def _cor2_side_checks(wc: WorstCase) -> list[CheckRow]:
+def _cor2_side_checks(wc: WorstCase) -> list[Check]:
     """X, h, A and B at p0 = 1e20, and the exact W and 2H^2 < hp."""
-    a_ok, b_ok = wc.a.ge(1 - Fraction(1, 10**6)), wc.b.le(1 + Fraction(1, 10**5))
     return [
-        CheckRow("X >= 1e7 at p_min", f"X_min in {wc.x_lo.to_json()}", wc.x_lo.ge(10**7) is True),
+        Check("X >= 1e7 at p_min", wc.x_lo.ge(10**7), f"X_min in {wc.x_lo.to_json()}"),
         # 2 p^(1/4) >= 2e5 iff 16 p >= (2e5)^4, exact at the boundary p = 1e20
-        CheckRow("h >= 2e5 at p_min", f"h_min >= {wc.h_lo.lo_str(8)}", 16 * wc.p0 >= (2 * 10**5) ** 4),
-        CheckRow("A(X) >= 1 - 1e-6", f"A_min = {wc.a.lo_str(12)}", a_ok is True),
-        CheckRow("B(X) <= 1 + 1e-5", f"B_sup = {wc.b.hi_str(12)}", b_ok is True),
+        Check("h >= 2e5 at p_min", 16 * wc.p0 >= (2 * 10**5) ** 4, f"h_min >= {wc.h_lo.lo_str(8)}"),
+        Check("A(X) >= 1 - 1e-6", wc.a.ge(1 - Fraction(1, 10**6)), f"A_min = {wc.a.lo_str(12)}"),
+        Check("B(X) <= 1 + 1e-5", wc.b.le(1 + Fraction(1, 10**5)), f"B_sup = {wc.b.hi_str(12)}"),
         # h >= 2 p^(1/4) gives sqrt(p)/h^2 <= 1/4, so the r = 2 branch is 15/4
-        CheckRow(
+        Check(
             "W(p,h,2) <= 15/4",
+            wc.w.le(Fraction(15, 4)),
             "h >= 2 p^(1/4) so sqrt(p)/h^2 <= 1/4 exactly",
-            wc.w.le(Fraction(15, 4)) is True,
         ),
         # 2H^2 = 2 p^(5/4) < hp: ceil(2 p^(1/4)) > 2 p^(1/4) since p^(1/4) is
         # irrational for prime p
-        CheckRow("2H^2 < hp", "strict via ceil of an irrational power", wc.hp[1] is True),
+        Check("2H^2 < hp", wc.hp.ok, "strict via ceil of an irrational power"),
     ]
 
 
-def _lonely_side_checks(wc: WorstCase) -> list[CheckRow]:
+def _lonely_side_checks(wc: WorstCase) -> list[Check]:
     """H >= 2h and 2H^2 < hp at p0 = 1e56."""
-    H_ok = wc.H_lo.ge(2 * wc.h_hi)
     return [
-        CheckRow("H >= 2h at p_min", f"H_min = {wc.H_lo.lo_str(8)}", H_ok is True),
-        CheckRow("2H^2 < hp at p_min", "2*(0.999)^2 p < p^(5/4) for p >= 1e56", wc.hp[1] is True),
+        Check("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi), f"H_min = {wc.H_lo.lo_str(8)}"),
+        Check("2H^2 < hp at p_min", wc.hp.ok, "2*(0.999)^2 p < p^(5/4) for p >= 1e56"),
     ]
 
 
@@ -230,7 +218,7 @@ class Target:
     p_base: int  # where the omega table starts
     stated: Fraction  # the reduction constant as the source states it
     used: Fraction  # the constant the omega table is checked against
-    side_checks: Callable[[WorstCase], list[CheckRow]]
+    side_checks: Callable[[WorstCase], list[Check]]
 
 
 TARGETS = {
@@ -249,7 +237,7 @@ TARGETS = {
 }
 
 
-def _reduction(target: Target) -> tuple[list[CheckRow], int]:
+def _reduction(target: Target) -> tuple[list[Check], int]:
     """The target's side checks and constant checks, and root.
 
     With the worst case at p0 and e_max the largest term exponent,
@@ -270,19 +258,19 @@ def _reduction(target: Target) -> tuple[list[CheckRow], int]:
         derived = f"derived constant in {kappa.to_json()}"
         checks = target.side_checks(wc)
         if stated == used:
-            checks.append(CheckRow(f"reduction constant <= {stated}", derived, kappa.le(stated) is True))
+            checks.append(Check(f"reduction constant <= {stated}", kappa.le(stated), derived))
         else:
             refuted = (
                 f"; {stated} < derived lower bound, so the stated condition "
                 "does not imply the main inequality"
             )
-            checks.append(CheckRow(
+            checks.append(Check(
                 f"stated reduction constant {stated} is sufficient",
+                kappa.le(stated),
                 derived + refuted if kappa.gt(stated) is True else derived,
-                kappa.le(stated) is True,
             ))
-            checks.append(CheckRow(
-                f"derived constant <= {used} (used for the case table)", derived, kappa.le(used) is True
+            checks.append(Check(
+                f"derived constant <= {used} (used for the case table)", kappa.le(used), derived
             ))
     root = -1 / e_max
     assert root.denominator == 1, f"kappa F^4 < p^({-e_max}) needs an integer root"

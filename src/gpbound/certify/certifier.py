@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import iv
 
@@ -57,6 +58,22 @@ def _p_power(p0: int, expo: Fraction) -> CertifiedReal:
 @functools.lru_cache(maxsize=9 * 4 * _PRECISIONS)
 def _p_power_at(p0: int, expo: Fraction, bits: int) -> CertifiedReal:
     return pow_frac(p0, expo)
+
+
+class Check(NamedTuple):
+    """One named check behind a verdict.  `ok` is the comparison's own
+    three-valued result: True (certified), False (failed) or None
+    (indeterminate); `value` and `requirement` say what was compared."""
+
+    name: str
+    ok: bool | None
+    value: str = ""
+    requirement: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """Certified: an indeterminate check does not pass."""
+        return self.ok is True
 
 
 @dataclass(frozen=True)
@@ -176,13 +193,13 @@ def _escalate(evaluate) -> Certificate:
         bits *= 2
 
 
-def _verdict_from(checks: list[tuple[str, bool | None]]) -> tuple[str, list[str]]:
-    """Combine three-valued checks; failed names are returned for provenance."""
-    failed = [name for name, ok in checks if ok is False]
-    if failed:
-        return "failed", failed
-    if any(ok is None for _, ok in checks):
-        return "indeterminate", [name for name, ok in checks if ok is None]
+def _verdict_from(checks: list[Check]) -> tuple[str, list[str]]:
+    """Combine three-valued checks: any failed one decides before any
+    indeterminate one; the deciding names are returned for provenance."""
+    for verdict, ok in (("failed", False), ("indeterminate", None)):
+        names = [c.name for c in checks if c.ok is ok]
+        if names:
+            return verdict, names
     return "certified", []
 
 
@@ -202,15 +219,14 @@ def _certify_exact(p, sieve, r, h, H) -> Certificate:
             he = enclose(h)
             pe = enclose(p)
             x = He / he
-            checks = []
             a = envelope_a(x)
-            checks.append(("A(X) > 0", a.gt(0)))
+            checks = [Check("A(X) > 0", a.gt(0))]
             # B evaluated at the exact X (no sup needed: X is a point)
             b = envelope_b(x, h)
             w = w_factor_enclosure(p, h, r)
             lhs = main_coefficient(a, b, sieve.factor, r) * h * pe.sqrt() * w
             rhs = He**2
-            checks.append(("condition", lhs.lt(rhs)))
+            checks.append(Check("condition", lhs.lt(rhs)))
             verdict, failed = _verdict_from(checks)
             return Certificate(
                 p_spec=str(p),
@@ -232,23 +248,23 @@ def _certify_exact(p, sieve, r, h, H) -> Certificate:
     return _escalate(evaluate)
 
 
-def _hp_check(p0: int, h_shape: PowerShape, H_shape: PowerShape) -> tuple[str, bool | None]:
+def _hp_check(p0: int, h_shape: PowerShape, H_shape: PowerShape) -> Check:
     """The named check that 2H^2 < hp for every prime p >= p0, by exponents,
     then coefficients; call inside working_precision."""
     lhs_expo, rhs_expo = 2 * H_shape.expo, h_shape.expo + 1
     if lhs_expo > rhs_expo:
-        return "2H^2 < hp exponents", False
+        return Check("2H^2 < hp exponents", False)
     if lhs_expo < rhs_expo:
         lhs = 2 * H_shape.lower_at(p0) ** 2
-        return "2H^2 < hp at p_min", lhs.lt(h_shape.lower_at(p0) * p0)
+        return Check("2H^2 < hp at p_min", lhs.lt(h_shape.lower_at(p0) * p0))
     two_ch2 = 2 * H_shape.coef**2
     if two_ch2 < h_shape.coef:
-        return "2H^2 < hp coefficients", True
+        return Check("2H^2 < hp coefficients", True)
     # equal coefficients: ceil(c p^(a/b)) > c p^(a/b) since the power is
     # irrational for prime p and non-integer exponent
     if two_ch2 == h_shape.coef and h_shape.ceil and h_shape.expo.denominator > 1:
-        return "2H^2 < hp (ceil strictness)", True
-    return "2H^2 < hp coefficients", False
+        return Check("2H^2 < hp (ceil strictness)", True)
+    return Check("2H^2 < hp coefficients", False)
 
 
 @dataclass(frozen=True)
@@ -271,7 +287,7 @@ class WorstCase:
     b: CertifiedReal
     w: CertifiedReal | None
     w_note: str
-    hp: tuple[str, bool | None]
+    hp: Check
     terms: tuple[tuple[Fraction, Fraction], ...]
 
 
@@ -303,29 +319,29 @@ def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
     def evaluate(bits: int) -> Certificate:
         with working_precision(bits):
             wc = threshold_worst_case(p0, h_shape, H_shape, r)
-            checks: list[tuple[str, bool | None]] = [
-                ("h >= 2 at p_min", wc.h_lo.ge(2) if not h_shape.ceil else wc.h_lo.gt(1)),
+            checks = [
+                Check("h >= 2 at p_min", wc.h_lo.ge(2) if not h_shape.ceil else wc.h_lo.gt(1)),
                 # H >= 2h for all p >= p0: ratio improves with p iff expo(H) >= expo(h)
-                ("expo(H) >= expo(h)", H_shape.expo >= h_shape.expo),
-                ("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),
+                Check("expo(H) >= expo(h)", H_shape.expo >= h_shape.expo),
+                Check("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),
                 wc.hp,
-                ("A > 0", wc.a.gt(0)),
+                Check("A > 0", wc.a.gt(0)),
             ]
             w_max = wc.w
             if w_max is None:
-                checks.append((wc.w_note, False))
+                checks.append(Check(wc.w_note, False))
                 w_max = enclose(0)
 
             coeff = main_coefficient(wc.a, wc.b, sieve.factor, r) * w_max
             # condition for all p >= p0: coeff * sum c_i p^e_i < c_H^2
             expos_ok = all(expo <= 0 for _, expo in wc.terms)
-            checks.append(("condition exponents nonincreasing in p", expos_ok))
+            checks.append(Check("condition exponents nonincreasing in p", expos_ok))
             lhs = enclose(0)
             if expos_ok:
                 for coef, expo in wc.terms:
                     lhs = lhs + coeff * coef * _p_power(p0, expo)
             rhs = enclose(H_shape.coef) ** 2
-            checks.append(("condition at worst case", lhs.lt(rhs) if expos_ok else False))
+            checks.append(Check("condition at worst case", lhs.lt(rhs) if expos_ok else False))
 
             verdict, failed = _verdict_from(checks)
             return Certificate(

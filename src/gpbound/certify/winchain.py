@@ -33,32 +33,25 @@ from ..enclosure import (
     working_precision,
 )
 from ..errors import DomainError
+from .certifier import Check
 
 P_MIN = 10**15
 OMEGA_MIN = 2
-
-
-@dataclass(frozen=True)
-class ChainCheck:
-    name: str
-    value: str
-    requirement: str
-    certified: bool
 
 
 @dataclass
 class ChainReport:
     kind: str  # "plain" or "sieved"
     r: int
-    checks: list[ChainCheck] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
     def all_certified(self) -> bool:
-        return all(c.certified for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def failed(self) -> list[str]:
-        return [c.name for c in self.checks if not c.certified]
+        return [c.name for c in self.checks if not c.passed]
 
     def to_json(self) -> dict:
         return {
@@ -71,7 +64,7 @@ class ChainReport:
                     "name": c.name,
                     "value": c.value,
                     "requirement": c.requirement,
-                    "pass": c.certified,
+                    "pass": c.passed,
                 }
                 for c in self.checks
             ],
@@ -107,100 +100,72 @@ def _chain(kind: str, r: int, factor_min: Fraction, x_floor: int, a_floor: Fract
         # 2 omega >= 4.
         p_regime = max(P_MIN, 2 ** (8 * r))
         if 2 ** (8 * r) > P_MIN:
-            add(
-                ChainCheck(
-                    "trivial branch for p in [p_min, 2^(8r)]",
-                    "K >= 4 (even divisor keeps the prime 2)",
-                    "p^(1/4) <= 2^(2r) <= K^r",
-                    True,
-                )
-            )
+            add(Check(
+                "trivial branch for p in [p_min, 2^(8r)]",
+                True,
+                "K >= 4 (even divisor keeps the prime 2)",
+                "p^(1/4) <= 2^(2r) <= K^r",
+            ))
             report.notes.append(
                 f"main chain evaluated at worst case p = 2^(8r) = {Decimal(2 ** (8 * r)):.3e}"
             )
         # p^(1/(2r)) >= 16 iff p >= 2^(8r): exact, and equality only at the
         # closed evaluation endpoint of the open regime
         p_2r = pow_frac(p_regime, Fraction(1, 2 * r))
-        add(
-            ChainCheck(
-                "p^(1/(2r)) >= 16",
-                p_2r.lo_str(10),
-                ">= 16",
-                p_regime >= 2 ** (8 * r),
-            )
-        )
+        add(Check("p^(1/(2r)) >= 16", p_regime >= 2 ** (8 * r), p_2r.lo_str(10), ">= 16"))
 
         # h = ceil(recipe) with recipe = 2r c p^(1/(2r))
         c = recipe_coefficient(r)
         h_lo = 2 * r * c * p_2r
-        add(ChainCheck("h >= 33", h_lo.lo_str(10), ">= 33 (recipe grows in p)", h_lo.gt(32) is True))
+        add(Check("h >= 33", h_lo.gt(32), h_lo.lo_str(10), ">= 33 (recipe grows in p)"))
 
         # h >= (r/2) p^(1/(2r)): coefficient check 4c >= 1
         coeff_lo = 4 * c
-        add(
-            ChainCheck(
-                "h >= (r/2) p^(1/(2r))",
-                f"recipe/((r/2)p^(1/2r)) = {coeff_lo.lo_str(10)}",
-                ">= 1",
-                coeff_lo.ge(1) is True,
-            )
-        )
+        add(Check(
+            "h >= (r/2) p^(1/(2r))",
+            coeff_lo.ge(1),
+            f"recipe/((r/2)p^(1/2r)) = {coeff_lo.lo_str(10)}",
+            ">= 1",
+        ))
 
         # h <= ceil(recipe) <= 1.031 recipe (needs recipe >= 1/0.031) <= r p^(1/(2r))
-        ceil_ok = h_lo.gt(Fraction(1000, 31)) is True
         upper_coeff = Fraction(1031, 1000) * (2 * c)
-        add(
-            ChainCheck(
-                "h <= r p^(1/(2r))",
-                f"1.031 * recipe/(r p^(1/2r)) = {upper_coeff.hi_str(10)}",
-                "ceil absorbed by 1.031, coefficient <= 1",
-                ceil_ok and upper_coeff.le(1) is True,
-            )
-        )
+        add(Check(
+            "h <= r p^(1/(2r))",
+            h_lo.gt(Fraction(1000, 31)) is True and upper_coeff.le(1) is True,
+            f"1.031 * recipe/(r p^(1/2r)) = {upper_coeff.hi_str(10)}",
+            "ceil absorbed by 1.031, coefficient <= 1",
+        ))
 
         # X >= 2 K^r p^(1/4 - 1/(4r)) >= x_floor, via h <= r p^(1/(2r))
         x_min = 2 * enclose(factor_min**r) * pow_frac(p_regime, Fraction(1, 4) - Fraction(1, 4 * r))
-        add(
-            ChainCheck(
-                f"X >= {x_floor}",
-                x_min.lo_str(10),
-                f"X >= 2 K^r p^(1/4-1/(4r)) with K >= {factor_min}",
-                x_min.ge(x_floor) is True,
-            )
-        )
+        add(Check(
+            f"X >= {x_floor}",
+            x_min.ge(x_floor),
+            x_min.lo_str(10),
+            f"X >= 2 K^r p^(1/4-1/(4r)) with K >= {factor_min}",
+        ))
 
         # W <= r(2r-1)/(r-1): exact consequence of the h recipe
         w_cap = Fraction(r * (2 * r - 1), r - 1)
-        add(
-            ChainCheck(
-                "W <= r(2r-1)/(r-1)",
-                str(w_cap),
-                "h recipe makes sqrt(2)(2r/(eh))^r sqrt(p) <= (2r-1)/(r-1)",
-                True,
-            )
-        )
+        add(Check(
+            "W <= r(2r-1)/(r-1)",
+            True,
+            str(w_cap),
+            "h recipe makes sqrt(2)(2r/(eh))^r sqrt(p) <= (2r-1)/(r-1)",
+        ))
 
         # A(X)^r >= a_floor via Bernoulli: A^r >= 1 - 2 r pi^2/(9X) with
         # X/r >= (2 K^r / r) p^(1/8) and K^r/r >= 8 (plain) resp. 2 (sieved)
         kr_over_r = factor_min**r / r
         kfac = 8 if kind == "plain" else 2
         a_r = 1 - 2 * CertifiedReal.pi() ** 2 / (9 * (2 * kfac) * pow_frac(p_regime, Fraction(1, 8)))
-        add(
-            ChainCheck(
-                f"K^r/r >= {kfac}",
-                str(kr_over_r),
-                "feeds X/r >= 2*k*p^(1/8)",
-                kr_over_r >= kfac,
-            )
-        )
-        add(
-            ChainCheck(
-                f"A(X)^r >= {a_floor}",
-                a_r.lo_str(12),
-                "Bernoulli on 1 - 2pi^2/(9X)",
-                a_r.ge(a_floor) is True,
-            )
-        )
+        add(Check(
+            f"K^r/r >= {kfac}", kr_over_r >= kfac, str(kr_over_r), "feeds X/r >= 2*k*p^(1/8)"
+        ))
+        add(Check(
+            f"A(X)^r >= {a_floor}", a_r.ge(a_floor), a_r.lo_str(12), "Bernoulli on 1 - 2pi^2/(9X)"
+        ))
 
         # rY <= ry_cap: rY = 2r pi^2/(9X) + r/h + (pi^2/3)(r/h) log(X)/X
         r_over_h = 2 / p_2r  # from h >= (r/2) p^(1/(2r))
@@ -210,50 +175,42 @@ def _chain(kind: str, r: int, factor_min: Fraction, x_floor: int, a_floor: Fract
             + r_over_h
             + CertifiedReal.pi() ** 2 / 3 * r_over_h * logx_over_x
         )
-        add(
-            ChainCheck(
-                f"rY <= {ry_cap}",
-                ry.hi_str(12),
-                "sum of the three Y terms at worst case",
-                ry.le(ry_cap) is True,
-            )
-        )
+        add(Check(
+            f"rY <= {ry_cap}",
+            ry.le(ry_cap),
+            ry.hi_str(12),
+            "sum of the three Y terms at worst case",
+        ))
 
         # B^r <= 1 + rY + (rY)^2 (valid since rY <= 0.35), then <= b_cap
         b_r = 1 + ry + ry**2
-        add(
-            ChainCheck(
-                f"B(X)^r <= {b_cap}",
-                b_r.hi_str(12),
-                "(1+Y)^r <= 1 + rY + (rY)^2 for rY <= 0.35",
-                ry.le(Fraction(35, 100)) is True and b_r.le(b_cap) is True,
-            )
-        )
+        add(Check(
+            f"B(X)^r <= {b_cap}",
+            ry.le(Fraction(35, 100)) is True and b_r.le(b_cap) is True,
+            b_r.hi_str(12),
+            "(1+Y)^r <= 1 + rY + (rY)^2 for rY <= 0.35",
+        ))
 
         # closing constant inequality < 4, with the capped powers
         closing = _closing_constant(r, c, enclose(b_cap) ** 2, enclose(a_floor) ** 2)
-        add(
-            ChainCheck(
-                "closing constant < 4",
-                closing.hi_str(12),
-                "reduces the main condition to H^2 <= H^2",
-                closing.lt(4) is True,
-            )
-        )
+        add(Check(
+            "closing constant < 4",
+            closing.lt(4),
+            closing.hi_str(12),
+            "reduces the main condition to H^2 <= H^2",
+        ))
 
         # failure branch of the 2HX < p check: the fallback constant
         # sqrt(r/e) (sqrt(2)(r-1)/(2r-1))^(1/(2r)) must be >= sqrt(r)/2
         fb = CertifiedReal(2).sqrt() * Fraction(r - 1, 2 * r - 1)
         fb_root = pow_frac(fb, Fraction(1, 2 * r))
         target = CertifiedReal.euler_e().sqrt() / 2
-        add(
-            ChainCheck(
-                "fallback constant step",
-                fb_root.lo_str(12),
-                "(sqrt(2)(r-1)/(2r-1))^(1/(2r)) >= sqrt(e)/2",
-                fb_root.ge(target) is True,
-            )
-        )
+        add(Check(
+            "fallback constant step",
+            fb_root.ge(target),
+            fb_root.lo_str(12),
+            "(sqrt(2)(r-1)/(2r-1))^(1/(2r)) >= sqrt(e)/2",
+        ))
     return report
 
 

@@ -15,6 +15,7 @@ import pytest
 from gpbound.certify import SieveConfig, Threshold, case_engine, certify_bound, worst_case_delta
 from gpbound.certify import cases
 from gpbound.certify.cases import TARGETS
+from gpbound.certify.certifier import Check
 from gpbound.errors import DomainError
 from gpbound.ntcore import primorial
 from gpbound.sieve import sieve_factor
@@ -132,7 +133,7 @@ def test_lonely_stated_constant_insufficient(lonely):
     by_name = {c.name: c for c in lonely.reduction}
     stated = by_name["stated reduction constant 7 is sufficient"]
     assert not stated.passed
-    assert "9.889" in stated.detail
+    assert "9.889" in stated.value
     used = [c for c in lonely.reduction if "used for the case table" in c.name]
     assert used and used[0].passed
 
@@ -180,6 +181,14 @@ def test_json_report_content(lonely):
     assert blob["overall_pass"] is False
     assert len(blob["cases"]) == len(lonely.rows)
     assert any("Robin" in f for f in blob["failures"])
+
+
+def test_an_indeterminate_reduction_row_fails_the_report():
+    report = cases.CaseReport("t", "c", reduction=[Check("a", True), Check("b", None)])
+    blob = report.to_json()
+    assert not report.overall_pass and blob["overall_pass"] is False
+    assert report.failures == blob["failures"] == ["reduction: b"]
+    assert [c["pass"] for c in blob["reduction"]] == [True, False]
 
 
 def test_unknown_target():

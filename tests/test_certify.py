@@ -22,7 +22,7 @@ from gpbound.certify import (
     certify_bound,
 )
 import gpbound.certify.search as search_mod
-from gpbound.certify.certifier import _certify_exact
+from gpbound.certify.certifier import Check, _certify_exact, _hp_check, _verdict_from
 from gpbound.certify.search import (
     R_SEARCH_RANGE,
     R_THRESHOLD_RANGE,
@@ -318,14 +318,23 @@ def test_precision_escalation_machinery():
 def test_hp_check_needs_the_ceil_at_equal_exponents():
     # H = p^(5/8) gives 2H^2 = 2 p^(5/4) = hp exactly for h = 2 p^(1/4); only
     # the ceil of the irrational power makes the inequality strict
-    from gpbound.certify.certifier import _hp_check
-
     H = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
     bare = PowerShape(coef=Fraction(2), expo=Fraction(1, 4))
     ceiled = PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True)
     with working_precision():
-        assert _hp_check(10**20, bare, H) == ("2H^2 < hp coefficients", False)
-        assert _hp_check(10**20, ceiled, H) == ("2H^2 < hp (ceil strictness)", True)
+        assert _hp_check(10**20, bare, H) == Check("2H^2 < hp coefficients", False)
+        assert _hp_check(10**20, ceiled, H) == Check("2H^2 < hp (ceil strictness)", True)
+
+
+def test_an_indeterminate_check_does_not_pass():
+    assert [Check("x", ok).passed for ok in (True, False, None)] == [True, False, False]
+
+
+def test_a_failed_check_decides_before_an_indeterminate_one():
+    a, b = Check("a", False), Check("b", None)
+    assert _verdict_from([a, b]) == _verdict_from([b, a]) == ("failed", ["a"])
+    assert _verdict_from([Check("c", True), b]) == ("indeterminate", ["b"])
+    assert _verdict_from([Check("c", True)]) == ("certified", [])
 
 
 def _p38_shapes():

@@ -1,15 +1,24 @@
 """Win-chain derivations: every intermediate constant of the bootstrap proof
 certifies at its stated cap, across the full r sweep."""
 
+import json
 import math
+import pathlib
 import sys
 from fractions import Fraction
 
 import pytest
 
 from gpbound.certify import winchain, win_chain_sieved_derive, win_chain_derive, win_chain_sweep
+from gpbound.certify.certifier import Check
 from gpbound.enclosure import pow_frac, recipe_coefficient, window_recipe
 from gpbound.errors import DomainError
+
+# to_json() of both chains at r = 2, 10 and 128: each row's value and
+# requirement text, which no CLI golden prints.  Re-record it with
+#   json.dumps([fn(r).to_json() for fn in (win_chain_derive,
+#              win_chain_sieved_derive) for r in (2, 10, 128)], indent=1)
+CHAIN_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "chains.json").read_text())
 
 
 def _check(report, name):
@@ -66,7 +75,7 @@ def test_fallback_constant_tightest_at_r2():
     values = []
     for r in (2, 3, 5, 20, 100):
         check = _check(win_chain_derive(r), "fallback constant")
-        assert check.certified
+        assert check.passed
         values.append(float(check.value))
     assert values == sorted(values)
     assert values[0] == pytest.approx((math.sqrt(2) / 3) ** 0.25, rel=1e-9)
@@ -94,9 +103,9 @@ def test_b_power_row_needs_ry_at_most_035(monkeypatch):
                           a_floor=Fraction(992, 1000), ry_cap=Fraction(1, 2),
                           b_cap=Fraction(2))
     ry, b_r = _check(rep, "rY <="), _check(rep, "B(X)^r")
-    assert ry.certified and 0.35 < float(ry.value) <= 0.5
+    assert ry.passed and 0.35 < float(ry.value) <= 0.5
     assert float(b_r.value) <= 2
-    assert not b_r.certified
+    assert not b_r.passed
 
 
 def test_full_sweep():
@@ -137,6 +146,20 @@ def test_trivial_branch_appears_for_large_r():
 def test_input_validation():
     with pytest.raises(DomainError):
         win_chain_derive(1)
+
+
+@pytest.mark.parametrize("blob", CHAIN_GOLDEN, ids=lambda b: f"{b['kind']} r={b['r']}")
+def test_chain_report_matches_golden(blob):
+    fn = win_chain_derive if blob["kind"] == "plain" else win_chain_sieved_derive
+    assert fn(blob["r"]).to_json() == blob
+
+
+def test_an_indeterminate_chain_row_fails_the_report():
+    report = winchain.ChainReport("plain", 2, checks=[Check("a", True), Check("b", None)])
+    blob = report.to_json()
+    assert not report.all_certified and blob["all_certified"] is False
+    assert report.failed() == ["b"]
+    assert [c["pass"] for c in blob["checks"]] == [True, False]
 
 
 def test_report_json():

@@ -3,9 +3,11 @@
 Each mutant below rewrites one line of `src/gpbound`: it drops or weakens
 one guard that stands between a caller and a false certificate.  The runner
 copies the working tree to a scratch directory, applies one mutant at a
-time, and runs the tier-1 suite there with criterion 5 deselected (it is red
-on purpose).  A mutant is killed when at least one test fails; the failing
-tests are printed, so each guard can be traced to the tests that pin it.
+time, and runs the tier-1 suite there with two tests deselected: criterion 5,
+which is red on purpose, and the check that every mutant applies to the
+unmutated tree, which every mutated tree fails.  A mutant is killed when at
+least one test fails; the failing tests are printed, so each guard can be
+traced to the tests that pin it.
 An unmutated control runs first and must pass.  Each mutant's run gets
 TIMEOUT_FACTOR times the control's wall time; one that runs longer is
 stopped, with every process it started, and counts as killed (`timeout`).
@@ -35,7 +37,10 @@ import time
 from dataclasses import dataclass
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-DESELECT = "tests/test_acceptance.py::test_criterion_5_case_engines"
+DESELECT = (
+    "tests/test_acceptance.py::test_criterion_5_case_engines",
+    "tests/test_mutants.py::test_mutant_applies_once_and_parses",
+)
 TIMEOUT_FACTOR = 10
 TIMEOUT = "timeout"
 
@@ -105,7 +110,7 @@ MUTANTS = (
            "if 2 * H * H >= h * p:", "if False:"),
     # the merged threshold check H >= 2h (it was also tested as X >= 2)
     Mutant("threshold: H >= 2h dropped", "src/gpbound/certify/certifier.py",
-           '("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),', ""),
+           'Check("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),', ""),
     Mutant("threshold: H >= 2h weakened to H >= h", "src/gpbound/certify/certifier.py",
            '("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),',
            '("H >= 2h at p_min", wc.H_lo.ge(wc.h_hi)),'),
@@ -134,6 +139,13 @@ MUTANTS = (
            equivalent="with H >= 2h (checked first), 2H^2 = hp gives H <= p/4, while for "
                       "an odd prime p it makes H a multiple of p, and at p = 2 it gives "
                       "H <= 1/2 < 2h"),
+    # a verdict row's three-valued ok: indeterminate neither passes nor
+    # outranks a failure
+    Mutant("check: indeterminate taken as passed", "src/gpbound/certify/certifier.py",
+           "return self.ok is True", "return self.ok is not False"),
+    Mutant("verdict: indeterminate decides before failed", "src/gpbound/certify/certifier.py",
+           '(("failed", False), ("indeterminate", None))',
+           '(("indeterminate", None), ("failed", False))'),
     # the Robin row's monotonicity argument needs log log p > 2
     Mutant("robin: log u > 2 weakened to > 1", "src/gpbound/certify/cases.py",
            "lu.gt(2) is True", "lu.gt(1) is True"),
@@ -169,12 +181,12 @@ MUTANTS = (
            equivalent="2H^2 < hp with 8h < p (the h filter) gives H < p/4"),
     # win-chain rows whose inputs are constant in every shipped chain
     Mutant("win chain: closing cap 4 raised to 5", "src/gpbound/certify/winchain.py",
-           "closing.lt(4) is True", "closing.lt(5) is True"),
+           "closing.lt(4),", "closing.lt(5),"),
     Mutant("win chain: rY <= 0.35 precondition dropped", "src/gpbound/certify/winchain.py",
            "ry.le(Fraction(35, 100)) is True and b_r.le(b_cap) is True",
            "b_r.le(b_cap) is True"),
     Mutant("win chain: fallback row forced true", "src/gpbound/certify/winchain.py",
-           "fb_root.ge(target) is True,", "True,",
+           "fb_root.ge(target),", "True,",
            equivalent="the row depends on r alone and holds for every r >= 2: its "
                       "value increases in r from 0.8286 > sqrt(e)/2 at r = 2"),
 )
@@ -197,7 +209,7 @@ def run_tier1(tree: pathlib.Path, timeout: float | None = None) -> list[str]:
     # a session of its own, so that a timeout also stops the CLI subprocesses
     with subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         "--deselect", DESELECT],
+         *(arg for test in DESELECT for arg in ("--deselect", test))],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     ) as proc:
