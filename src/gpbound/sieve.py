@@ -25,11 +25,13 @@ c_d(k) = mu(d/(d,k)) phi(d)/phi(d/(d,k)) (O. Hölder, Prace Mat.-Fiz. 43
 primes dividing k, and one integer transform over the key primes gives
 every class's right-hand side at once: put each term's weight at its d's
 bitmask, then map (x0, x1) -> (x0 - x1, x0 + (q-1) x1) across each key
-prime q's bit.  The worst-slack checks still visit every n: k's class and
-its independently computed indicator depend only on k mod P, the product of
-the key primes, which divides p-1; so one pass over k in [0, P) meets every
-(class, indicator) pair that occurs in [0, p-1), each first at the same k,
-and every pair is checked.
+prime q's bit.  The worst-slack checks visit every n by visiting every
+class.  The key primes are those of the indicator on the left (the primes
+of e in the identity, every prime of p-1 in the bound, whose f is the
+primitive-root indicator), so it is 1 exactly on class 0, where no key prime
+divides k.  Their product P divides p-1, so every class occurs in [0, p-1):
+its first k is the product of its primes, below P, except for the class of
+every key prime, whose first k is 0.
 """
 
 from __future__ import annotations
@@ -165,8 +167,8 @@ def admissible_configs(ctx: PrimeContext) -> list[SieveConfig]:
 
 def _primes_of(ctx: PrimeContext, e: int) -> tuple[int, ...]:
     """The primes of e, taken from the factorization of p-1."""
-    if (ctx.p - 1) % e != 0:
-        raise DomainError(f"e = {e} must divide p-1")
+    if not isinstance(e, int) or e <= 0 or (ctx.p - 1) % e != 0:
+        raise DomainError(f"e = {e!r} must be a positive integer dividing p-1")
     return tuple(q for q in ctx.pm1_factors.primes if e % q == 0)
 
 
@@ -236,48 +238,31 @@ def _evaluate(terms: Terms, key_primes: tuple[int, ...], k: int) -> Fraction:
     return Fraction(_rhs_by_class(coefs, key_primes)[_class_of(k, key_primes)], den)
 
 
+def _first_k(cls: int, key_primes: tuple[int, ...]) -> int:
+    """The first k in [0, p-1) of a class: the product of its primes, or 0
+    for the class of every key prime."""
+    primes = [q for i, q in enumerate(key_primes) if cls >> i & 1]
+    return 0 if len(primes) == len(key_primes) else math.prod(primes)
+
+
 def _slacks_by_class(
-    key_primes: tuple[int, ...],
-    mask_primes: tuple[int, ...],
-    terms: Terms,
-    lhs_unit: Fraction,
-) -> tuple:
-    """Exact lhs - rhs for every (class, f) pair that occurs over k in [0, p-1).
-
-    k is coded 2 class + f, with class = _class_of(k, key_primes) and f = 1
-    iff no mask prime divides k; the lhs is f lhs_unit.  The mask primes are
-    among the key primes, whose product P divides p-1, so the codes over
-    [0, p-1) are (p-1)/P copies of those over [0, P), the one period
-    scanned.  Slacks are integer numerators over one common denominator,
-    which is returned with them and with the code of every k in the period
-    (a numpy array).
-    """
-    import numpy as np
-
-    P = math.prod(key_primes)
-    codes = np.ones(P, dtype=np.intp)
-    for q in mask_primes:
-        codes[::q] = 0
-    for i, q in enumerate(key_primes):
-        codes[::q] |= 2 << i
+    key_primes: tuple[int, ...], terms: Terms, lhs_unit: Fraction
+) -> tuple[list[int], int]:
+    """Exact lhs - rhs on every class of k, indexed by _class_of: the lhs
+    is lhs_unit on class 0 and 0 elsewhere.  Slacks are integer numerators
+    over one common denominator, which is returned with them."""
     den, coefs = _scaled(terms, lhs_unit)
-    lhs = lhs_unit.numerator * (den // lhs_unit.denominator)
-    rhs = _rhs_by_class(coefs, key_primes)
-    slacks = {
-        code: (code & 1) * lhs - rhs[code >> 1]
-        for code in np.flatnonzero(np.bincount(codes)).tolist()
-    }
-    return slacks, den, codes
+    slacks = [-x for x in _rhs_by_class(coefs, key_primes)]
+    slacks[0] += lhs_unit.numerator * (den // lhs_unit.denominator)
+    return slacks, den
 
 
 def fe_identity_worst_slack(ctx: PrimeContext, e: int) -> float:
     """Worst |f_e(n)/theta(e) - RHS| over every n in [1, p-1], exactly:
     0.0 unless the identity fails."""
     primes_e = _primes_of(ctx, e)
-    slacks, den, _ = _slacks_by_class(
-        primes_e, primes_e, _identity_terms(primes_e), 1 / _theta(primes_e)
-    )
-    return float(Fraction(max(abs(s) for s in slacks.values()), den))
+    slacks, den = _slacks_by_class(primes_e, _identity_terms(primes_e), 1 / _theta(primes_e))
+    return float(Fraction(max(map(abs, slacks)), den))
 
 
 def _context(config: SieveConfig) -> PrimeContext:
@@ -294,14 +279,13 @@ def sieve_lower_bound_worst_slack(config: SieveConfig) -> float:
     ctx = _context(config)
     primes_e = _primes_of(ctx, config.e)
     primes = ctx.pm1_factors.primes
-    slacks, den, codes = _slacks_by_class(
-        primes, primes, _lower_bound_terms(config, primes_e), 1 / (config.delta * _theta(primes_e))
+    slacks, den = _slacks_by_class(
+        primes, _lower_bound_terms(config, primes_e), 1 / (config.delta * _theta(primes_e))
     )
-    code = min(slacks, key=slacks.__getitem__)
-    worst = Fraction(slacks[code], den)
+    cls = min(range(len(slacks)), key=slacks.__getitem__)
+    worst = Fraction(slacks[cls], den)
     if worst < 0:
-        k = int((codes == code).argmax())  # the first k of the class
-        n = pow(ctx.generator, k, ctx.p)
+        n = pow(ctx.generator, _first_k(cls, primes), ctx.p)
         raise ConsistencyError(
             f"sieve lower bound violated at p={ctx.p}, e={config.e}, n={n}: "
             f"slack={worst}"

@@ -2,10 +2,11 @@
 inequality, with the order-test oracle as the independent route.  Every
 identity and bound is checked exactly: slacks are compared with 0, not with
 a tolerance.  The class transform is pinned term by term against Hölder's
-formula, and the one-period scan against the scan over every k in
-[0, p-1)."""
+formula, and the enumeration of the classes, one representative each,
+against the scan over every k in [0, p-1)."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import cache, partial
@@ -288,8 +289,10 @@ def test_class_transform_matches_hoelder_termwise():
 
 
 def _scan_every_k(ctx, c, key_primes, mask_e, terms, lhs_unit):
-    """The scan over every k in [0, p-1), with each class's right-hand side
-    by Hölder's formula: (slacks, denominator, first k of every code)."""
+    """The scan over every k in [0, p-1), with the indicator from the
+    primes of mask_e and each class's right-hand side by Hölder's formula:
+    {(class, indicator): (slack, first k)} over the pairs that occur, and
+    the denominator."""
     mask = np.ones(ctx.p - 1, dtype=bool)
     for q in sieve._primes_of(ctx, mask_e):
         mask[::q] = False
@@ -298,42 +301,94 @@ def _scan_every_k(ctx, c, key_primes, mask_e, terms, lhs_unit):
         codes[::q] |= 2 << i
     den, coefs = sieve._scaled(terms, lhs_unit)
     lhs = lhs_unit.numerator * (den // lhs_unit.denominator)
-    slacks, first = {}, {}
+    out = {}
     for code in np.flatnonzero(np.bincount(codes)).tolist():
-        rep = math.prod(q for i, q in enumerate(key_primes) if code >> (i + 1) & 1)
-        slacks[code] = (code & 1) * lhs - _hoelder_rhs(c, coefs, rep)
-        first[code] = int((codes == code).argmax())
-    return slacks, den, first
+        cls, f = code >> 1, code & 1
+        rep = math.prod(q for i, q in enumerate(key_primes) if cls >> i & 1)
+        out[cls, f] = (f * lhs - _hoelder_rhs(c, coefs, rep), int((codes == code).argmax()))
+    return out, den
 
 
-def _scan_one_period(ctx, key_primes, mask_e, terms, lhs_unit):
-    slacks, den, codes = sieve._slacks_by_class(
-        key_primes, sieve._primes_of(ctx, mask_e), terms, lhs_unit
-    )
-    return slacks, den, {code: int((codes == code).argmax()) for code in slacks}
+def _enumerate_classes(key_primes, terms, lhs_unit):
+    """The same from the library's enumeration of the classes, whose
+    indicator is 1 on class 0 alone."""
+    slacks, den = sieve._slacks_by_class(key_primes, terms, lhs_unit)
+    return {
+        (cls, int(cls == 0)): (slack, sieve._first_k(cls, key_primes))
+        for cls, slack in enumerate(slacks)
+    }, den
 
 
-def test_period_scan_matches_the_scan_over_every_k():
+def test_class_enumeration_matches_the_scan_over_every_k():
     ctx = PrimeContext(960961)  # p-1 = 2^6 3 5 7 11 13
     c = _hoelder(ctx)
-    for check in _identity_checks(ctx, 30):
-        assert _scan_one_period(ctx, *check) == _scan_every_k(ctx, c, *check), check[1]
+    for key, e, terms, lhs_unit in _identity_checks(ctx, 30):
+        got = _enumerate_classes(key, terms, lhs_unit)
+        assert got == _scan_every_k(ctx, c, key, e, terms, lhs_unit), e
     for p in primes_upto(10**4)[1:]:
         ctx = PrimeContext(p)
         c = _hoelder(ctx)
-        for check in _lower_bound_checks(ctx):
-            assert _scan_one_period(ctx, *check) == _scan_every_k(ctx, c, *check), p
+        for key, e, terms, lhs_unit in _lower_bound_checks(ctx):
+            got = _enumerate_classes(key, terms, lhs_unit)
+            assert got == _scan_every_k(ctx, c, key, e, terms, lhs_unit), p
+
+
+@pytest.mark.parametrize("p", [61, 211])  # p-1 = 2^2 3 5, and 2 3 5 7
+def test_a_breach_names_the_first_n_of_its_class(p, monkeypatch):
+    ctx = PrimeContext(p)
+    c = _hoelder(ctx)
+    original = sieve._rhs_by_class
+    for cls in range(1 << ctx.omega):
+        # far above every numerator at these p: the class's slack is the least
+        monkeypatch.setattr(sieve, "_rhs_by_class", lambda coefs, key: [
+            x + 10**30 * (m == cls) for m, x in enumerate(original(coefs, key))
+        ])
+        for cfg, (key, e, terms, lhs_unit) in zip(admissible_configs(ctx), _lower_bound_checks(ctx)):
+            scan, _ = _scan_every_k(ctx, c, key, e, terms, lhs_unit)
+            (k,) = (first for (m, _), (_, first) in scan.items() if m == cls)
+            n = pow(ctx.generator, k, p)
+            with pytest.raises(ConsistencyError, match=f"e={cfg.e}, n={n}: "):
+                sieve_lower_bound_worst_slack(cfg)
+
+
+@pytest.mark.parametrize("e", [0, -2, -60, 2.0])
+def test_identity_checks_reject_e_that_is_not_a_positive_integer(ctx61, e):
+    # -60 and 2.0 divide p-1 = 60 in Python's arithmetic, and 0 divides by 0
+    for check in (fe_identity_worst_slack, partial(e_free, n=2)):
+        with pytest.raises(DomainError, match="must be a positive integer dividing p-1"):
+            check(ctx61, e)
+
+
+def _peak_bytes(check):
+    """The tracemalloc peak of a second call, after one call warms caches."""
+    check()
+    tracemalloc.start()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_identity_check_memory_does_not_grow_with_p():
-    # the period of e = 30 is 30 at any p; a scan over [0, p-1) here holds
+    # e = 30 has 2^3 classes at any p; a scan over [0, p-1) here holds
     # 8 MiB of codes
     ctx = PrimeContext(960961)
-    fe_identity_worst_slack(ctx, 30)
-    tracemalloc.start()
-    try:
-        assert fe_identity_worst_slack(ctx, 30) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+    assert fe_identity_worst_slack(ctx, 30) == 0
+    assert _peak_bytes(partial(fe_identity_worst_slack, ctx, 30)) < 64 * 1024
+
+
+def test_lower_bound_memory_does_not_grow_with_p():
+    # p-1 = 2 500333 has 4 classes; a scan over one period of the class
+    # pattern, P = p-1, holds 7.8 MiB of codes
+    cfg = SieveConfig.build(PrimeContext(1000667), 1000666)
+    assert sieve_lower_bound_worst_slack(cfg) >= 0
+    assert _peak_bytes(partial(sieve_lower_bound_worst_slack, cfg)) < 64 * 1024
+
+
+def test_exact_checks_run_without_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy raises
+    ctx = PrimeContext(960961)
+    assert fe_identity_worst_slack(ctx, 30) == 0
+    for cfg in admissible_configs(ctx):
+        assert sieve_lower_bound_worst_slack(cfg) >= 0

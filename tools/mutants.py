@@ -80,13 +80,20 @@ MUTANTS = (
     # the identity checks need a sieve built at a prime
     Mutant("identities: worst-case sieve unguarded", "src/gpbound/sieve.py",
            "    if config.ctx is None:\n", "    if False:\n"),
-    # the exact sieve checks: one transform for every class, one period of k
+    # the identity checks take e from the divisors of p-1 alone
+    Mutant("identities: e <= 0 accepted", "src/gpbound/sieve.py",
+           "or e <= 0 or (ctx.p - 1) % e", "or (ctx.p - 1) % e"),
+    Mutant("identities: e of any type accepted", "src/gpbound/sieve.py",
+           "not isinstance(e, int) or e <= 0 or (ctx.p - 1) % e", "e <= 0 or (ctx.p - 1) % e"),
+    # the exact sieve checks: one transform for every class, one first k each
     Mutant("sieve: transform's c_q(k) = q-1 at q | k raised to q", "src/gpbound/sieve.py",
            "(q - 1) * x[m | bit]", "q * x[m | bit]"),
     Mutant("sieve: transform's c_q(k) = -1 at q not | k flipped to +1", "src/gpbound/sieve.py",
            "x[m] - x[m | bit], ", "x[m] + x[m | bit], "),
-    Mutant("sieve: period drops one key prime", "src/gpbound/sieve.py",
-           "P = math.prod(key_primes)", "P = math.prod(key_primes[:-1])"),
+    Mutant("sieve: lhs put on class 1", "src/gpbound/sieve.py",
+           "slacks[0] += ", "slacks[1] += "),
+    Mutant("sieve: first k of the full class moved from 0 to P", "src/gpbound/sieve.py",
+           "0 if len(primes) == len(key_primes) else math.prod(primes)", "math.prod(primes)"),
     # certify_bound: the sieve must be evidence for this p or this threshold
     Mutant("certify: any sieve type", "src/gpbound/certify/certifier.py",
            "if not isinstance(sieve, SieveConfig):", "if sieve is None:"),
