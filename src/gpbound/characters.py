@@ -9,6 +9,7 @@ sums over F_p, together with the explicit upper bounds it must satisfy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ class CharacterIndex:
     j: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.j)
+        except TypeError:
+            raise DomainError(f"character index must be an integer, got {self.j!r}") from None
         if not 0 <= self.j <= self.ctx.p - 2:
             raise DomainError(f"character index must lie in [0, {self.ctx.p - 2}]")
 
@@ -73,8 +78,9 @@ def _block_dlogs(ctx: PrimeContext, start: int, n: int) -> np.ndarray:
 
 def _workspace(size: int) -> tuple[np.ndarray, ...]:
     """Flat buffers for tiles of up to `size` entries: the int64 table
-    indices, the complex table (reused for conj(W)), the complex windows and
-    the float powers (viewed as int64 for the index quotients first)."""
+    indices, the complex table (reused for conj(W)), the complex windows
+    (reused for the float powers) and the float norms (viewed as int64 for
+    the index quotients first)."""
     return tuple(np.empty(size, dtype) for dtype in (np.int64, complex, complex, float))
 
 
@@ -99,7 +105,7 @@ def _tile_windows(
     k, n = len(j), len(d)
     nb = n - h + 1
     idx, vals, w = _shaped(work[0], k, n), _shaped(work[1], k, n), _shaped(work[2], k, nb)
-    quot = _shaped(work[3].view(np.int64), k, n)  # the powers buffer is free yet
+    quot = _shaped(work[3].view(np.int64), k, n)  # the norms buffer is free yet
     np.multiply.outer(j, d, out=idx)
     np.floor_divide(idx, p - 1, out=quot)  # idx mod p-1, exactly, faster than remainder
     np.subtract(idx, np.multiply(quot, p - 1, out=quot), out=idx)
@@ -117,7 +123,7 @@ def moment_error_bound(p: int, h: int, r: int) -> float:
 
     The body evaluates S = T(x0) + 2 sum_{t=1}^{(p-1)/2} T(x0+t), the p
     terms T(x) = |W(x)|^(2r) folded by the reflection x -> 1-h-x (see
-    _moment_sums).  Each term lies in [0, h^(2r)] and the doubling is exact,
+    _column_blocks).  Each term lies in [0, h^(2r)] and the doubling is exact,
     so summing in any order errs by at most gamma_k <= 1.01 k eps/2 times
     the sum of all p terms, at most p h^(2r); k is the most additions one
     term passes through.  numpy's pairwise sum of one block's <= 2^16 terms
@@ -147,58 +153,103 @@ def moment_error_bound(p: int, h: int, r: int) -> float:
     return p * per_term + reduce_err
 
 
-def _moment_sums(ctx: PrimeContext, j, h: int, r_values) -> dict[int, np.ndarray]:
-    """{r: S_chi_j(p,h,r)} for an int j (scalars) or an index array j (one
-    entry per index).
+def _check_moment_args(h: int, r_values) -> None:
+    if h < 1 or not r_values or min(r_values) < 1:
+        raise DomainError(f"need h >= 1 and r >= 1, got h = {h}, r_values = {r_values}")
 
-    Since W_{chi_-j}(x) = conj(W_{chi_j}(x)), S_j = S_{-j}: each index is
-    folded to min(j, -j mod p-1), and each distinct one is computed once.
+
+def _column_blocks(p: int, h: int) -> list[tuple[int, int]]:
+    """(start, n) of each _RESYNC_BLOCK of the columns the moment body
+    visits, n counting the block's columns and h-1 more of wrap.
+
     The reflection x -> c-x with c = 1-h halves the columns: W(c-x) =
     sum_m chi(-(x+m)) = chi(-1) W(x), so |W(c-x)| = |W(x)| for every
     character, the principal one included.  Its one fixed point is
     x0 = c (p+1)/2 mod p, and every other x pairs with x0 +- t, so
     S = T(x0) + 2 sum_{t=1}^{(p-1)/2} T(x0+t) with T = |W|^(2r): the body
-    visits the (p+1)/2 columns x0, x0+1, .. (mod p) only.  Each block sums
-    its terms, block 0's from x0+1 on, and doubles the sum, which is exact;
-    block 0 then adds T(x0) once.
-    Works one tile at a time: max(1, _TILE // n) character rows by the n
-    columns of one _RESYNC_BLOCK of x plus h-1 of wrap, so a tile holds at
-    most _TILE entries, or one row where a row is longer.  One _workspace,
-    sized for the largest tile, is allocated per call and every step writes
-    into it, so no tile allocates and the buffers stay in cache.
-    Each row's arithmetic is the same in every tile shape, so the single and
-    the batch path agree bit for bit; a row's per-block partial sums are
-    reduced in one pairwise sum at the end.
+    visits the (p+1)/2 columns x0, x0+1, .. (mod p) only.
     """
-    if h < 1 or not r_values or min(r_values) < 1:
-        raise DomainError(f"need h >= 1 and r >= 1, got h = {h}, r_values = {r_values}")
-    p = ctx.p
-    js = np.atleast_1d(np.asarray(j, dtype=np.int64))
-    rows, back = np.unique(np.minimum(js, (-js) % (p - 1)), return_inverse=True)
     half = (p + 1) // 2  # also the inverse of 2 mod p
     x0 = (1 - h) * half % p  # the fixed point of x -> 1-h-x
     offsets = range(0, half, _RESYNC_BLOCK)
-    blocks = [((x0 + o) % p, min(_RESYNC_BLOCK, half - o) + h - 1) for o in offsets]
-    chunks = [max(1, _TILE // n) for _, n in blocks]
-    work = _workspace(max(min(c, len(rows)) * n for c, (_, n) in zip(chunks, blocks)))
-    partial = {r: np.empty((len(rows), len(blocks))) for r in r_values}
-    for b, ((start, n), chunk) in enumerate(zip(blocks, chunks)):
-        first = int(b == 0)  # block 0 opens on x0, which is not doubled
+    return [((x0 + o) % p, min(_RESYNC_BLOCK, half - o) + h - 1) for o in offsets]
+
+
+def _norm_tiles(ctx: PrimeContext, rows: np.ndarray, h: int, blocks, work, norms=None):
+    """Norm pass: yield (b, lo, m2) for each tile, m2 = |W(x)|^2 of the
+    character rows rows[lo : lo + len(m2)] over column block b, contiguous.
+
+    A tile is max(1, _TILE // n) rows by the n columns of its block, so it
+    holds at most _TILE entries, or one row where a row is longer; every
+    step writes into the _workspace `work`, so no tile allocates and the
+    buffers stay in cache.  m2 lies in work[3] until the next tile, unless
+    `norms` ((p+1)/2 floats, for one row) is given: then the tiles fill it
+    in turn and stay valid.  The windows' buffer work[2] is free from the
+    yield to the next tile.
+    """
+    filled = 0
+    for b, (start, n) in enumerate(blocks):
         d = _block_dlogs(ctx, start, n)
+        chunk = max(1, _TILE // n)
         for lo in range(0, len(rows), chunk):
             w = _tile_windows(ctx, rows[lo : lo + chunk], start, d, h, work)
             conj = np.conj(w, out=_shaped(work[1], *w.shape))  # the table is spent
-            m2 = np.multiply(w, conj, out=w).real
-            acc = None
-            for r in range(1, max(r_values) + 1):
-                acc = m2 if acc is None else np.multiply(acc, m2, out=_shaped(work[3], *w.shape))
-                if r in r_values:
-                    sums = 2 * acc[:, first:].sum(axis=-1)
-                    if first:
-                        sums += acc[:, 0]
-                    partial[r][lo : lo + chunk, b] = sums
-    out = {r: s.sum(axis=-1)[back] for r, s in partial.items()}
-    return {r: v[0] for r, v in out.items()} if np.ndim(j) == 0 else out
+            m2 = _shaped(work[3] if norms is None else norms[filled:], *w.shape)
+            np.copyto(m2, np.multiply(w, conj, out=w).real)
+            filled += m2.size
+            yield b, lo, m2
+
+
+def _reduce(tiles, n_rows: int, n_blocks: int, r_values, power_buf) -> dict[int, np.ndarray]:
+    """Reduction: {r: S_r of each row} from the tiles of _norm_tiles.
+
+    Each tile's norms are raised to the powers 1..max(r_values) in the flat
+    float buffer power_buf.  Each block sums its terms T = |W|^(2r), block
+    0's from x0+1 on, and doubles the sum, which is exact; block 0 then adds
+    T(x0) once.  A row's per-block partial sums are reduced in one pairwise
+    sum at the end.  Each row's arithmetic is the same in every tile shape,
+    so the single and the batch path agree bit for bit.
+    """
+    partial = {r: np.empty((n_rows, n_blocks)) for r in r_values}
+    for b, lo, m2 in tiles:
+        first = int(b == 0)  # block 0 opens on x0, which is not doubled
+        acc = None
+        for r in range(1, max(r_values) + 1):
+            acc = m2 if acc is None else np.multiply(acc, m2, out=_shaped(power_buf, *m2.shape))
+            if r in r_values:
+                sums = 2 * acc[:, first:].sum(axis=-1)
+                if first:
+                    sums += acc[:, 0]
+                partial[r][lo : lo + len(m2), b] = sums
+    return {r: s.sum(axis=-1) for r, s in partial.items()}
+
+
+def _moment_sums(ctx: PrimeContext, js, h: int, r_values) -> dict[int, np.ndarray]:
+    """{r: S_chi_j(p,h,r) for each entry j of the index array js}.
+
+    Since W_{chi_-j}(x) = conj(W_{chi_j}(x)), S_j = S_{-j}: each index is
+    folded to min(j, -j mod p-1), and each distinct one is computed once.
+    The norm pass and the reduction run tile by tile in one _workspace,
+    sized for the largest tile and allocated per call; the powers go into
+    the windows' buffer, which the norm pass has spent.
+    """
+    _check_moment_args(h, r_values)
+    p = ctx.p
+    js = np.asarray(js, dtype=np.int64)
+    rows, back = np.unique(np.minimum(js, (-js) % (p - 1)), return_inverse=True)
+    blocks = _column_blocks(p, h)
+    work = _workspace(max(min(max(1, _TILE // n), len(rows)) * n for _, n in blocks))
+    tiles = _norm_tiles(ctx, rows, h, blocks, work)
+    sums = _reduce(tiles, len(rows), len(blocks), r_values, work[2].view(float))
+    return {r: s[back] for r, s in sums.items()}
+
+
+def _norm_set(ctx: PrimeContext, j: int, h: int) -> list:
+    """The norm tiles of the one folded index j, kept in (p+1)/2 floats;
+    the workspace that made them is freed on return."""
+    blocks = _column_blocks(ctx.p, h)
+    work = _workspace(max(n for _, n in blocks))
+    return list(_norm_tiles(ctx, np.array([j]), h, blocks, work, np.empty((ctx.p + 1) // 2)))
 
 
 def moment_sum_exact(chi: CharacterIndex, h: int, r: int) -> MomentSumResult:
@@ -206,10 +257,22 @@ def moment_sum_exact(chi: CharacterIndex, h: int, r: int) -> MomentSumResult:
 
     Exact complete sum in floating point, O(p) via a sliding window; the
     reported error bound covers table rounding, window drift, and the final
-    reduction.
+    reduction.  The window norms |W(x)|^2 of the last (folded j, h) stay in
+    the context's one slot, so a call at another r, or on the conjugate
+    character, runs only the reduction; the old norms are freed before new
+    ones are built.  Each value equals that of a fresh context bit for bit.
     """
-    value = float(_moment_sums(chi.ctx, chi.j, h, (r,))[r])
-    return MomentSumResult(value, moment_error_bound(chi.ctx.p, h, r), chi.ctx.p, h, r)
+    _check_moment_args(h, (r,))
+    ctx, p = chi.ctx, chi.ctx.p
+    key = (min(chi.j, -chi.j % (p - 1)), h)
+    slot = ctx._norms  # read once, so that a shared context gives one pair
+    if slot is None or slot[0] != key:
+        slot = ctx._norms = None  # free the last norms before building these
+        slot = ctx._norms = (key, _norm_set(ctx, key[0], h))
+    tiles = slot[1]
+    power_buf = np.empty(max(m2.size for _, _, m2 in tiles))
+    value = float(_reduce(tiles, 1, len(tiles), (r,), power_buf)[r][0])
+    return MomentSumResult(value, moment_error_bound(p, h, r), p, h, r)
 
 
 def moment_sums_all(ctx: PrimeContext, h: int, r_values: tuple[int, ...]) -> dict[int, np.ndarray]:

@@ -309,17 +309,24 @@ def primorial(k: int) -> int:
 _DLOG_INT64_P_MAX = math.isqrt(2**63 - 1) + 1
 
 
+# Giant rows per block of the dlog table build.
+_GIANT_ROWS = 16
+
+
 def _dlog_table(p: int, g: int):
-    """numpy int64 table d with g^d[n] = n mod p for n in [1, p); d[0] = -1.
+    """numpy int32 table d with g^d[n] = n mod p for n in [1, p); d[0] = -1.
 
     Shanks' baby-step/giant-step split (D. Shanks, Proc. Sympos. Pure Math.
     20, 1971), used to enumerate every power rather than to search for one:
     with step = isqrt(p-1) + 1, g^(step*i + j) is a giant step g^(step*i)
-    times a baby step g^j.  Each giant step scales the numpy vector of baby
-    steps into the next row of powers, so a Python loop of about sqrt(p)
-    rows fills the table.  Rows keep every temporary at about sqrt(p)
-    elements: with p-length temporaries, freeing them raised the allocator's
-    mmap threshold and the peak RSS of a run over large primes by 15 MiB.
+    times a baby step g^j.  One outer product of _GIANT_ROWS giant steps with
+    the baby steps, reduced mod p, fills that many rows of powers at once,
+    so a Python loop of about sqrt(p) / _GIANT_ROWS blocks fills the table;
+    the last block's last row is trimmed at p-1 powers.  Every temporary
+    holds _GIANT_ROWS rows of about sqrt(p) elements: with p-length
+    temporaries, freeing them raised the allocator's mmap threshold and the
+    peak RSS of a run over large primes by 15 MiB.  The logs lie below p-1,
+    which fits int32 for p <= PrimeContext.DLOG_CAP.
     Raises ConsistencyError if g does not generate F_p^*, which leaves some
     residue without a log.
     """
@@ -329,43 +336,54 @@ def _dlog_table(p: int, g: int):
         )
     import numpy as np
 
+    def powers_of(a: int, k: int):
+        out = [1] * k
+        for i in range(1, k):
+            out[i] = out[i - 1] * a % p
+        return np.array(out, dtype=np.int64)
+
     n = p - 1
     step = math.isqrt(n) + 1
-    baby = [1] * step
-    for j in range(1, step):
-        baby[j] = baby[j - 1] * g % p
-    giant_step = baby[-1] * g % p
-    baby = np.array(baby, dtype=np.int64)
-    logs = np.arange(step, dtype=np.int64)
-    table = np.full(p, -1, dtype=np.int64)
-    giant = 1
-    for start in range(0, n, step):
-        powers = baby * giant
+    baby = powers_of(g, step)
+    giants = powers_of(int(baby[-1]) * g % p, -(-n // step))
+    logs = np.arange(_GIANT_ROWS * step, dtype=np.int32)
+    table = np.full(p, -1, dtype=np.int32)
+    for i in range(0, len(giants), _GIANT_ROWS):
+        powers = np.multiply.outer(giants[i : i + _GIANT_ROWS], baby)
         np.remainder(powers, p, out=powers)
-        m = min(step, n - start)
-        table[powers[:m]] = logs[:m] + start
-        giant = giant * giant_step % p
+        start = i * step
+        m = min(powers.size, n - start)
+        table[powers.reshape(-1)[:m]] = logs[:m] + start
     if table[1:].min() < 0:
         raise ConsistencyError(f"{g} does not generate the units mod {p}")
     return table
 
 
 class PrimeContext:
-    """An odd prime p with factored p-1, a fixed primitive root, and two lazy
-    tables: discrete logs and the (p-1)-th roots of unity.
+    """An odd prime p with factored p-1, a fixed primitive root, two lazy
+    tables and one slot of window norms.
 
+    The tables are the discrete logs (int32, 4 bytes per residue: 3.7 MiB at
+    p = 960961) and the (p-1)-th roots of unity (complex, 16 bytes per
+    residue).  The slot `_norms` holds the |W(x)|^2 of the last character
+    and window length that `characters.moment_sum_exact` evaluated, so that
+    its moments at another r, or at the conjugate character, skip the window
+    pass: (p+1)/2 floats, 3.7 MiB at p = 960961, and only one set at a time.
     The fixed root is the canonical basis for all character indexing; the
     dlog table is built only on demand and only when p is small enough to
     enumerate (huge-p certification never needs it).  It is built in numpy
     from blocked powers (see `_dlog_table`): every product of two residues is
     below (p-1)^2, which fits int64 for p <= DLOG_CAP, and beside the table
-    the build holds only rows of about sqrt(p) int64 values.  Apart
-    from filling `_dlog` and `_root_powers` on first use, instances are
-    immutable after construction and safe to share.
+    the build holds only blocks of _GIANT_ROWS rows of about sqrt(p) int64
+    values.  Apart from filling `_dlog`, `_root_powers` and `_norms`,
+    instances are immutable after construction; a reader of `_norms` takes
+    the slot's (key, norms) pair once, so sharing one context gives the
+    same values, at worst with more window passes.
     """
 
     # Bounds the memory and time of one dlog table; it also keeps every
-    # blocked product (p-1)^2 inside int64, which _dlog_table needs.
+    # blocked product (p-1)^2 inside int64, and every log, below p-1, inside
+    # the int32 table, which _dlog_table needs.
     DLOG_CAP = 10**7
 
     def __init__(self, p: int, pm1_factors: Factorization | None = None):
@@ -380,9 +398,10 @@ class PrimeContext:
         self.generator = least_primitive_root(p, self.pm1_factors, candidate_limit=10**6)
         self._dlog = None
         self._root_powers = None
+        self._norms = None
 
     def dlog_array(self):
-        """numpy int64 array d with generator^d[n] = n mod p; d[0] = -1."""
+        """numpy int32 array d with generator^d[n] = n mod p; d[0] = -1."""
         if self._dlog is None:
             if self.p > self.DLOG_CAP:
                 raise UnsupportedRangeError(

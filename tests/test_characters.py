@@ -91,6 +91,14 @@ def test_character_order_and_conjugate(ctx13):
     assert int(orders[0]) == 1
 
 
+def test_character_index_rejects_non_integers(ctx13):
+    # a float or string index would name chi_1 (or nothing) by accident
+    for j in (1.5, 1.0, "3"):
+        with pytest.raises(DomainError):
+            CharacterIndex(ctx13, j)
+    assert CharacterIndex(ctx13, np.int64(5)).order == 12
+
+
 def test_sum_over_order_counts(ctx13):
     # phi(d) characters of each order; sum over all orders of chi(1) = p-1
     total = 0
@@ -319,6 +327,66 @@ def test_moment_batch_memory_is_one_tile():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("p", [131101, 960961])
+def test_moment_memo_matches_fresh_context(p):
+    # one context keeps the norms of the last (folded j, h); later calls at
+    # another r, on the conjugate character and after a change of j equal
+    # the values of a fresh context bit for bit
+    ctx = PrimeContext(p)
+    calls = [(1, 2), (p - 2, 3), (1, 1), (p - 2, 4), ((p - 1) // 2, 2), ((p - 1) // 2, 3), (1, 4)]
+    for j, r in calls:
+        got = moment_sum_exact(CharacterIndex(ctx, j), 16, r).value
+        fresh = moment_sum_exact(CharacterIndex(PrimeContext(p), j), 16, r).value
+        assert got == fresh, (j, r)
+
+
+def test_moment_memo_skips_window_pass(monkeypatch):
+    # a call at another r, or on the conjugate, makes no windows; a change
+    # of h or of j builds the norms again (p = 61 has one column block)
+    windows = []
+
+    def counted(*args):
+        windows.append(args[1])
+        return _tile_windows(*args)
+
+    monkeypatch.setattr("gpbound.characters._tile_windows", counted)
+    ctx = PrimeContext(61)
+    chi = CharacterIndex(ctx, 7)
+    moment_sum_exact(chi, 4, 2)
+    assert len(windows) == 1
+    moment_sum_exact(chi, 4, 3)
+    moment_sum_exact(chi.conjugate(), 4, 1)
+    assert len(windows) == 1
+    moment_sum_exact(chi, 5, 3)
+    assert len(windows) == 2
+    moment_sum_exact(CharacterIndex(ctx, 8), 5, 3)
+    assert len(windows) == 3
+
+
+def test_moment_memo_memory_is_one_norm_set():
+    # the large-prime sequence: j = 1 then (p-1)/2, r = 2 then 3, h = 16.
+    # The old norms are freed before new ones are built, so the peak is one
+    # workspace for a row of 2^16 + 15 columns (3.0 MiB) and one norm set of
+    # (p+1)/2 floats (3.7 MiB), plus a block's wrapped dlogs: 6.92 MiB
+    # measured, where keeping the old norms through the rebuild reads 10.6
+    import tracemalloc
+
+    p = 960961
+    ctx = PrimeContext(p)
+    ctx.dlog_array(), ctx.root_powers()
+    workspace = (_RESYNC_BLOCK + 15) * sum(b.itemsize for b in _workspace(1))
+    norm_set = (p + 1) // 2 * 8
+    tracemalloc.start()
+    try:
+        for j in (1, (p - 1) // 2):
+            for r in (2, 3):
+                moment_sum_exact(CharacterIndex(ctx, j), 16, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= workspace + norm_set + 2**19, peak / 2**20
 
 
 def test_char_ops_refuse_unenumerable_context():

@@ -18,6 +18,7 @@ from gpbound.errors import (
 )
 from gpbound.ntcore import (
     _DLOG_INT64_P_MAX,
+    _GIANT_ROWS,
     _passes_strong_test,
     Factorization,
     MR_DETERMINISTIC_LIMIT,
@@ -269,17 +270,27 @@ def test_context_dlog_cap():
 
 
 def test_dlog_table_matches_power_loop():
-    # covers p-1 a perfect square (17, 37, ..., 2917) and ragged last giant rows
+    # covers p-1 a perfect square (17, 37, ..., 2917) and ragged last giant
+    # rows, and a last block of 1, 15 and 16 giant rows (up to 55 rows)
+    last_blocks = set()
     for p in primes_upto(3000)[1:]:
         ctx = PrimeContext(p)
         assert ctx.dlog_array().tolist() == dlog_by_power_loop(p, ctx.generator), p
+        rows = -(-(p - 1) // (math.isqrt(p - 1) + 1))
+        last_blocks.add((rows - 1) % _GIANT_ROWS + 1)
+    assert {1, _GIANT_ROWS - 1, _GIANT_ROWS} <= last_blocks
+
+
+def test_dlog_cap_keeps_logs_in_int32():
+    # every log lies below p-1, and the table is int32
+    assert PrimeContext.DLOG_CAP - 1 < 2**31
 
 
 def test_dlog_table_matches_power_loop_near_1e6():
     for p in (960961, 1000003):
         ctx = PrimeContext(p)
         table = ctx.dlog_array()
-        assert table.dtype == np.int64
+        assert table.dtype == np.int32
         assert np.array_equal(table, dlog_by_power_loop(p, ctx.generator)), p
 
 

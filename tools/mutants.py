@@ -172,6 +172,15 @@ MUTANTS = (
     Mutant("kernel: a non-real result returned as a point", "src/gpbound/enclosure.py",
            'raise DomainError(f"{op}: no real value on this enclosure") from None',
            "return CertifiedReal(0)"),
+    # the window norms of one character are shared across r, never across
+    # h, and only one set of them is alive at a time
+    Mutant("moments: memo key without h", "src/gpbound/characters.py",
+           "key = (min(chi.j, -chi.j % (p - 1)), h)", "key = (min(chi.j, -chi.j % (p - 1)),)"),
+    Mutant("moments: old norms kept through the rebuild", "src/gpbound/characters.py",
+           "slot = ctx._norms = None  # free the last norms", "pass  # free the last norms"),
+    # the blocked dlog build stops after p-1 powers
+    Mutant("dlog: ragged last giant row not trimmed", "src/gpbound/ntcore.py",
+           "m = min(powers.size, n - start)", "m = powers.size"),
     # the search's sieves rest on a proved factorization of p-1
     Mutant("search: p-1 factorization unproved", "src/gpbound/ntcore.py",
            "self.pm1_factors.validate(p - 1)", "pass"),
