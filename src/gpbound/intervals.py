@@ -28,8 +28,9 @@ the closed left end of J(q',t') if and only if, with H = Hn/Hd,
 
 Every J(q,t) lies left of I(q,t), so these inequalities make the whole
 family disjoint; containment in [-H, p-H) then needs only the first J and
-the last I.  Counts are floor divisions of integer numerators over q Hd;
-the endpoints are built as Fractions only when an entry is asked for one.
+the last I.  Each end is an integer numerator over q Hd, written once in
+`IntervalSystem.ends`; counts and checks read those numerators, and
+Fractions are built only for an error message.
 """
 
 from __future__ import annotations
@@ -47,64 +48,16 @@ from .ntcore import primes_upto
 
 
 @dataclass(frozen=True)
-class IntervalEntry:
-    """I(q,t) and J(q,t) of the family with parameters p, H = H_num/H_den
-    and h; the endpoints are exact rationals computed on demand."""
-
-    q: int
-    t: int
-    p: int
-    H_num: int
-    H_den: int
-    h: int
-
-    @property
-    def i_lo(self) -> Fraction:  # open
-        return Fraction(self.t * self.p, self.q)
-
-    @property
-    def i_hi(self) -> Fraction:  # closed
-        tp = self.t * self.p
-        return Fraction(tp * self.H_den + self.H_num, self.q * self.H_den) - self.h + 1
-
-    @property
-    def j_lo(self) -> Fraction:  # closed
-        tp = self.t * self.p
-        return Fraction(tp * self.H_den - self.H_num, self.q * self.H_den)
-
-    @property
-    def j_hi(self) -> Fraction:  # open
-        return Fraction(self.t * self.p, self.q) - self.h + 1
-
-    def count_i(self) -> int:
-        """floor(i_hi) - floor(i_lo)."""
-        tp = self.t * self.p
-        qd = self.q * self.H_den
-        return (tp * self.H_den + self.H_num) // qd - tp // self.q - self.h + 1
-
-    def count_j(self) -> int:
-        """ceil(j_hi) - ceil(j_lo), as floor(-j_lo) - floor(-j_hi)."""
-        tp = self.t * self.p
-        qd = self.q * self.H_den
-        return (self.H_num - tp * self.H_den) // qd - (-tp) // self.q - self.h + 1
-
-    def i_contains(self, z) -> bool:
-        return self.i_lo < z <= self.i_hi
-
-    def j_contains(self, z) -> bool:
-        return self.j_lo <= z < self.j_hi
-
-
-@dataclass(frozen=True)
 class IntervalSystem:
     """The family for p, H = H_num/H_den (lowest terms) and h; `entries`
-    runs through the reduced t/q in [0, 1) with q <= X in increasing order."""
+    holds the (t, q) of every reduced t/q in [0, 1) with q <= X, in
+    increasing order."""
 
     p: int
     H_num: int
     H_den: int
     h: int
-    entries: tuple[IntervalEntry, ...]
+    entries: tuple[tuple[int, int], ...]
 
     @property
     def H(self) -> Fraction:
@@ -114,14 +67,24 @@ class IntervalSystem:
     def X(self) -> Fraction:
         return Fraction(self.H_num, self.H_den * self.h)
 
+    def ends(self, t: int, q: int) -> tuple[int, int, int, int]:
+        """(i_lo, i_hi, j_lo, j_hi) of I(q,t) and J(q,t) as numerators over
+        q H_den; i_lo and j_hi are open, i_hi and j_lo closed."""
+        tp = t * self.p * self.H_den
+        shift = (self.h - 1) * q * self.H_den
+        return tp, tp + self.H_num - shift, tp - self.H_num, tp - shift
+
 
 def build_intervals(p: int, H, h: int) -> IntervalSystem:
     """Construct the full (q,t) family, in Farey order.
 
-    H is an int or an exact rational; h must be an int.  Preconditions are
-    checked by name: h >= 2, 0 < H < p, X = H/h >= 2, 2HX < p.  Disjointness
-    and containment in [-H, p-H) are asserted on the built system.
+    H is an int or an exact rational; p and h must be ints.  Preconditions
+    are checked by name: h >= 2, 0 < H < p, X = H/h >= 2, 2HX < p.
+    Disjointness and containment in [-H, p-H) are asserted on the built
+    system.
     """
+    if not isinstance(p, int):
+        raise ParameterError(f"p must be an int, got p = {p!r}")
     if not isinstance(h, int):
         raise ParameterError(f"h must be an int, got h = {h!r}")
     if h < 2:
@@ -136,10 +99,9 @@ def build_intervals(p: int, H, h: int) -> IntervalSystem:
         raise ParameterError(
             f"2HX < p required, got 2HX = {2 * H_num * H_num / (H_den * X_den):.6g} >= {p}"
         )
-    pairs = _farey_pairs(H_num // X_den)
-    _check_farey_family(p, H, h, pairs)
-    entries = tuple(IntervalEntry(q, t, p, H_num, H_den, h) for t, q in pairs)
-    return IntervalSystem(p, H_num, H_den, h, entries)
+    system = IntervalSystem(p, H_num, H_den, h, tuple(_farey_pairs(H_num // X_den)))
+    _check_farey_family(system)
+    return system
 
 
 def _farey_pairs(n: int) -> list[tuple[int, int]]:
@@ -153,25 +115,29 @@ def _farey_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _check_farey_family(p: int, H, h: int, pairs) -> None:
-    """Raise VerificationFailure unless the intervals of `pairs`, (t, q) in
-    increasing order of t/q, are disjoint and lie in [-H, p-H).
+def _check_farey_family(system: IntervalSystem) -> None:
+    """Raise VerificationFailure unless the intervals of `system.entries`,
+    (t, q) in increasing order of t/q, are disjoint and lie in [-H, p-H).
 
     Each adjacent pair must be Farey neighbours, t'q - tq' = 1, and satisfy
     Hn (q + q') - (h - 1) q q' Hd < p Hd.  A right end equal to p - H is
     inside; touching closed ends collide.  The chain argument needs every
     interval to have length H/q - h + 1 >= 0, which q <= H/h guarantees.
     """
-    H_num, H_den = H.as_integer_ratio()
-    h1 = h - 1
-    t, q = pairs[0]
-    if t * p * H_den - H_num < -q * H_num:  # j_lo < -H
-        e = IntervalEntry(q, t, p, H_num, H_den, h)
-        raise VerificationFailure(f"interval [{e.j_lo},{e.j_hi}] escapes [-H, p-H) at p={p}")
-    t, q = pairs[-1]
-    if t * p * H_den + H_num - h1 * q * H_den > q * (p * H_den - H_num):  # i_hi > p - H
-        e = IntervalEntry(q, t, p, H_num, H_den, h)
-        raise VerificationFailure(f"interval [{e.i_lo},{e.i_hi}] escapes [-H, p-H) at p={p}")
+    p, H_num, H_den, h1 = system.p, system.H_num, system.H_den, system.h - 1
+    pairs = system.entries
+    (t0, q0), (t1, q1) = pairs[0], pairs[-1]
+    _, _, j_lo, j_hi = system.ends(t0, q0)
+    i_lo, i_hi, _, _ = system.ends(t1, q1)
+    for q, lo, hi, escapes in (
+        (q0, j_lo, j_hi, j_lo < -q0 * H_num),  # j_lo < -H
+        (q1, i_lo, i_hi, i_hi > q1 * (p * H_den - H_num)),  # i_hi > p - H
+    ):
+        if escapes:
+            den = q * H_den
+            raise VerificationFailure(
+                f"interval [{Fraction(lo, den)},{Fraction(hi, den)}] escapes [-H, p-H) at p={p}"
+            )
     bound = p * H_den
     for (t, q), (t2, q2) in zip(pairs, pairs[1:]):
         if t2 * q - t * q2 != 1:
@@ -185,8 +151,15 @@ def _check_farey_family(p: int, H, h: int, pairs) -> None:
 
 
 def count_points(system: IntervalSystem) -> int:
-    """Exact number of integer points in the union, by integer floor division."""
-    return sum(e.count_i() + e.count_j() for e in system.entries)
+    """Exact number of integer points in the union: floor(i_hi) - floor(i_lo)
+    in each I and ceil(j_hi) - ceil(j_lo) in each J, by integer floor
+    division of the ends' numerators."""
+    total = 0
+    for t, q in system.entries:
+        i_lo, i_hi, j_lo, j_hi = system.ends(t, q)
+        den = q * system.H_den
+        total += i_hi // den - i_lo // den + (-j_lo) // den - (-j_hi) // den
+    return total
 
 
 def envelope_bounds_enclosure(X, h) -> tuple[CertifiedReal, CertifiedReal]:
@@ -248,6 +221,25 @@ class SweepReport:
         }
 
 
+def _check_x_max(x_max: int, least: int) -> None:
+    if x_max < least:
+        raise ParameterError(f"need x_max >= {least}, got x_max = {x_max}")
+
+
+def _sweep_report(claim: str, x_range: tuple[float, float], candidates) -> SweepReport:
+    """Report on the (slack enclosure, X) candidates of a sweep: the worst
+    is the first with the least lower end, and the claim passes when its
+    slack is certainly positive.  Candidates are read one at a time, so only
+    the worst is kept, and each lower end is rounded to a float once."""
+    worst, checked = None, 0
+    for checked, (slack, where) in enumerate(candidates, 1):
+        lo = slack.lo
+        if worst is None or lo < worst[0]:
+            worst = (lo, slack, where)
+    lo, slack, where = worst
+    return SweepReport(claim, x_range, lo, where, checked, slack.gt(0) is True)
+
+
 def verify_S_envelope(x_max: int = 38) -> SweepReport:
     """Check |S(X) - 3 X^2/pi^2| <= (2/3) X for all real X in [1, x_max).
 
@@ -258,49 +250,28 @@ def verify_S_envelope(x_max: int = 38) -> SweepReport:
       -D - (2/3)X is convex -> sup at endpoints.
     The stationary value has the closed form (a - 2/3)^2 pi^2/12 - b.
     """
-    n = x_max
-    ph = _phi_table(n)
-    with working_precision():
+    _check_x_max(x_max, 2)
+    ph = _phi_table(x_max)
+
+    def candidates():
         pi2 = CertifiedReal.pi() ** 2
-        worst = None
-        checked = 0
         a = Fraction(0)
         b = 0
-        for k in range(1, n):
+        for k in range(1, x_max):
             a += Fraction(int(ph[k]), k)
             b += int(ph[k])
-
-            def slack_at(x: Fraction) -> CertifiedReal:
+            for x in (Fraction(k), Fraction(k + 1)):
                 d = enclose(a * x - b) - 3 * enclose(x) ** 2 / pi2
-                return enclose(Fraction(2, 3) * x) - abs(d)
-
-            candidates = [
-                (slack_at(Fraction(k)), float(k)),
-                (slack_at(Fraction(k + 1)), float(k + 1)),
-            ]
-            checked += 2
+                yield enclose(Fraction(2, 3) * x) - abs(d), float(x)
             # stationary point of D - (2/3)X at X* = (a - 2/3) pi^2 / 6; its
             # value bounds the segment sup, so include it unless X* is
             # certainly outside (conservative when X* straddles an endpoint)
             xs = enclose(a - Fraction(2, 3)) * pi2 / 6
-            certainly_outside = xs.le(k) is True or xs.ge(k + 1) is True
-            if not certainly_outside:
-                f1_max = enclose(a - Fraction(2, 3)) ** 2 * pi2 / 12 - b
-                candidates.append((-f1_max, xs.lo))
-                checked += 1
-            for cand, where in candidates:
-                if worst is None or cand.lo < worst[0].lo:
-                    worst = (cand, where)
-        slack, where = worst
-        passed = bool(slack.gt(0))
-    return SweepReport(
-        claim="|S - 3X^2/pi^2| <= (2/3) X",
-        x_range=(1.0, float(x_max)),
-        worst_slack=slack.lo,
-        worst_x=where,
-        checked=checked,
-        passed=passed,
-    )
+            if not (xs.le(k) is True or xs.ge(k + 1) is True):
+                yield -(enclose(a - Fraction(2, 3)) ** 2 * pi2 / 12 - b), xs.lo
+
+    with working_precision():
+        return _sweep_report("|S - 3X^2/pi^2| <= (2/3) X", (1.0, float(x_max)), candidates())
 
 
 def verify_T_envelope(x_max: int = 1000) -> SweepReport:
@@ -311,32 +282,19 @@ def verify_T_envelope(x_max: int = 1000) -> SweepReport:
       -u - X log X is convex for X >= pi^2/6 -> sup at endpoints.
     So both segment endpoints are the only candidates.
     """
-    n = x_max
-    ph = _phi_table(n)
-    t_cum = np.cumsum(ph[1:])  # t_cum[k-1] = T(k)
-    with working_precision():
+    _check_x_max(x_max, 3)
+    t_cum = np.cumsum(_phi_table(x_max)[1:])  # t_cum[k-1] = T(k)
+
+    def candidates():
         pi2 = CertifiedReal.pi() ** 2
-        worst = None
-        checked = 0
-        for k in range(2, n):
-            t_val = int(t_cum[k - 1])
+        for k in range(2, x_max):
+            t_val = enclose(int(t_cum[k - 1]))
             for x in (k, k + 1):
                 xe = enclose(x)
-                diff = abs(enclose(t_val) - 3 * xe**2 / pi2)
-                slack = xe * xe.log() - diff
-                checked += 1
-                if worst is None or slack.lo < worst[0].lo:
-                    worst = (slack, float(x))
-        slack, where = worst
-        passed = bool(slack.gt(0))
-    return SweepReport(
-        claim="|T - 3X^2/pi^2| <= X log X",
-        x_range=(2.0, float(x_max)),
-        worst_slack=slack.lo,
-        worst_x=where,
-        checked=checked,
-        passed=passed,
-    )
+                yield xe * xe.log() - abs(t_val - 3 * xe**2 / pi2), float(x)
+
+    with working_precision():
+        return _sweep_report("|T - 3X^2/pi^2| <= X log X", (2.0, float(x_max)), candidates())
 
 
 def _mobius_table(n: int) -> np.ndarray:
@@ -360,8 +318,7 @@ def verify_external_inputs(x_max: int = 10**6) -> list[SweepReport]:
     These are trusted external estimates, not re-proved here; float
     evaluation with generous slack is appropriate.
     """
-    if x_max < 2:
-        raise ParameterError(f"need x_max >= 2, got x_max = {x_max}")
+    _check_x_max(x_max, 2)
     mu = _mobius_table(x_max)
     d = np.arange(x_max + 1, dtype=float)
     d[0] = 1.0

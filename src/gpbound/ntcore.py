@@ -2,7 +2,9 @@
 
 Primality, factorization, the classical multiplicative functions, and the
 brute-force least-primitive-root oracle.  Everything here is exact integer
-or rational arithmetic; no floats.
+or rational arithmetic, with no floats, except in PrimeContext: its table
+of the (p-1)-th roots of unity is complex, and its `_norms` slot holds the
+float window norms that `characters` computes.
 
 Every primality verdict is a proof: is_prime decides below
 MR_DETERMINISTIC_LIMIT (~3.3e24), and past it least_primitive_root proves p

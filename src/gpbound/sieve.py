@@ -25,13 +25,15 @@ c_d(k) = mu(d/(d,k)) phi(d)/phi(d/(d,k)) (O. Hölder, Prace Mat.-Fiz. 43
 primes dividing k, and one integer transform over the key primes gives
 every class's right-hand side at once: put each term's weight at its d's
 bitmask, then map (x0, x1) -> (x0 - x1, x0 + (q-1) x1) across each key
-prime q's bit.  The worst-slack checks visit every n by visiting every
-class.  The key primes are those of the indicator on the left (the primes
-of e in the identity, every prime of p-1 in the bound, whose f is the
-primitive-root indicator), so it is 1 exactly on class 0, where no key prime
-divides k.  Their product P divides p-1, so every class occurs in [0, p-1):
-its first k is the product of its primes, below P, except for the class of
-every key prime, whose first k is 0.
+prime q's bit.  Each check keeps its weights as integers over one
+denominator: mu(d)/phi(d) is mu(d) phi(rad e)/phi(d) over phi(rad e).  The
+worst-slack checks visit every n by visiting every class.  The key primes
+are those of the indicator on the left (the primes of e in the identity,
+every prime of p-1 in the bound, whose f is the primitive-root indicator),
+so it is 1 exactly on class 0, where no key prime divides k.  Their product
+P divides p-1, so every class occurs in [0, p-1): its first k is the
+product of its primes, below P, except for the class of every key prime,
+whose first k is 0.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from functools import cache, cached_property
 from .errors import ConfigError, ConsistencyError, DomainError
 from .ntcore import PrimeContext, first_primes, squarefree_divisors
 
-# A right-hand side as (weight w, character order d): sum_j w_j c_{d_j}(k).
-Terms = list[tuple[Fraction, int]]
+# A right-hand side as (integer weight a, character order d) over a
+# denominator kept beside it: sum_j a_j c_{d_j}(k).
+Terms = list[tuple[int, int]]
 
 
 def sieve_factor(omega: int, s: int, delta: Fraction) -> Fraction:
@@ -172,9 +175,9 @@ def _primes_of(ctx: PrimeContext, e: int) -> tuple[int, ...]:
     return tuple(q for q in ctx.pm1_factors.primes if e % q == 0)
 
 
-def _theta(primes: tuple[int, ...]) -> Fraction:
-    """phi(e)/e for the e whose primes these are."""
-    return math.prod((Fraction(q - 1, q) for q in primes), start=Fraction(1))
+def _phi_rad(primes: tuple[int, ...]) -> int:
+    """phi(rad e) for the e whose primes these are."""
+    return math.prod(q - 1 for q in primes)
 
 
 def e_free(ctx: PrimeContext, e: int, n: int) -> int:
@@ -185,26 +188,32 @@ def e_free(ctx: PrimeContext, e: int, n: int) -> int:
 
 
 def _identity_terms(primes_e: tuple[int, ...]) -> Terms:
-    """1 + sum_{d|e, d>1} (mu(d)/phi(d)) c_d: d = 1 is the leading 1, and
-    non-squarefree d have mu(d) = 0."""
-    return [(Fraction(mu, phi), d) for d, mu, phi in squarefree_divisors(primes_e)]
+    """1 + sum_{d|e, d>1} (mu(d)/phi(d)) c_d over phi(rad e), with weights
+    mu(d) phi(rad e)/phi(d): d = 1 is the leading 1, and non-squarefree d
+    have mu(d) = 0."""
+    phi_rad = _phi_rad(primes_e)
+    return [(mu * (phi_rad // phi), d) for d, mu, phi in squarefree_divisors(primes_e)]
 
 
 def _excluded_terms(p_i: int, primes_e: tuple[int, ...]) -> Terms:
-    """sum_{d|e} (mu(p_i d)/phi(p_i d)) c_{p_i d}, d = 1 included; p_i does
-    not divide e, so mu(p_i d) = -mu(d) and phi(p_i d) = (p_i - 1) phi(d)."""
-    return [
-        (Fraction(-mu, (p_i - 1) * phi), p_i * d)
-        for d, mu, phi in squarefree_divisors(primes_e)
-    ]
+    """sum_{d|e} (mu(p_i d)/phi(p_i d)) c_{p_i d} over (p_i - 1) phi(rad e),
+    d = 1 included; p_i does not divide e, so mu(p_i d) = -mu(d) and
+    phi(p_i d) = (p_i - 1) phi(d)."""
+    return [(-a, p_i * d) for a, d in _identity_terms(primes_e)]
 
 
-def _lower_bound_terms(config: SieveConfig, primes_e: tuple[int, ...]) -> Terms:
-    terms = _identity_terms(primes_e)
+def _lower_bound_check(config: SieveConfig, primes_e: tuple[int, ...]) -> tuple[Terms, int, int]:
+    """The bound's right-hand side, its left-hand side on class 0 and their
+    denominator.  With delta = N/P for the product P of the excluded primes,
+    theta(p_i)/delta times the excluded weights over (p_i - 1) phi(rad e) is
+    P/p_i times them over N phi(rad e), and 1/(delta theta(e)) is P rad(e)
+    over N phi(rad e)."""
+    P = math.prod(config.excluded)
+    N = (config.delta * P).numerator
+    terms = [(N * a, d) for a, d in _identity_terms(primes_e)]
     for p_i in config.excluded:
-        scale = Fraction(p_i - 1, p_i) / config.delta  # theta(p_i)/delta
-        terms += [(scale * w, d) for w, d in _excluded_terms(p_i, primes_e)]
-    return terms
+        terms += [(P // p_i * a, d) for a, d in _excluded_terms(p_i, primes_e)]
+    return terms, P * math.prod(primes_e), N * _phi_rad(primes_e)
 
 
 def _class_of(k: int, key_primes: tuple[int, ...]) -> int:
@@ -226,18 +235,6 @@ def _rhs_by_class(coefs: list[tuple[int, int]], key_primes: tuple[int, ...]) -> 
     return x
 
 
-def _scaled(terms: Terms, *extra: Fraction) -> tuple[int, list[tuple[int, int]]]:
-    """One common denominator for the weights (and the extra values), with
-    the weights as integer numerators over it."""
-    den = math.lcm(*(w.denominator for w, _ in terms), *(x.denominator for x in extra))
-    return den, [(w.numerator * (den // w.denominator), d) for w, d in terms]
-
-
-def _evaluate(terms: Terms, key_primes: tuple[int, ...], k: int) -> Fraction:
-    den, coefs = _scaled(terms)
-    return Fraction(_rhs_by_class(coefs, key_primes)[_class_of(k, key_primes)], den)
-
-
 def _first_k(cls: int, key_primes: tuple[int, ...]) -> int:
     """The first k in [0, p-1) of a class: the product of its primes, or 0
     for the class of every key prime."""
@@ -245,24 +242,21 @@ def _first_k(cls: int, key_primes: tuple[int, ...]) -> int:
     return 0 if len(primes) == len(key_primes) else math.prod(primes)
 
 
-def _slacks_by_class(
-    key_primes: tuple[int, ...], terms: Terms, lhs_unit: Fraction
-) -> tuple[list[int], int]:
-    """Exact lhs - rhs on every class of k, indexed by _class_of: the lhs
-    is lhs_unit on class 0 and 0 elsewhere.  Slacks are integer numerators
-    over one common denominator, which is returned with them."""
-    den, coefs = _scaled(terms, lhs_unit)
-    slacks = [-x for x in _rhs_by_class(coefs, key_primes)]
-    slacks[0] += lhs_unit.numerator * (den // lhs_unit.denominator)
-    return slacks, den
+def _slacks_by_class(key_primes: tuple[int, ...], terms: Terms, lhs: int) -> list[int]:
+    """Exact lhs - rhs on every class of k, indexed by _class_of, over the
+    denominator of the terms: the lhs is `lhs` on class 0 and 0 elsewhere."""
+    slacks = [-x for x in _rhs_by_class(terms, key_primes)]
+    slacks[0] += lhs
+    return slacks
 
 
 def fe_identity_worst_slack(ctx: PrimeContext, e: int) -> float:
     """Worst |f_e(n)/theta(e) - RHS| over every n in [1, p-1], exactly:
     0.0 unless the identity fails."""
     primes_e = _primes_of(ctx, e)
-    slacks, den = _slacks_by_class(primes_e, _identity_terms(primes_e), 1 / _theta(primes_e))
-    return float(Fraction(max(map(abs, slacks)), den))
+    # the lhs 1/theta(e) is rad(e) over phi(rad e)
+    slacks = _slacks_by_class(primes_e, _identity_terms(primes_e), math.prod(primes_e))
+    return float(Fraction(max(map(abs, slacks)), _phi_rad(primes_e)))
 
 
 def _context(config: SieveConfig) -> PrimeContext:
@@ -279,9 +273,8 @@ def sieve_lower_bound_worst_slack(config: SieveConfig) -> float:
     ctx = _context(config)
     primes_e = _primes_of(ctx, config.e)
     primes = ctx.pm1_factors.primes
-    slacks, den = _slacks_by_class(
-        primes, _lower_bound_terms(config, primes_e), 1 / (config.delta * _theta(primes_e))
-    )
+    terms, lhs, den = _lower_bound_check(config, primes_e)
+    slacks = _slacks_by_class(primes, terms, lhs)
     cls = min(range(len(slacks)), key=slacks.__getitem__)
     worst = Fraction(slacks[cls], den)
     if worst < 0:
@@ -313,9 +306,11 @@ def intermediate_identities_check(config: SieveConfig, n: int) -> dict:
         theta_i = Fraction(p_i - 1, p_i)
         term = e_free(ctx, p_i * e, n) - theta_i * f_e_val
         rhs_exact += term
-        expansion = theta_i * _theta(primes_e) * _evaluate(
-            _excluded_terms(p_i, primes_e), (p_i, *primes_e), k
-        )
+        # theta(p_i e) = (p_i - 1) phi(rad e)/(p_i rad e) times the excluded
+        # terms over (p_i - 1) phi(rad e)
+        key = (p_i, *primes_e)
+        rhs = _rhs_by_class(_excluded_terms(p_i, primes_e), key)[_class_of(k, key)]
+        expansion = Fraction(rhs, p_i * math.prod(primes_e))
         worst_expansion = max(worst_expansion, abs(term - expansion))
     rhs_exact += config.delta * f_e_val
 

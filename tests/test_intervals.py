@@ -2,10 +2,11 @@
 piecewise sweeps behind the two computational claims.
 
 The oracles below work from the rational endpoints, built with Fractions
-per (q, t) as in the definition: the counting oracle enumerates integer
-points directly, independent of count_points' integer floor divisions, and
-the sorted-span oracle checks disjointness and containment without the
-Farey-neighbour argument build_intervals relies on.
+per (q, t) as in the definition, not from IntervalSystem.ends: the counting
+oracle enumerates integer points directly, independent of count_points'
+integer floor divisions, and the sorted-span oracle checks disjointness
+and containment without the Farey-neighbour argument build_intervals relies
+on.
 """
 
 import math
@@ -18,7 +19,6 @@ import pytest
 from gpbound.enclosure import envelopes
 from gpbound.errors import ParameterError, VerificationFailure
 from gpbound.intervals import (
-    IntervalEntry,
     IntervalSystem,
     _check_farey_family,
     _farey_pairs,
@@ -35,18 +35,22 @@ from gpbound.intervals import (
 from gpbound.ntcore import iter_primes, moebius
 
 
+def definition_ends(p: int, H: Fraction, h: int, t: int, q: int) -> tuple:
+    """(i_lo, i_hi, j_lo, j_hi) of I(q,t) = (tp/q, (tp+H)/q - h + 1] and
+    J(q,t) = [(tp-H)/q, tp/q - h + 1), as Fractions."""
+    a = Fraction(t * p, q)
+    return a, a + Fraction(H) / q - h + 1, a - Fraction(H) / q, a - h + 1
+
+
 def endpoints_oracle(p: int, H: Fraction, h: int) -> dict:
     """{(q, t): (i_lo, i_hi, j_lo, j_hi)} for every reduced t/q, q <= H/h."""
-    H = Fraction(H)
-    X = H / h
-    out = {}
-    for q in range(1, floor(X) + 1):
-        for t in range(q):
-            if gcd(t, q) != 1:
-                continue
-            a = Fraction(t * p, q)
-            out[q, t] = (a, a + H / q - h + 1, a - H / q, a - h + 1)
-    return out
+    X = Fraction(H) / h
+    return {
+        (q, t): definition_ends(p, H, h, t, q)
+        for q in range(1, floor(X) + 1)
+        for t in range(q)
+        if gcd(t, q) == 1
+    }
 
 
 def count_oracle(p: int, H: Fraction, h: int):
@@ -69,9 +73,10 @@ def sorted_spans_oracle(system: IntervalSystem) -> None:
     raises VerificationFailure like build_intervals' own check."""
     # (left, right, right_closed) for every interval, exact comparisons
     spans = []
-    for e in system.entries:
-        spans.append((e.j_lo, e.j_hi, False))
-        spans.append((e.i_lo, e.i_hi, True))
+    for t, q in system.entries:
+        i_lo, i_hi, j_lo, j_hi = definition_ends(system.p, system.H, system.h, t, q)
+        spans.append((j_lo, j_hi, False))
+        spans.append((i_lo, i_hi, True))
     spans.sort(key=lambda s: (s[0], s[1]))
     lo_bound, hi_bound = -system.H, system.p - system.H
     for left, right, _closed in spans:
@@ -91,7 +96,7 @@ def system_of(p: int, H: Fraction, h: int, pairs) -> IntervalSystem:
     """An IntervalSystem on arbitrary (t, q) pairs, bypassing build_intervals'
     preconditions, so both checks can be fed crafted input."""
     n, d = Fraction(H).as_integer_ratio()
-    return IntervalSystem(p, n, d, h, tuple(IntervalEntry(q, t, p, n, d, h) for t, q in pairs))
+    return IntervalSystem(p, n, d, h, tuple(pairs))
 
 
 def phi_direct(n: int) -> int:
@@ -100,11 +105,11 @@ def phi_direct(n: int) -> int:
 
 def test_build_single_entry_shape():
     system = build_intervals(10007, 100, 10)
-    e = next(entry for entry in system.entries if entry.q == 1)
-    assert e.t == 0
-    assert (e.i_lo, e.i_hi) == (0, 91)  # (0, H-h+1]
-    assert (e.j_lo, e.j_hi) == (-100, -9)  # [-H, -h+1)
-    assert e.count_i() == 91 and e.count_j() == 91
+    assert [(t, q) for t, q in system.entries if q == 1] == [(0, 1)]
+    i_lo, i_hi, j_lo, j_hi = system.ends(0, 1)
+    assert (i_lo, i_hi) == (0, 91)  # (0, H-h+1]
+    assert (j_lo, j_hi) == (-100, -9)  # [-H, -h+1)
+    assert count_points(system_of(10007, Fraction(100), 10, [(0, 1)])) == 91 + 91
 
 
 def test_build_rejects_bad_parameters():
@@ -124,6 +129,14 @@ def test_build_rejects_non_integer_h():
     for h in (2.5, 10.0, Fraction(10)):
         with pytest.raises(ParameterError, match="h must be an int"):
             build_intervals(10007, 100, h)
+
+
+def test_build_rejects_non_integer_p():
+    # a float p made every count a float: 10007.0 counted 670.0, and
+    # 10007.5 was accepted and counted 671.0
+    for p in (10007.0, 10007.5, Fraction(10007)):
+        with pytest.raises(ParameterError, match="p must be an int"):
+            build_intervals(p, 100, 10)
 
 
 def test_farey_pairs_match_brute_force():
@@ -159,8 +172,9 @@ def test_farey_check_agrees_with_sorted_spans_oracle():
         if k in sampled:
             ends = endpoints_oracle(p, H, h)
             assert len(system.entries) == len(ends)
-            for e in system.entries:
-                assert (e.i_lo, e.i_hi, e.j_lo, e.j_hi) == ends[e.q, e.t]
+            for t, q in system.entries:
+                den = q * system.H_den
+                assert tuple(Fraction(x, den) for x in system.ends(t, q)) == ends[q, t]
             assert count_points(system) == count_oracle(p, H, h)[0]
 
 
@@ -171,15 +185,15 @@ def test_pair_check_boundary(p, H, h):
     pairs = [(0, 1), (1, 2)]
     assert H * 3 - (h - 1) * 2 == p
     with pytest.raises(VerificationFailure, match="overlap"):
-        _check_farey_family(p, H, h, pairs)
+        _check_farey_family(system_of(p, H, h, pairs))
     with pytest.raises(VerificationFailure, match="overlap"):
         sorted_spans_oracle(system_of(p, H, h, pairs))
     # one more unit of p separates them; I(2,1) then ends short of p - H
-    _check_farey_family(p + 1, H, h, pairs)
+    _check_farey_family(system_of(p + 1, H, h, pairs))
     sorted_spans_oracle(system_of(p + 1, H, h, pairs))
     # one less pushes the right end of the last I past p - H
     with pytest.raises(VerificationFailure, match="escapes"):
-        _check_farey_family(p - 1, H, h, pairs)
+        _check_farey_family(system_of(p - 1, H, h, pairs))
     with pytest.raises(VerificationFailure, match="escapes"):
         sorted_spans_oracle(system_of(p - 1, H, h, pairs))
 
@@ -187,17 +201,17 @@ def test_pair_check_boundary(p, H, h):
 def test_pair_check_asserts_farey_neighbours():
     p, H, h = 10007, Fraction(100), 10
     pairs = _farey_pairs(10)
-    _check_farey_family(p, H, h, pairs)
+    _check_farey_family(system_of(p, H, h, pairs))
     # a repeated entry overlaps itself, though 2H - (h - 1) < p
     doubled = pairs[:5] + pairs[4:]
     with pytest.raises(VerificationFailure, match="not Farey neighbours"):
-        _check_farey_family(p, H, h, doubled)
+        _check_farey_family(system_of(p, H, h, doubled))
     with pytest.raises(VerificationFailure, match="overlap"):
         sorted_spans_oracle(system_of(p, H, h, doubled))
     # a gap or a swap also breaks t'q - tq' = 1
     for broken in (pairs[:5] + pairs[6:], pairs[:5] + [pairs[6], pairs[5]] + pairs[7:]):
         with pytest.raises(VerificationFailure, match="not Farey neighbours"):
-            _check_farey_family(p, H, h, broken)
+            _check_farey_family(system_of(p, H, h, broken))
 
 
 def test_build_and_count_construct_no_fraction(monkeypatch):
@@ -229,7 +243,7 @@ def test_count_points_degenerate_x2():
     # smallest admissible X: H = 2h, q runs over {1, 2} only
     system = build_intervals(10007, 20, 10)
     assert float(system.X) == 2.0
-    assert {e.q for e in system.entries} == {1, 2}
+    assert {q for _, q in system.entries} == {1, 2}
     assert count_points(system) == count_oracle(10007, Fraction(20), 10)[0]
 
 
@@ -249,19 +263,20 @@ def test_count_points_matches_oracle_on_samples():
 def test_shift_property_random_samples():
     rng = random.Random(7)
     system = build_intervals(10007, Fraction(301, 2), 10)
-    entries = system.entries
     hits = 0
     for _ in range(1000):
-        e = rng.choice(entries)
+        t, q = rng.choice(system.entries)
+        i_lo, i_hi, j_lo, j_hi = system.ends(t, q)
+        den = q * system.H_den
         n = rng.randrange(10)
-        z = rng.randint(floor(e.i_lo) - 2, ceil(e.i_hi) + 2)
-        if e.i_contains(z):
+        z = rng.randint(i_lo // den - 2, -(-i_hi // den) + 2)
+        if i_lo < z * den <= i_hi:
             hits += 1
-            assert 0 < e.q * (z + n) - 10007 * e.t <= system.H
-        z = rng.randint(floor(e.j_lo) - 2, ceil(e.j_hi) + 2)
-        if e.j_contains(z):
+            assert 0 < q * (z + n) - 10007 * t <= system.H
+        z = rng.randint(j_lo // den - 2, -(-j_hi // den) + 2)
+        if j_lo <= z * den < j_hi:
             hits += 1
-            assert -system.H <= e.q * (z + n) - 10007 * e.t < 0
+            assert -system.H <= q * (z + n) - 10007 * t < 0
     assert hits > 100  # sanity: the sampler actually exercised membership
 
 
@@ -346,6 +361,18 @@ def test_T_envelope_sweep():
     diff = abs(sum_T(2) - 3 * 4 / math.pi**2)
     assert diff == pytest.approx(0.78409, abs=1e-4)
     assert diff <= 2 * math.log(2)
+
+
+def test_sweeps_reject_x_max_below_their_least():
+    # below the least x_max a sweep has no segment: it raised TypeError on
+    # an empty worst candidate
+    for fn, least in ((verify_S_envelope, 2), (verify_T_envelope, 3)):
+        for x_max in (least - 1, 0, -3):
+            with pytest.raises(ParameterError, match=f"x_max >= {least}"):
+                fn(x_max)
+        report = fn(least)
+        assert (report.checked, report.passed) == (2, True)
+        assert report.x_range == (least - 1.0, float(least))
 
 
 def test_external_input_checks():

@@ -245,13 +245,13 @@ def test_sieve_checks_leave_context_unchanged():
 
 
 def _identity_checks(ctx, e_max):
-    """(key primes, mask e, terms, lhs unit) of the identity at every even
-    e <= e_max."""
+    """(key primes, mask e, terms, lhs) of the identity at every even
+    e <= e_max; the lhs 1/theta(e) is rad(e) over the terms' phi(rad e)."""
     out = []
     for e in ctx.divisors_of_pm1():
         if e % 2 == 0 and e <= e_max:
             primes_e = sieve._primes_of(ctx, e)
-            out.append((primes_e, e, sieve._identity_terms(primes_e), 1 / sieve._theta(primes_e)))
+            out.append((primes_e, e, sieve._identity_terms(primes_e), math.prod(primes_e)))
     return out
 
 
@@ -259,9 +259,8 @@ def _lower_bound_checks(ctx):
     """The same for the lower bound at every admissible config."""
     out = []
     for cfg in admissible_configs(ctx):
-        primes_e = sieve._primes_of(ctx, cfg.e)
-        out.append((ctx.pm1_factors.primes, ctx.p - 1, sieve._lower_bound_terms(cfg, primes_e),
-                    1 / (cfg.delta * sieve._theta(primes_e))))
+        terms, lhs, _ = sieve._lower_bound_check(cfg, sieve._primes_of(ctx, cfg.e))
+        out.append((ctx.pm1_factors.primes, ctx.p - 1, terms, lhs))
     return out
 
 
@@ -280,57 +279,52 @@ def test_class_transform_matches_hoelder_termwise():
     for p in primes_upto(2000)[1:]:
         ctx = PrimeContext(p)
         c = _hoelder(ctx)
-        for key, _, terms, _ in _identity_checks(ctx, p) + _lower_bound_checks(ctx):
-            _, coefs = sieve._scaled(terms)
+        for key, _, coefs, _ in _identity_checks(ctx, p) + _lower_bound_checks(ctx):
             rhs = sieve._rhs_by_class(coefs, key)
             for cls, value in enumerate(rhs):
                 rep = math.prod(q for i, q in enumerate(key) if cls >> i & 1)
                 assert value == _hoelder_rhs(c, coefs, rep), (p, key, cls)
 
 
-def _scan_every_k(ctx, c, key_primes, mask_e, terms, lhs_unit):
+def _scan_every_k(ctx, c, key_primes, mask_e, coefs, lhs):
     """The scan over every k in [0, p-1), with the indicator from the
     primes of mask_e and each class's right-hand side by Hölder's formula:
-    {(class, indicator): (slack, first k)} over the pairs that occur, and
-    the denominator."""
+    {(class, indicator): (slack, first k)} over the pairs that occur."""
     mask = np.ones(ctx.p - 1, dtype=bool)
     for q in sieve._primes_of(ctx, mask_e):
         mask[::q] = False
     codes = mask.astype(np.intp)
     for i, q in enumerate(key_primes):
         codes[::q] |= 2 << i
-    den, coefs = sieve._scaled(terms, lhs_unit)
-    lhs = lhs_unit.numerator * (den // lhs_unit.denominator)
     out = {}
     for code in np.flatnonzero(np.bincount(codes)).tolist():
         cls, f = code >> 1, code & 1
         rep = math.prod(q for i, q in enumerate(key_primes) if cls >> i & 1)
         out[cls, f] = (f * lhs - _hoelder_rhs(c, coefs, rep), int((codes == code).argmax()))
-    return out, den
+    return out
 
 
-def _enumerate_classes(key_primes, terms, lhs_unit):
+def _enumerate_classes(key_primes, terms, lhs):
     """The same from the library's enumeration of the classes, whose
     indicator is 1 on class 0 alone."""
-    slacks, den = sieve._slacks_by_class(key_primes, terms, lhs_unit)
     return {
         (cls, int(cls == 0)): (slack, sieve._first_k(cls, key_primes))
-        for cls, slack in enumerate(slacks)
-    }, den
+        for cls, slack in enumerate(sieve._slacks_by_class(key_primes, terms, lhs))
+    }
 
 
 def test_class_enumeration_matches_the_scan_over_every_k():
     ctx = PrimeContext(960961)  # p-1 = 2^6 3 5 7 11 13
     c = _hoelder(ctx)
-    for key, e, terms, lhs_unit in _identity_checks(ctx, 30):
-        got = _enumerate_classes(key, terms, lhs_unit)
-        assert got == _scan_every_k(ctx, c, key, e, terms, lhs_unit), e
+    for key, e, terms, lhs in _identity_checks(ctx, 30):
+        got = _enumerate_classes(key, terms, lhs)
+        assert got == _scan_every_k(ctx, c, key, e, terms, lhs), e
     for p in primes_upto(10**4)[1:]:
         ctx = PrimeContext(p)
         c = _hoelder(ctx)
-        for key, e, terms, lhs_unit in _lower_bound_checks(ctx):
-            got = _enumerate_classes(key, terms, lhs_unit)
-            assert got == _scan_every_k(ctx, c, key, e, terms, lhs_unit), p
+        for key, e, terms, lhs in _lower_bound_checks(ctx):
+            got = _enumerate_classes(key, terms, lhs)
+            assert got == _scan_every_k(ctx, c, key, e, terms, lhs), p
 
 
 @pytest.mark.parametrize("p", [61, 211])  # p-1 = 2^2 3 5, and 2 3 5 7
@@ -343,8 +337,8 @@ def test_a_breach_names_the_first_n_of_its_class(p, monkeypatch):
         monkeypatch.setattr(sieve, "_rhs_by_class", lambda coefs, key: [
             x + 10**30 * (m == cls) for m, x in enumerate(original(coefs, key))
         ])
-        for cfg, (key, e, terms, lhs_unit) in zip(admissible_configs(ctx), _lower_bound_checks(ctx)):
-            scan, _ = _scan_every_k(ctx, c, key, e, terms, lhs_unit)
+        for cfg, (key, e, terms, lhs) in zip(admissible_configs(ctx), _lower_bound_checks(ctx)):
+            scan = _scan_every_k(ctx, c, key, e, terms, lhs)
             (k,) = (first for (m, _), (_, first) in scan.items() if m == cls)
             n = pow(ctx.generator, k, p)
             with pytest.raises(ConsistencyError, match=f"e={cfg.e}, n={n}: "):

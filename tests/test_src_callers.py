@@ -25,8 +25,6 @@ KEPT = {
     "CharacterIndex.conjugate": "accessor of the character's conjugate, pinned by tests",
     "CharacterIndex.is_principal": "accessor of the principal character, pinned by tests",
     "CertifiedReal.contains": "accessor of enclosure membership, pinned by tests",
-    "IntervalEntry.i_contains": "accessor of membership in an I interval, pinned by tests",
-    "IntervalEntry.j_contains": "accessor of membership in a J interval, pinned by tests",
 }
 
 

@@ -94,6 +94,19 @@ MUTANTS = (
            "slacks[0] += ", "slacks[1] += "),
     Mutant("sieve: first k of the full class moved from 0 to P", "src/gpbound/sieve.py",
            "0 if len(primes) == len(key_primes) else math.prod(primes)", "math.prod(primes)"),
+    # the interval family: Farey neighbours whose closed ends do not touch,
+    # built from an integer p
+    Mutant("intervals: touching closed ends taken as disjoint", "src/gpbound/intervals.py",
+           "q2 * H_den >= bound:", "q2 * H_den > bound:"),
+    Mutant("intervals: Farey neighbours unchecked", "src/gpbound/intervals.py",
+           "if t2 * q - t * q2 != 1:", "if False:"),
+    Mutant("intervals: non-integer p accepted", "src/gpbound/intervals.py",
+           "if not isinstance(p, int):", "if False:"),
+    # the envelope sweeps need one segment
+    Mutant("sweeps: S below its least x_max unguarded", "src/gpbound/intervals.py",
+           "_check_x_max(x_max, 2)\n    ph = ", "ph = "),
+    Mutant("sweeps: T below its least x_max unguarded", "src/gpbound/intervals.py",
+           "_check_x_max(x_max, 3)", "pass"),
     # certify_bound: the sieve must be evidence for this p or this threshold
     Mutant("certify: any sieve type", "src/gpbound/certify/certifier.py",
            "if not isinstance(sieve, SieveConfig):", "if sieve is None:"),
