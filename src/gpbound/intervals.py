@@ -36,11 +36,13 @@ Fractions are built only for an error message.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
 import numpy as np
+from mpmath.libmp import from_float, mpf_lt
 
 from .enclosure import CertifiedReal, enclose, envelope_a, envelope_b, working_precision
 from .errors import ParameterError, VerificationFailure
@@ -221,21 +223,29 @@ class SweepReport:
         }
 
 
-def _check_x_max(x_max: int, least: int) -> None:
+def _check_x_max(x_max: int, least: int) -> int:
+    """x_max as an int, at least `least`."""
+    try:
+        x_max = operator.index(x_max)
+    except TypeError:
+        raise ParameterError(f"x_max must be an int, got x_max = {x_max!r}") from None
     if x_max < least:
         raise ParameterError(f"need x_max >= {least}, got x_max = {x_max}")
+    return x_max
 
 
 def _sweep_report(claim: str, x_range: tuple[float, float], candidates) -> SweepReport:
     """Report on the (slack enclosure, X) candidates of a sweep: the worst
     is the first with the least lower end, and the claim passes when its
     slack is certainly positive.  Candidates are read one at a time, so only
-    the worst is kept, and each lower end is rounded to a float once."""
+    the worst is kept.  Only a new worst's lower end is rounded to a float:
+    rounding toward -inf is monotone, so for the worst's float w a lower end
+    x rounds below w exactly when x < w, ties included."""
     worst, checked = None, 0
     for checked, (slack, where) in enumerate(candidates, 1):
-        lo = slack.lo
-        if worst is None or lo < worst[0]:
-            worst = (lo, slack, where)
+        if worst is None or mpf_lt(slack._mpi[0], bar):
+            worst = (slack.lo, slack, where)
+            bar = from_float(worst[0])
     lo, slack, where = worst
     return SweepReport(claim, x_range, lo, where, checked, slack.gt(0) is True)
 
@@ -250,7 +260,7 @@ def verify_S_envelope(x_max: int = 38) -> SweepReport:
       -D - (2/3)X is convex -> sup at endpoints.
     The stationary value has the closed form (a - 2/3)^2 pi^2/12 - b.
     """
-    _check_x_max(x_max, 2)
+    x_max = _check_x_max(x_max, 2)
     ph = _phi_table(x_max)
 
     def candidates():
@@ -282,7 +292,7 @@ def verify_T_envelope(x_max: int = 1000) -> SweepReport:
       -u - X log X is convex for X >= pi^2/6 -> sup at endpoints.
     So both segment endpoints are the only candidates.
     """
-    _check_x_max(x_max, 3)
+    x_max = _check_x_max(x_max, 3)
     t_cum = np.cumsum(_phi_table(x_max)[1:])  # t_cum[k-1] = T(k)
 
     def candidates():
@@ -318,7 +328,7 @@ def verify_external_inputs(x_max: int = 10**6) -> list[SweepReport]:
     These are trusted external estimates, not re-proved here; float
     evaluation with generous slack is appropriate.
     """
-    _check_x_max(x_max, 2)
+    x_max = _check_x_max(x_max, 2)
     mu = _mobius_table(x_max)
     d = np.arange(x_max + 1, dtype=float)
     d[0] = 1.0

@@ -322,10 +322,12 @@ def _dlog_table(p: int, g: int):
     20, 1971), used to enumerate every power rather than to search for one:
     with step = isqrt(p-1) + 1, g^(step*i + j) is a giant step g^(step*i)
     times a baby step g^j.  One outer product of _GIANT_ROWS giant steps with
-    the baby steps, reduced mod p, fills that many rows of powers at once,
-    so a Python loop of about sqrt(p) / _GIANT_ROWS blocks fills the table;
-    the last block's last row is trimmed at p-1 powers.  Every temporary
-    holds _GIANT_ROWS rows of about sqrt(p) elements: with p-length
+    the baby steps, reduced mod p by a floor division, a product and a
+    difference, fills that many rows of powers at once, so a Python loop of
+    about sqrt(p) / _GIANT_ROWS blocks fills the table; the last block's last
+    row is trimmed at p-1 powers.  The products and their quotients share
+    one buffer of 2 _GIANT_ROWS rows of about sqrt(p) elements, allocated
+    once, and no temporary is larger: with p-length
     temporaries, freeing them raised the allocator's mmap threshold and the
     peak RSS of a run over large primes by 15 MiB.  The logs lie below p-1,
     which fits int32 for p <= PrimeContext.DLOG_CAP.
@@ -350,9 +352,14 @@ def _dlog_table(p: int, g: int):
     giants = powers_of(int(baby[-1]) * g % p, -(-n // step))
     logs = np.arange(_GIANT_ROWS * step, dtype=np.int32)
     table = np.full(p, -1, dtype=np.int32)
+    block = np.empty((2, _GIANT_ROWS, step), dtype=np.int64)
     for i in range(0, len(giants), _GIANT_ROWS):
-        powers = np.multiply.outer(giants[i : i + _GIANT_ROWS], baby)
-        np.remainder(powers, p, out=powers)
+        rows = giants[i : i + _GIANT_ROWS]
+        powers, quot = block[:, : len(rows)]
+        np.multiply.outer(rows, baby, out=powers)
+        # powers mod p, exactly, faster than np.remainder
+        np.floor_divide(powers, p, out=quot)
+        np.subtract(powers, np.multiply(quot, p, out=quot), out=powers)
         start = i * step
         m = min(powers.size, n - start)
         table[powers.reshape(-1)[:m]] = logs[:m] + start
@@ -367,20 +374,22 @@ class PrimeContext:
 
     The tables are the discrete logs (int32, 4 bytes per residue: 3.7 MiB at
     p = 960961) and the (p-1)-th roots of unity (complex, 16 bytes per
-    residue).  The slot `_norms` holds the |W(x)|^2 of the last character
-    and window length that `characters.moment_sum_exact` evaluated, so that
-    its moments at another r, or at the conjugate character, skip the window
-    pass: (p+1)/2 floats, 3.7 MiB at p = 960961, and only one set at a time.
+    residue, of which cos and sin compute one eighth or one quarter and
+    exact symmetries the rest; see `root_powers`).  The slot `_norms` holds
+    the |W(x)|^2 of the last character and window length that
+    `characters.moment_sum_exact` evaluated, so that its moments at another
+    r, or at the conjugate character, skip the window pass: (p+1)/2 floats,
+    3.7 MiB at p = 960961, and only one set at a time.
     The fixed root is the canonical basis for all character indexing; the
     dlog table is built only on demand and only when p is small enough to
     enumerate (huge-p certification never needs it).  It is built in numpy
     from blocked powers (see `_dlog_table`): every product of two residues is
     below (p-1)^2, which fits int64 for p <= DLOG_CAP, and beside the table
-    the build holds only blocks of _GIANT_ROWS rows of about sqrt(p) int64
-    values.  Apart from filling `_dlog`, `_root_powers` and `_norms`,
-    instances are immutable after construction; a reader of `_norms` takes
-    the slot's (key, norms) pair once, so sharing one context gives the
-    same values, at worst with more window passes.
+    the build holds only one block of _GIANT_ROWS rows of about sqrt(p)
+    int64 products and their quotients.  Apart from filling `_dlog`,
+    `_root_powers` and `_norms`, instances are immutable after construction;
+    a reader of `_norms` takes the slot's (key, norms) pair once, so sharing
+    one context gives the same values, at worst with more window passes.
     """
 
     # Bounds the memory and time of one dlog table; it also keeps every
@@ -420,23 +429,52 @@ class PrimeContext:
         return int(self.dlog_array()[r])
 
     def root_powers(self):
-        """numpy complex array of exp(2 pi i k/(p-1)) for k in [0, p-1).
+        """numpy complex array of zeta^k = exp(2 pi i k/(p-1)) for k in [0, p-1).
 
-        exp runs only on the first half, k < m = (p-1)/2, whose angles lie
-        in [0, pi); the second half is its exact negation, since
-        zeta^(k+m) = -zeta^k.  The angles are staged in the second half, so
-        the build holds no complex array beside the table.
+        cos and sin run on one eighth of the circle (p = 1 mod 4) or one
+        quarter (p = 3 mod 4); every other entry is an exact swap or
+        negation of one of theirs.  With
+        m = (p-1)/2, zeta^(k+m) = -zeta^k and zeta^(m-k) = -conj(zeta^k).
+        For p = 3 mod 4, m is odd and cos and sin give k <= m/2 (angles in
+        [0, pi/2)).  For p = 1 mod 4, q = m/2 is an integer, and also
+        zeta^(q-k) = i conj(zeta^k) (re and im swapped) and
+        zeta^(k+q) = i zeta^k; cos and sin give k < q/2 (angles in
+        [0, pi/4)), and k = q/2, at angle pi/4, is sqrt(1/2) twice, so that
+        every symmetry holds exactly.  The entries are written as (re, im)
+        rows of the table's float view, and the angles are staged in its
+        second half, filled last, so the build holds no temporary beyond
+        two of about sqrt(p) elements.
         """
         if self._root_powers is None:
             import numpy as np
 
             m = (self.p - 1) // 2
+            q = m // 2
+            eighth = m % 2 == 0
+            n = (q + 1) // 2 if eighth else q + 1
             roots = np.empty(self.p - 1, dtype=complex)
-            first, second = roots[:m], roots[m:]
-            np.multiply(2j * np.pi, np.arange(m), out=second)
-            second /= self.p - 1
-            np.exp(second, out=first)
-            np.negative(first, out=second)
+            xy = roots.view(float).reshape(-1, 2)
+            # the integers k < n as row plus column offsets, then pi k/m
+            stage = roots[m:].view(float)
+            w = math.isqrt(n) + 1
+            grid = stage[: -(-n // w) * w].reshape(-1, w)
+            np.add.outer(np.arange(0, grid.size, w), np.arange(w), out=grid)
+            angles = np.multiply(stage[:n], np.pi / m, out=stage[:n])
+            np.cos(angles, out=xy[:n, 0])
+            np.sin(angles, out=xy[:n, 1])
+            if eighth:
+                if q % 2 == 0:
+                    xy[q // 2] = math.sqrt(0.5)
+                # q/2 < k <= q from q-k by a swap of re and im
+                xy[q // 2 + 1 : q + 1] = xy[q - q // 2 - 1 :: -1, ::-1]
+                # q < k < m from k-q: i (x + iy) = -y + ix
+                np.negative(xy[1:q, 1], out=xy[q + 1 : m, 0])
+                xy[q + 1 : m, 1] = xy[1:q, 0]
+            else:
+                # q < k < m from m-k: -conj(x + iy) = -x + iy
+                np.negative(xy[q:0:-1, 0], out=xy[q + 1 : m, 0])
+                xy[q + 1 : m, 1] = xy[q:0:-1, 1]
+            np.negative(roots[:m], out=roots[m:])
             self._root_powers = roots
         return self._root_powers
 

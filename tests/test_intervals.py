@@ -16,13 +16,14 @@ from math import ceil, floor, gcd, isqrt
 
 import pytest
 
-from gpbound.enclosure import envelopes
+from gpbound.enclosure import enclose, envelopes, working_precision
 from gpbound.errors import ParameterError, VerificationFailure
 from gpbound.intervals import (
     IntervalSystem,
     _check_farey_family,
     _farey_pairs,
     _mobius_table,
+    _sweep_report,
     build_intervals,
     count_points,
     envelope_bounds_enclosure,
@@ -373,6 +374,31 @@ def test_sweeps_reject_x_max_below_their_least():
         report = fn(least)
         assert (report.checked, report.passed) == (2, True)
         assert report.x_range == (least - 1.0, float(least))
+
+
+def test_sweeps_reject_non_integer_x_max():
+    # range() and numpy raised TypeError on a float x_max
+    for fn in (verify_S_envelope, verify_T_envelope, verify_external_inputs):
+        for x_max in (38.0, 1000.0, Fraction(100)):
+            with pytest.raises(ParameterError, match="x_max must be an int"):
+                fn(x_max)
+
+
+def test_sweep_report_keeps_the_first_of_lower_ends_that_round_alike():
+    # the worst is the first candidate whose lower end, rounded down to a
+    # float, is least: the second's exact lower end is smaller, but both
+    # round down to 1/2, so the first is reported; a third that rounds lower
+    # is reported in its place
+    with working_precision():
+        half, tiny = Fraction(1, 2), Fraction(1, 2**70)
+        first, second = enclose(half + 2 * tiny), enclose(half + tiny)
+        assert second.lo_mpf() < first.lo_mpf() and first.lo == second.lo == 0.5
+        report = _sweep_report("claim", (1.0, 2.0), iter([(first, 1.0), (second, 2.0)]))
+        assert (report.worst_slack, report.worst_x, report.checked) == (0.5, 1.0, 2)
+        third = enclose(half - tiny)
+        report = _sweep_report("claim", (1.0, 2.0), iter([(first, 1.0), (second, 2.0), (third, 3.0)]))
+        assert (report.worst_slack, report.worst_x, report.checked) == (third.lo, 3.0, 3)
+        assert report.worst_slack < 0.5 and report.passed
 
 
 def test_external_input_checks():

@@ -319,24 +319,56 @@ def test_dlog_table_int64_guard(monkeypatch):
         _dlog_table(p, 2)
 
 
-@pytest.mark.parametrize("p", [13, 960961, 9999991])
+# both classes mod 4 and both mod 8 (q = (p-1)/4 even or odd), from the
+# smallest primes to primes near DLOG_CAP in each class mod 4
+ROOT_TABLE_PRIMES = [3, 5, 7, 13, 17, 41, 131101, 960961, 999983, 9999937, 9999991]
+
+
+@pytest.mark.parametrize("p", ROOT_TABLE_PRIMES)
 def test_root_powers_half_table(p):
-    # exp runs only for k < m = (p-1)/2; the second half is the exact
-    # negation zeta^(k+m) = -zeta^k, and every sampled entry, near m and near
-    # p-2 included, lies within the 4 eps that moment_error_bound assumes
+    # cos and sin run on at most one eighth of the circle and the rest is
+    # mirrored; every sampled entry, at each seam of the mirrors (q/2, q, m/2,
+    # m, m + q, with m = (p-1)/2, q = m/2) and near p-2, lies within the 4 eps
+    # that moment_error_bound assumes
     import mpmath
 
     roots = PrimeContext(p).root_powers()
     m = (p - 1) // 2
-    assert roots.shape == (p - 1,)
-    assert np.array_equal(roots[m:], -roots[:m])
-    edges = [0, 1, 2, m - 3, m - 2, m - 1, m, m + 1, m + 2, p - 4, p - 3, p - 2]
+    q = m // 2
+    assert roots.shape == (p - 1,) and roots.dtype == complex
+    seams = [0, 1, 2, q // 2, q, m // 2, m, m + q, p - 2]
+    edges = {s + d for s in seams for d in (-2, -1, 0, 1, 2)}
     ks = sorted({k for k in edges if 0 <= k < p - 1} | set(range(0, p - 1, max(1, p // 97))))
     eps = np.finfo(float).eps
     with mpmath.workprec(200):
         for k in ks:
             exact = mpmath.expjpi(mpmath.mpf(2 * k) / (p - 1))
             assert abs(mpmath.mpc(complex(roots[k])) - exact) <= 4 * eps, (p, k)
+
+
+@pytest.mark.parametrize("p", ROOT_TABLE_PRIMES)
+def test_root_powers_symmetries_exact(p):
+    # the symmetries the build mirrors by hold exactly over the whole table:
+    # zeta^(k+m) = -zeta^k, zeta^(m-k) = -conj(zeta^k) and, for p = 1 mod 4,
+    # zeta^q = i and zeta^(k+q) = i zeta^k.  Compared as values, so that the
+    # signed zeros at k = 0, q, m and m + q compare equal; in blocks, so that
+    # no temporary is as large as the table
+    roots = PrimeContext(p).root_powers()
+    m = (p - 1) // 2
+    q = m // 2
+
+    def blocks(n):
+        return ((lo, min(lo + (1 << 18), n)) for lo in range(0, n, 1 << 18))
+
+    for lo, hi in blocks(m):
+        assert np.array_equal(roots[m + lo : m + hi], -roots[lo:hi]), (p, lo)
+    for lo, hi in blocks(m + 1):
+        k = np.arange(lo, hi)
+        assert np.array_equal(roots[m - k], -np.conj(roots[k])), (p, lo)
+    if p % 4 == 1:
+        assert roots[q] == 1j
+        for lo, hi in blocks(p - 1 - q):
+            assert np.array_equal(roots[q + lo : q + hi], 1j * roots[lo:hi]), (p, lo)
 
 
 def test_is_primitive_root_matches_order_test():

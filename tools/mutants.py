@@ -102,11 +102,13 @@ MUTANTS = (
            "if t2 * q - t * q2 != 1:", "if False:"),
     Mutant("intervals: non-integer p accepted", "src/gpbound/intervals.py",
            "if not isinstance(p, int):", "if False:"),
-    # the envelope sweeps need one segment
+    # the envelope sweeps need an integer x_max and one segment
+    Mutant("sweeps: non-integer x_max accepted", "src/gpbound/intervals.py",
+           "x_max = operator.index(x_max)", "pass"),
     Mutant("sweeps: S below its least x_max unguarded", "src/gpbound/intervals.py",
-           "_check_x_max(x_max, 2)\n    ph = ", "ph = "),
+           "x_max = _check_x_max(x_max, 2)\n    ph = ", "ph = "),
     Mutant("sweeps: T below its least x_max unguarded", "src/gpbound/intervals.py",
-           "_check_x_max(x_max, 3)", "pass"),
+           "x_max = _check_x_max(x_max, 3)", "pass"),
     # certify_bound: the sieve must be evidence for this p or this threshold
     Mutant("certify: any sieve type", "src/gpbound/certify/certifier.py",
            "if not isinstance(sieve, SieveConfig):", "if sieve is None:"),
@@ -191,6 +193,13 @@ MUTANTS = (
            "key = (min(chi.j, -chi.j % (p - 1)), h)", "key = (min(chi.j, -chi.j % (p - 1)),)"),
     Mutant("moments: old norms kept through the rebuild", "src/gpbound/characters.py",
            "slot = ctx._norms = None  # free the last norms", "pass  # free the last norms"),
+    # the root table: each symmetry maps an entry to its own mirror
+    Mutant("roots: swap mirror off by one", "src/gpbound/ntcore.py",
+           "xy[q - q // 2 - 1 :: -1, ::-1]", "xy[q - q // 2 : 0 : -1, ::-1]"),
+    Mutant("roots: conjugate mirror off by one", "src/gpbound/ntcore.py",
+           "xy[q:0:-1, 0]", "xy[q - 1 :: -1, 0]"),
+    Mutant("roots: i rotation with its sign flipped", "src/gpbound/ntcore.py",
+           "np.negative(xy[1:q, 1], out=", "np.positive(xy[1:q, 1], out="),
     # the blocked dlog build stops after p-1 powers
     Mutant("dlog: ragged last giant row not trimmed", "src/gpbound/ntcore.py",
            "m = min(powers.size, n - start)", "m = powers.size"),
