@@ -106,7 +106,10 @@ def _tile_windows(
     nb = n - h + 1
     idx, vals, w = _shaped(work[0], k, n), _shaped(work[1], k, n), _shaped(work[2], k, nb)
     quot = _shaped(work[3].view(np.int64), k, n)  # the norms buffer is free yet
-    np.multiply.outer(j, d, out=idx)
+    # d, then j times it in place: numpy buffers one operand here, and both
+    # in an outer product (130 KB at p = 1999)
+    np.copyto(idx, d)
+    np.multiply(idx, j[:, None], out=idx)
     np.floor_divide(idx, p - 1, out=quot)  # idx mod p-1, exactly, faster than remainder
     np.subtract(idx, np.multiply(quot, p - 1, out=quot), out=idx)
     ctx.root_powers().take(idx, out=vals, mode="clip")  # idx lies in range
@@ -119,7 +122,10 @@ def _tile_windows(
 
 def moment_error_bound(p: int, h: int, r: int) -> float:
     """Conservative absolute error bound for the tiled moment evaluation,
-    for one character and for every row of the batch alike.
+    for one character and for every row of the batch alike.  The real
+    characters (j = 0 and (p-1)/2) are summed in integers and rounded once,
+    so their values err by at most half an ulp; the same bound is reported
+    for them, as a conservative one.
 
     The body evaluates S = T(x0) + 2 sum_{t=1}^{(p-1)/2} T(x0+t), the p
     terms T(x) = |W(x)|^(2r) folded by the reflection x -> 1-h-x (see
@@ -234,7 +240,11 @@ def _moment_sums(ctx: PrimeContext, js, h: int, r_values) -> dict[int, np.ndarra
     folded to min(j, -j mod p-1), and each distinct one is computed once.
     The norm pass and the reduction run tile by tile in one _workspace,
     sized for the largest tile and allocated per call; the powers go into
-    the windows' buffer, which the norm pass has spent.
+    the windows' buffer, which the norm pass has spent.  The rows of the
+    real characters, 0 and (p-1)/2, are then overwritten with their exact
+    values from _real_histogram, the ones moment_sum_exact returns, so the
+    two paths agree bit for bit at every size.  Where p h^(2r) < 2^53 the
+    float rows are already exact and no value moves.
     """
     _check_moment_args(h, r_values)
     p = ctx.p
@@ -244,6 +254,10 @@ def _moment_sums(ctx: PrimeContext, js, h: int, r_values) -> dict[int, np.ndarra
     work = _workspace(max(min(max(1, _TILE // n), len(rows)) * n for _, n in blocks))
     tiles = _norm_tiles(ctx, rows, h, blocks, work)
     sums = _reduce(tiles, len(rows), len(blocks), r_values, work[2].view(float))
+    for i in np.flatnonzero(_is_real(p, rows)):
+        hist = _real_histogram(ctx, int(rows[i]), h)
+        for r in r_values:
+            sums[r][i] = _real_moment(hist, r)
     return {r: s[back] for r, s in sums.items()}
 
 
@@ -261,26 +275,83 @@ def _norm_set(ctx: PrimeContext, j: int, h: int) -> list:
     return list(_norm_tiles(ctx, np.array([j]), h, blocks, work, np.empty((ctx.p + 1) // 2)))
 
 
+def _is_real(p: int, j):
+    """chi_j takes values in {0, +-1} (j = 0 or (p-1)/2); j may be an array."""
+    return 2 * j % (p - 1) == 0
+
+
+def _real_windows(ctx: PrimeContext, j: int, start: int, d: np.ndarray, h: int) -> np.ndarray:
+    """W(x) for the first len(d) - h + 1 columns x = start.., whose dlogs
+    begin d, of the real character chi_j, in integers: chi(x) = (-1)^d(x)
+    for the quadratic character and 1 for the principal one, 0 at every
+    multiple of p.  W is built by doubling, W_2a(x) = W_a(x) + W_a(x+a),
+    and W_2a+1(x) = W_2a(x) + chi(x+2a) for each of h's bits past the
+    leading one: log2 h + popcount(h) - 1 vector adds, exact since
+    |W| <= h fits the dtype."""
+    p = ctx.p
+    sign = np.array([1, -1], np.int8 if h <= 127 else np.int32)
+    chi = sign.take(d & (2 * j // (p - 1)))  # the dlog's parity, or 0 for j = 0
+    chi[(-start) % p :: p] = 0
+    w = chi
+    for bit in bin(h)[3:]:
+        a = len(chi) - len(w) + 1  # the length of the windows in w
+        w = w[:-a] + w[a:]
+        if bit == "1":
+            w = w[:-1] + chi[2 * a :]
+    return w
+
+
+def _real_histogram(ctx: PrimeContext, j: int, h: int) -> tuple[int, np.ndarray]:
+    """(|W(x0)|, counts) for the real character chi_j over the columns of
+    _column_blocks: counts[v] is the number of x0+t, t = 1..(p-1)/2, with
+    |W(x0+t)| = v, each of which stands for its mirror too.  h + 1 counts
+    in place of (p+1)/2 norms."""
+    counts = np.zeros(h + 1, np.int64)
+    for b, (start, n) in enumerate(_column_blocks(ctx.p, h)):
+        w = np.abs(_real_windows(ctx, j, start, _block_dlogs(ctx, start, n), h))
+        if b == 0:  # block 0 opens on x0, its own mirror
+            w_x0, w = int(w[0]), w[1:]
+        counts += np.bincount(w, minlength=h + 1)
+    return w_x0, counts
+
+
+def _real_moment(hist: tuple[int, np.ndarray], r: int) -> float:
+    """S_r = |W(x0)|^(2r) + 2 sum_v counts[v] v^(2r), summed in integers
+    and rounded once."""
+    w_x0, counts = hist
+    doubled = sum(c * v ** (2 * r) for v, c in enumerate(counts.tolist()) if c)
+    return float(w_x0 ** (2 * r) + 2 * doubled)
+
+
 def moment_sum_exact(chi: CharacterIndex, h: int, r: int) -> MomentSumResult:
     """S_chi(p,h,r) = sum over x in F_p of |sum_{n<h} chi(x+n)|^(2r).
 
     Exact complete sum in floating point, O(p) via a sliding window; the
     reported error bound covers table rounding, window drift, and the final
-    reduction.  The window norms |W(x)|^2 of the last (folded j, h) stay in
-    the context's one slot, so a call at another r, or on the conjugate
-    character, runs only the reduction; the old norms are freed before new
-    ones are built.  Each value equals that of a fresh context bit for bit.
+    reduction.  For a real character (j = 0 or (p-1)/2) the sum is exact:
+    its windows are integers, summed in Python ints from the |W| histogram
+    of _real_histogram and rounded once; the same bound is reported.  The
+    window norms |W(x)|^2 of the last (folded j, h), or a real character's
+    histogram, stay in the context's one slot, so a call at another r, or
+    on the conjugate character, runs only the reduction; the old slot is
+    freed before a new one is built.  Each value equals that of a fresh
+    context bit for bit.
     """
     _check_moment_args(h, (r,))
     ctx, p = chi.ctx, chi.ctx.p
     key = (min(chi.j, -chi.j % (p - 1)), h)
+    real = _is_real(p, key[0])
     slot = ctx._norms  # read once, so that a shared context gives one pair
     if slot is None or slot[0] != key:
         slot = ctx._norms = None  # free the last norms before building these
-        slot = ctx._norms = (key, _norm_set(ctx, key[0], h))
-    tiles = slot[1]
-    power_buf = np.empty(max(m2.size for _, _, m2 in tiles))
-    value = float(_reduce(tiles, 1, len(tiles), (r,), power_buf)[r][0])
+        build = _real_histogram if real else _norm_set
+        slot = ctx._norms = (key, build(ctx, key[0], h))
+    if real:
+        value = _real_moment(slot[1], r)
+    else:
+        tiles = slot[1]
+        power_buf = np.empty(max(m2.size for _, _, m2 in tiles))
+        value = float(_reduce(tiles, 1, len(tiles), (r,), power_buf)[r][0])
     return MomentSumResult(value, moment_error_bound(p, h, r), p, h, r)
 
 

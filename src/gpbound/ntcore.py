@@ -4,7 +4,8 @@ Primality, factorization, the classical multiplicative functions, and the
 brute-force least-primitive-root oracle.  Everything here is exact integer
 or rational arithmetic, with no floats, except in PrimeContext: its table
 of the (p-1)-th roots of unity is complex, and its `_norms` slot holds the
-float window norms that `characters` computes.
+float window norms, or a real character's integer histogram, that
+`characters` computes.
 
 Every primality verdict is a proof: is_prime decides below
 MR_DETERMINISTIC_LIMIT (~3.3e24), and past it least_primitive_root proves p
@@ -319,20 +320,24 @@ def _dlog_table(p: int, g: int):
     """numpy int32 table d with g^d[n] = n mod p for n in [1, p); d[0] = -1.
 
     Shanks' baby-step/giant-step split (D. Shanks, Proc. Sympos. Pure Math.
-    20, 1971), used to enumerate every power rather than to search for one:
-    with step = isqrt(p-1) + 1, g^(step*i + j) is a giant step g^(step*i)
-    times a baby step g^j.  One outer product of _GIANT_ROWS giant steps with
-    the baby steps, reduced mod p by a floor division, a product and a
-    difference, fills that many rows of powers at once, so a Python loop of
-    about sqrt(p) / _GIANT_ROWS blocks fills the table; the last block's last
-    row is trimmed at p-1 powers.  The products and their quotients share
-    one buffer of 2 _GIANT_ROWS rows of about sqrt(p) elements, allocated
-    once, and no temporary is larger: with p-length
-    temporaries, freeing them raised the allocator's mmap threshold and the
-    peak RSS of a run over large primes by 15 MiB.  The logs lie below p-1,
-    which fits int32 for p <= PrimeContext.DLOG_CAP.
-    Raises ConsistencyError if g does not generate F_p^*, which leaves some
-    residue without a log.
+    20, 1971), used to enumerate powers rather than to search for one: with
+    step = isqrt(m) + 1, g^(step*i + j) is a giant step g^(step*i) times a
+    baby step g^j.  Only the powers k < m = (p-1)/2 are enumerated: a
+    generator has g^m = -1, so g^(k+m) = p - g^k, and each block is
+    scattered twice, k at its powers and k + m at their negatives.  One
+    outer product of _GIANT_ROWS giant steps with the baby steps, reduced
+    mod p by a floor division, a product and a difference, fills that many
+    rows of powers at once, so a Python loop of about sqrt(m) / _GIANT_ROWS
+    blocks fills the table; the last block's last row is trimmed at m
+    powers.  The products and their quotients share one buffer of
+    2 _GIANT_ROWS rows of about sqrt(m) elements, allocated once, and no
+    temporary is larger: with p-length temporaries, freeing them raised the
+    allocator's mmap threshold and the peak RSS of a run over large primes
+    by 15 MiB.  The logs lie below p-1, which fits int32 for
+    p <= PrimeContext.DLOG_CAP.
+    Raises ConsistencyError if g^m != -1, where g of odd order m would fill
+    a complete but wrong table (p = 7, g = 2: {1, 2, 4} and their negatives),
+    or if some residue is left without a log.
     """
     if p > _DLOG_INT64_P_MAX:
         raise UnsupportedRangeError(
@@ -346,10 +351,12 @@ def _dlog_table(p: int, g: int):
             out[i] = out[i - 1] * a % p
         return np.array(out, dtype=np.int64)
 
-    n = p - 1
-    step = math.isqrt(n) + 1
+    m = (p - 1) // 2
+    if pow(g, m, p) != p - 1:
+        raise ConsistencyError(f"{g} does not generate the units mod {p}: g^((p-1)/2) != -1")
+    step = math.isqrt(m) + 1
     baby = powers_of(g, step)
-    giants = powers_of(int(baby[-1]) * g % p, -(-n // step))
+    giants = powers_of(int(baby[-1]) * g % p, -(-m // step))
     logs = np.arange(_GIANT_ROWS * step, dtype=np.int32)
     table = np.full(p, -1, dtype=np.int32)
     block = np.empty((2, _GIANT_ROWS, step), dtype=np.int64)
@@ -361,8 +368,10 @@ def _dlog_table(p: int, g: int):
         np.floor_divide(powers, p, out=quot)
         np.subtract(powers, np.multiply(quot, p, out=quot), out=powers)
         start = i * step
-        m = min(powers.size, n - start)
-        table[powers.reshape(-1)[:m]] = logs[:m] + start
+        n = min(powers.size, m - start)
+        powers = powers.reshape(-1)[:n]
+        table[powers] = logs[:n] + start
+        table[np.subtract(p, powers, out=powers)] = logs[:n] + (start + m)
     if table[1:].min() < 0:
         raise ConsistencyError(f"{g} does not generate the units mod {p}")
     return table
@@ -379,11 +388,14 @@ class PrimeContext:
     the |W(x)|^2 of the last character and window length that
     `characters.moment_sum_exact` evaluated, so that its moments at another
     r, or at the conjugate character, skip the window pass: (p+1)/2 floats,
-    3.7 MiB at p = 960961, and only one set at a time.
+    3.7 MiB at p = 960961, and only one set at a time.  For a real
+    character (j = 0 or (p-1)/2) it holds |W(x0)| and the h + 1 counts of
+    |W| instead, from which the moments are summed in integers.
     The fixed root is the canonical basis for all character indexing; the
     dlog table is built only on demand and only when p is small enough to
     enumerate (huge-p certification never needs it).  It is built in numpy
-    from blocked powers (see `_dlog_table`): every product of two residues is
+    from blocked powers of half of the logs, the other half by negation
+    (see `_dlog_table`): every product of two residues is
     below (p-1)^2, which fits int64 for p <= DLOG_CAP, and beside the table
     the build holds only one block of _GIANT_ROWS rows of about sqrt(p)
     int64 products and their quotients.  Apart from filling `_dlog`,

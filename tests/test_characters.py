@@ -17,6 +17,8 @@ from gpbound.characters import (
     CharacterIndex,
     _block_dlogs,
     _moment_sums,
+    _norm_set,
+    _reduce,
     _tile_windows,
     _workspace,
     character_orders,
@@ -171,6 +173,74 @@ def test_moment_matches_direct_oracle():
                     exact = moment_oracle(ctx, j, h, r)
                     assert got.value == pytest.approx(float(exact), rel=1e-9), (p, j, h, r)
                     assert abs(got.value - exact) <= got.error_bound, (p, j, h, r)
+
+
+def real_moment_oracle(p: int, j: int, h: int, r_values) -> dict[int, int]:
+    """S(p,h,r) of the principal (j = 0) or the quadratic (j = (p-1)/2)
+    character in Python ints: chi by Euler's criterion, the window slid
+    over x = 0..p-1 one residue at a time."""
+    chi = [0] + [1 if j == 0 or pow(t, (p - 1) // 2, p) == 1 else -1 for t in range(1, p)]
+    w = sum(chi[n % p] for n in range(h))
+    windows = []
+    for x in range(p):
+        windows.append(w)
+        w += chi[(x + h) % p] - chi[x % p]
+    return {r: sum(v ** (2 * r) for v in windows) for r in r_values}
+
+
+def test_real_moments_match_integer_oracle():
+    # the principal and the quadratic character run in integers: every value
+    # is the exact sum rounded once, in the single and the batch path, for
+    # windows that wrap more than once (h = 2p+3) and at h = 130, where
+    # |W| passes int8 (the principal character at p = 61 and 131)
+    cases = [(p, (1, 2, p, 2 * p + 3)) for p in (3, 5, 7, 13, 61)]
+    cases += [(61, (130,)), (131, (130,))]
+    for p, hs in cases:
+        ctx = PrimeContext(p)
+        for h in hs:
+            batch = moment_sums_all(ctx, h, (1, 2, 3, 4))
+            for j in (0, (p - 1) // 2):
+                exact = real_moment_oracle(p, j, h, (1, 2, 3, 4))
+                for r in (1, 2, 3, 4):
+                    single = moment_sum_exact(CharacterIndex(ctx, j), h, r).value
+                    assert single == float(exact[r]) == batch[r][j], (p, j, h, r)
+
+
+@pytest.mark.parametrize("h, r", [(64, 4), (128, 5)])
+def test_real_moments_exact_past_2_53(h, r):
+    # p h^(2r) >= 2^53, where a float reduction can round: the single value
+    # is the oracle's rounded once, and the batch rows of both real
+    # characters equal it bit for bit.  At h = 128, r = 5 the float body
+    # rounds the quadratic character's sum, so this is the size that tells
+    # the quadratic character's integer path from the float one
+    p = 131101
+    m = (p - 1) // 2
+    ctx = PrimeContext(p)
+    assert p * h ** (2 * r) >= 2**53
+    batch = _moment_sums(ctx, np.array([0, 1, m]), h, (r,))[r]
+    for k, j in ((0, 0), (2, m)):
+        single = moment_sum_exact(CharacterIndex(ctx, j), h, r).value
+        assert single == float(real_moment_oracle(p, j, h, (r,))[r]) == batch[k], (j, h, r)
+    tiles = _norm_set(ctx, m, h)
+    floats = _reduce(tiles, 1, len(tiles), (r,), np.empty(max(t[2].size for t in tiles)))
+    assert (floats[r][0] != single) == (h == 128), (h, r)
+
+
+def test_real_moment_slot_holds_a_histogram():
+    # a real character's slot keeps |W(x0)| and h + 1 counts of |W|, not
+    # the (p+1)/2 float norms (512 KiB at p = 131101)
+    import tracemalloc
+
+    p, h = 131101, 16
+    ctx = PrimeContext(p)
+    ctx.dlog_array()
+    tracemalloc.start()
+    try:
+        moment_sum_exact(CharacterIndex(ctx, (p - 1) // 2), h, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * (h + 1), held
 
 
 def test_window_sums_reflect():
@@ -366,11 +436,13 @@ def test_moment_memo_skips_window_pass(monkeypatch):
 
 
 def test_moment_memo_memory_is_one_norm_set():
-    # the large-prime sequence: j = 1 then (p-1)/2, r = 2 then 3, h = 16.
-    # The old norms are freed before new ones are built, so the peak is one
-    # workspace for a row of 2^16 + 15 columns (3.0 MiB) and one norm set of
-    # (p+1)/2 floats (3.7 MiB), plus a block's wrapped dlogs: 6.92 MiB
-    # measured, where keeping the old norms through the rebuild reads 10.6
+    # j = 1, 2 and then the quadratic character (p-1)/2, r = 2 then 3,
+    # h = 16.  The old norms are freed before new ones are built, so the
+    # peak is one workspace for a row of 2^16 + 15 columns (3.0 MiB) and one
+    # norm set of (p+1)/2 floats (3.7 MiB), plus a block's wrapped dlogs:
+    # 6.92 MiB measured, where keeping the old norms through the rebuild
+    # from j = 1 to 2 reads 10.6.  The quadratic character's slot is a
+    # histogram of h + 1 counts.
     import tracemalloc
 
     p = 960961
@@ -380,7 +452,7 @@ def test_moment_memo_memory_is_one_norm_set():
     norm_set = (p + 1) // 2 * 8
     tracemalloc.start()
     try:
-        for j in (1, (p - 1) // 2):
+        for j in (1, 2, (p - 1) // 2):
             for r in (2, 3):
                 moment_sum_exact(CharacterIndex(ctx, j), 16, r)
         peak = tracemalloc.get_traced_memory()[1]

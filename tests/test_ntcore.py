@@ -270,15 +270,26 @@ def test_context_dlog_cap():
 
 
 def test_dlog_table_matches_power_loop():
-    # covers p-1 a perfect square (17, 37, ..., 2917) and ragged last giant
-    # rows, and a last block of 1, 15 and 16 giant rows (up to 55 rows)
+    # the build enumerates the m = (p-1)/2 powers below m: covers m a perfect
+    # square (19, 73, ..., 1801) and ragged last giant rows, and a last block
+    # of 1, 15 and 16 giant rows (up to 38 rows)
     last_blocks = set()
     for p in primes_upto(3000)[1:]:
         ctx = PrimeContext(p)
         assert ctx.dlog_array().tolist() == dlog_by_power_loop(p, ctx.generator), p
-        rows = -(-(p - 1) // (math.isqrt(p - 1) + 1))
+        m = (p - 1) // 2
+        rows = -(-m // (math.isqrt(m) + 1))
         last_blocks.add((rows - 1) % _GIANT_ROWS + 1)
     assert {1, _GIANT_ROWS - 1, _GIANT_ROWS} <= last_blocks
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 2999, 3001, 960961, 999983])
+def test_dlog_table_negation(p):
+    # g^m = -1 for m = (p-1)/2, so dlog(p - x) = dlog(x) + m mod p-1 over
+    # the whole table; p = 1 and 3 mod 4 alike
+    d = PrimeContext(p).dlog_array().astype(np.int64)
+    m = (p - 1) // 2
+    assert np.array_equal(d[:0:-1], (d[1:] + m) % (p - 1)), p
 
 
 def test_dlog_cap_keeps_logs_in_int32():
@@ -295,6 +306,9 @@ def test_dlog_table_matches_power_loop_near_1e6():
 
 
 def test_dlog_table_rejects_non_generator():
+    # an a of odd order m = (p-1)/2 fills a complete table from the powers
+    # below m and their negatives (p = 7, a = 2: {1, 2, 4} and {6, 5, 3}),
+    # so g^m = -1 is checked first
     for p in primes_upto(60)[1:]:
         for a in range(1, p):
             if not is_primitive_root(a, p):

@@ -200,9 +200,22 @@ MUTANTS = (
            "xy[q:0:-1, 0]", "xy[q - 1 :: -1, 0]"),
     Mutant("roots: i rotation with its sign flipped", "src/gpbound/ntcore.py",
            "np.negative(xy[1:q, 1], out=", "np.positive(xy[1:q, 1], out="),
-    # the blocked dlog build stops after p-1 powers
+    # a real character's moments in integers: a dtype that holds h, the
+    # zero at multiples of p, both real characters, x0 counted once
+    Mutant("real moments: int8 kept past h = 127", "src/gpbound/characters.py",
+           "np.int8 if h <= 127 else np.int32", "np.int8"),
+    Mutant("real moments: chi(0) not zeroed", "src/gpbound/characters.py",
+           "chi[(-start) % p :: p] = 0", "pass"),
+    Mutant("real moments: the real test narrowed to j == 0", "src/gpbound/characters.py",
+           "return 2 * j % (p - 1) == 0", "return j == 0"),
+    Mutant("real moments: W(x0) doubled with the rest", "src/gpbound/characters.py",
+           "w_x0, w = int(w[0]), w[1:]", "w_x0, w = 0, w"),
+    # the blocked dlog build stops after m = (p-1)/2 powers, which fill the
+    # table only when g^m = -1
     Mutant("dlog: ragged last giant row not trimmed", "src/gpbound/ntcore.py",
-           "m = min(powers.size, n - start)", "m = powers.size"),
+           "n = min(powers.size, m - start)", "n = powers.size"),
+    Mutant("dlog: g^m = -1 guard dropped", "src/gpbound/ntcore.py",
+           "if pow(g, m, p) != p - 1:", "if False:"),
     # the search's sieves rest on a proved factorization of p-1
     Mutant("search: p-1 factorization unproved", "src/gpbound/ntcore.py",
            "self.pm1_factors.validate(p - 1)", "pass"),
