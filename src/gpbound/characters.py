@@ -238,23 +238,27 @@ def _moment_sums(ctx: PrimeContext, js, h: int, r_values) -> dict[int, np.ndarra
 
     Since W_{chi_-j}(x) = conj(W_{chi_j}(x)), S_j = S_{-j}: each index is
     folded to min(j, -j mod p-1), and each distinct one is computed once.
-    The norm pass and the reduction run tile by tile in one _workspace,
-    sized for the largest tile and allocated per call; the powers go into
-    the windows' buffer, which the norm pass has spent.  The rows of the
-    real characters, 0 and (p-1)/2, are then overwritten with their exact
+    The rows of the real characters, 0 and (p-1)/2, take their exact
     values from _real_histogram, the ones moment_sum_exact returns, so the
-    two paths agree bit for bit at every size.  Where p h^(2r) < 2^53 the
-    float rows are already exact and no value moves.
+    two paths agree bit for bit at every size.  The other rows go through
+    the float pass: the norm pass and the reduction run tile by tile in one
+    _workspace, sized for the largest tile and allocated per call; the
+    powers go into the windows' buffer, which the norm pass has spent.
     """
     _check_moment_args(h, r_values)
     p = ctx.p
     js = np.asarray(js, dtype=np.int64)
     rows, back = np.unique(np.minimum(js, (-js) % (p - 1)), return_inverse=True)
+    real = _is_real(p, rows)
+    others = rows[~real]
     blocks = _column_blocks(p, h)
-    work = _workspace(max(min(max(1, _TILE // n), len(rows)) * n for _, n in blocks))
-    tiles = _norm_tiles(ctx, rows, h, blocks, work)
-    sums = _reduce(tiles, len(rows), len(blocks), r_values, work[2].view(float))
-    for i in np.flatnonzero(_is_real(p, rows)):
+    work = _workspace(max(min(max(1, _TILE // n), len(others)) * n for _, n in blocks))
+    tiles = _norm_tiles(ctx, others, h, blocks, work)
+    floats = _reduce(tiles, len(others), len(blocks), r_values, work[2].view(float))
+    sums = {r: np.empty(len(rows)) for r in r_values}
+    for r in r_values:
+        sums[r][~real] = floats[r]
+    for i in np.flatnonzero(real):
         hist = _real_histogram(ctx, int(rows[i]), h)
         for r in r_values:
             sums[r][i] = _real_moment(hist, r)

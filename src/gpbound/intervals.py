@@ -290,18 +290,26 @@ def verify_T_envelope(x_max: int = 1000) -> SweepReport:
     T is constant on [k, k+1).  With u(X) = T(k) - 3X^2/pi^2:
       u - X log X is decreasing -> sup at the left endpoint;
       -u - X log X is convex for X >= pi^2/6 -> sup at endpoints.
-    So both segment endpoints are the only candidates.
+    So both segment endpoints are the only candidates.  Each integer X
+    ends one segment and opens the next, so X log X and 3X^2/pi^2 are
+    enclosed once per X.
     """
     x_max = _check_x_max(x_max, 3)
     t_cum = np.cumsum(_phi_table(x_max)[1:])  # t_cum[k-1] = T(k)
 
     def candidates():
         pi2 = CertifiedReal.pi() ** 2
+
+        def ends(x):
+            xe = enclose(x)
+            return x, xe * xe.log(), 3 * xe**2 / pi2
+
+        right = ends(2)
         for k in range(2, x_max):
             t_val = enclose(int(t_cum[k - 1]))
-            for x in (k, k + 1):
-                xe = enclose(x)
-                yield xe * xe.log() - abs(t_val - 3 * xe**2 / pi2), float(x)
+            left, right = right, ends(k + 1)
+            for x, x_log_x, main in (left, right):
+                yield x_log_x - abs(t_val - main), float(x)
 
     with working_precision():
         return _sweep_report("|T - 3X^2/pi^2| <= X log X", (2.0, float(x_max)), candidates())

@@ -15,7 +15,7 @@ prime by Lucas's criterion from the root it finds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -111,6 +111,8 @@ class Factorization:
     """Complete prime factorization as ((prime, exponent), ...) sorted by prime."""
 
     entries: tuple[tuple[int, int], ...]
+    # the primes, built once: the sieve reads them at every check
+    primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prev = 1
@@ -120,6 +122,7 @@ class Factorization:
             if e < 1:
                 raise DomainError("exponents must be positive")
             prev = p
+        object.__setattr__(self, "primes", tuple(p for p, _ in self.entries))
 
     def validate(self, n: int) -> None:
         """Prove every entry prime with is_prime (so none past
@@ -136,10 +139,6 @@ class Factorization:
         for p, e in self.entries:
             prod *= p**e
         return prod
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
 
     @property
     def omega(self) -> int:
@@ -236,18 +235,6 @@ def moebius(n: int) -> int:
 def theta(n: int) -> Fraction:
     """phi(n)/n as an exact rational; it multiplies into certified inequalities."""
     return Fraction(euler_phi(n), n)
-
-
-def squarefree_divisors(primes) -> list[tuple[int, int, int]]:
-    """(d, mu(d), phi(d)) for every squarefree d over the given distinct primes.
-
-    These are the only divisors a Moebius-weighted sum sees; taking them from
-    known primes avoids factorizing each divisor again.
-    """
-    out = [(1, 1, 1)]
-    for q in primes:
-        out += [(d * q, -mu, phi * (q - 1)) for d, mu, phi in out]
-    return out
 
 
 def phi_of_factorization(f: Factorization) -> int:

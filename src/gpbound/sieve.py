@@ -23,17 +23,23 @@ c_q(k) = q-1 if q | k and -1 otherwise: both follow from Hölder's formula
 c_d(k) = mu(d/(d,k)) phi(d)/phi(d/(d,k)) (O. Hölder, Prace Mat.-Fiz. 43
 (1936) 13-23).  So c_d(k) depends only on the class of k, the set of key
 primes dividing k, and one integer transform over the key primes gives
-every class's right-hand side at once: put each term's weight at its d's
-bitmask, then map (x0, x1) -> (x0 - x1, x0 + (q-1) x1) across each key
-prime q's bit.  Each check keeps its weights as integers over one
-denominator: mu(d)/phi(d) is mu(d) phi(rad e)/phi(d) over phi(rad e).  The
-worst-slack checks visit every n by visiting every class.  The key primes
-are those of the indicator on the left (the primes of e in the identity,
-every prime of p-1 in the bound, whose f is the primitive-root indicator),
-so it is 1 exactly on class 0, where no key prime divides k.  Their product
-P divides p-1, so every class occurs in [0, p-1): its first k is the
-product of its primes, below P, except for the class of every key prime,
-whose first k is 0.
+every class's right-hand side at once: the weight of each squarefree d
+sits at d's bitmask, the subset of key primes whose product is d, and the
+transform maps (x0, x1) -> (x0 - x1, x0 + (q-1) x1) across each key prime
+q's bit.  Each check keeps its weights as integers over one denominator:
+mu(d)/phi(d) is mu(d) phi(rad e)/phi(d) over phi(rad e).  The weights are
+built straight at their masks, one doubling per prime of e (the subsets
+with q are those without it, with d times q), and the lower bound places
+the identity's weights once more for each excluded prime, at masks with
+that prime's bit set.  The worst-slack checks visit every n by visiting
+every class, and return one integer division, correctly rounded: the
+float of the exact rational, which is built only for a breach's message.
+The key primes are those of the indicator on the left (the primes of e in
+the identity, every prime of p-1 in the bound, whose f is the
+primitive-root indicator), so it is 1 exactly on class 0, where no key
+prime divides k.  Their product P divides p-1, so every class occurs in
+[0, p-1): its first k is the product of its primes, below P, except for
+the class of every key prime, whose first k is 0.
 """
 
 from __future__ import annotations
@@ -44,11 +50,12 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .errors import ConfigError, ConsistencyError, DomainError
-from .ntcore import PrimeContext, first_primes, squarefree_divisors
+from .ntcore import PrimeContext, first_primes
 
-# A right-hand side as (integer weight a, character order d) over a
-# denominator kept beside it: sum_j a_j c_{d_j}(k).
-Terms = list[tuple[int, int]]
+# A right-hand side as integer weights over a denominator kept beside it,
+# the weight of each squarefree d at d's bitmask over the key primes:
+# sum_m a_m c_{d_m}(k), d_m the product of mask m's primes.
+Terms = list[int]
 
 
 def sieve_factor(omega: int, s: int, delta: Fraction) -> Fraction:
@@ -175,11 +182,6 @@ def _primes_of(ctx: PrimeContext, e: int) -> tuple[int, ...]:
     return tuple(q for q in ctx.pm1_factors.primes if e % q == 0)
 
 
-def _phi_rad(primes: tuple[int, ...]) -> int:
-    """phi(rad e) for the e whose primes these are."""
-    return math.prod(q - 1 for q in primes)
-
-
 def e_free(ctx: PrimeContext, e: int, n: int) -> int:
     """Indicator that n is e-free: via discrete log, no prime of e divides k."""
     primes = _primes_of(ctx, e)
@@ -189,31 +191,43 @@ def e_free(ctx: PrimeContext, e: int, n: int) -> int:
 
 def _identity_terms(primes_e: tuple[int, ...]) -> Terms:
     """1 + sum_{d|e, d>1} (mu(d)/phi(d)) c_d over phi(rad e), with weights
-    mu(d) phi(rad e)/phi(d): d = 1 is the leading 1, and non-squarefree d
-    have mu(d) = 0."""
-    phi_rad = _phi_rad(primes_e)
-    return [(mu * (phi_rad // phi), d) for d, mu, phi in squarefree_divisors(primes_e)]
-
-
-def _excluded_terms(p_i: int, primes_e: tuple[int, ...]) -> Terms:
-    """sum_{d|e} (mu(p_i d)/phi(p_i d)) c_{p_i d} over (p_i - 1) phi(rad e),
-    d = 1 included; p_i does not divide e, so mu(p_i d) = -mu(d) and
-    phi(p_i d) = (p_i - 1) phi(d)."""
-    return [(-a, p_i * d) for a, d in _identity_terms(primes_e)]
+    mu(d) phi(rad e)/phi(d) at d's bitmask over primes_e: d = 1 is the
+    leading 1, and non-squarefree d have mu(d) = 0.  Each prime q doubles
+    the list: the subsets with q are those without it, with d times q, so
+    the weight divides by -(q - 1), exactly, since phi(rad e) holds q - 1."""
+    terms = [math.prod(q - 1 for q in primes_e)]
+    for q in primes_e:
+        terms += [-a // (q - 1) for a in terms]
+    return terms
 
 
 def _lower_bound_check(config: SieveConfig, primes_e: tuple[int, ...]) -> tuple[Terms, int, int]:
-    """The bound's right-hand side, its left-hand side on class 0 and their
-    denominator.  With delta = N/P for the product P of the excluded primes,
-    theta(p_i)/delta times the excluded weights over (p_i - 1) phi(rad e) is
-    P/p_i times them over N phi(rad e), and 1/(delta theta(e)) is P rad(e)
-    over N phi(rad e)."""
+    """The bound's terms over every prime of p-1, its left-hand side on
+    class 0 and their denominator.  With delta = N/P for the product P of
+    the excluded primes, N = P - sum P/q, the identity's terms count N
+    times; p_i's excluded sum, d = 1 included, is the identity's terms
+    negated with p_i's bit set in each mask (p_i does not divide e, so
+    mu(p_i d) = -mu(d) and phi(p_i d) = (p_i - 1) phi(d)), and
+    theta(p_i)/delta times it over (p_i - 1) phi(rad e) is P/p_i times it
+    over N phi(rad e).  1/(delta theta(e)) is P rad(e) = rad(p-1) over
+    N phi(rad e)."""
+    primes = _context(config).pm1_factors.primes
     P = math.prod(config.excluded)
-    N = (config.delta * P).numerator
-    terms = [(N * a, d) for a, d in _identity_terms(primes_e)]
-    for p_i in config.excluded:
-        terms += [(P // p_i * a, d) for a, d in _excluded_terms(p_i, primes_e)]
-    return terms, P * math.prod(primes_e), N * _phi_rad(primes_e)
+    N = P - sum(P // q for q in config.excluded)
+    identity = _identity_terms(primes_e)
+    masks = [0]  # the bitmask over the primes of p-1 of each subset of primes_e
+    for i, q in enumerate(primes):
+        if config.e % q == 0:
+            masks += [m | 1 << i for m in masks]
+    terms = [0] * (1 << len(primes))
+    for m, a in zip(masks, identity):
+        terms[m] = N * a
+    for i, q in enumerate(primes):
+        if config.e % q != 0:
+            bit, weight = 1 << i, -(P // q)
+            for m, a in zip(masks, identity):
+                terms[m | bit] = weight * a
+    return terms, math.prod(primes), N * identity[0]
 
 
 def _class_of(k: int, key_primes: tuple[int, ...]) -> int:
@@ -221,17 +235,16 @@ def _class_of(k: int, key_primes: tuple[int, ...]) -> int:
     return sum(1 << i for i, q in enumerate(key_primes) if k % q == 0)
 
 
-def _rhs_by_class(coefs: list[tuple[int, int]], key_primes: tuple[int, ...]) -> list[int]:
-    """sum_j a_j c_{d_j}(k) for integer weights a_j, for every class of k,
-    indexed by _class_of; every d_j is squarefree over key_primes."""
-    x = [0] * (1 << len(key_primes))
-    for a, d in coefs:
-        x[_class_of(d, key_primes)] += a
-    for i, q in enumerate(key_primes):
-        bit = 1 << i
-        for m in range(len(x)):
-            if not m & bit:
-                x[m], x[m | bit] = x[m] - x[m | bit], x[m] + (q - 1) * x[m | bit]
+def _rhs_by_class(terms: Terms, key_primes: tuple[int, ...]) -> list[int]:
+    """sum_m a_m c_{d_m}(k), d_m the product of mask m's primes, for every
+    class of k, indexed by _class_of.  Each step maps (x0, x1) ->
+    (x0 - x1, x0 + (q-1) x1) across the lowest bit, q's, and writes the
+    two halves one after the other, which moves every bit down by one: after
+    one step per key prime each bit is back in place, transformed once."""
+    x = terms
+    for q in key_primes:
+        lo, hi = x[0::2], x[1::2]
+        x = [a - b for a, b in zip(lo, hi)] + [a + (q - 1) * b for a, b in zip(lo, hi)]
     return x
 
 
@@ -254,9 +267,10 @@ def fe_identity_worst_slack(ctx: PrimeContext, e: int) -> float:
     """Worst |f_e(n)/theta(e) - RHS| over every n in [1, p-1], exactly:
     0.0 unless the identity fails."""
     primes_e = _primes_of(ctx, e)
-    # the lhs 1/theta(e) is rad(e) over phi(rad e)
-    slacks = _slacks_by_class(primes_e, _identity_terms(primes_e), math.prod(primes_e))
-    return float(Fraction(max(map(abs, slacks)), _phi_rad(primes_e)))
+    terms = _identity_terms(primes_e)
+    # the lhs 1/theta(e) is rad(e) over phi(rad e), the weight of d = 1
+    slacks = _slacks_by_class(primes_e, terms, math.prod(primes_e))
+    return max(map(abs, slacks)) / terms[0]
 
 
 def _context(config: SieveConfig) -> PrimeContext:
@@ -271,19 +285,17 @@ def sieve_lower_bound_worst_slack(config: SieveConfig) -> float:
     ConsistencyError on a breach."""
     config.require_positive_delta()
     ctx = _context(config)
-    primes_e = _primes_of(ctx, config.e)
     primes = ctx.pm1_factors.primes
-    terms, lhs, den = _lower_bound_check(config, primes_e)
+    terms, lhs, den = _lower_bound_check(config, _primes_of(ctx, config.e))
     slacks = _slacks_by_class(primes, terms, lhs)
-    cls = min(range(len(slacks)), key=slacks.__getitem__)
-    worst = Fraction(slacks[cls], den)
+    worst = min(slacks)
     if worst < 0:
-        n = pow(ctx.generator, _first_k(cls, primes), ctx.p)
+        n = pow(ctx.generator, _first_k(slacks.index(worst), primes), ctx.p)
         raise ConsistencyError(
             f"sieve lower bound violated at p={ctx.p}, e={config.e}, n={n}: "
-            f"slack={worst}"
+            f"slack={Fraction(worst, den)}"
         )
-    return float(worst)
+    return worst / den
 
 
 def intermediate_identities_check(config: SieveConfig, n: int) -> dict:
@@ -300,16 +312,19 @@ def intermediate_identities_check(config: SieveConfig, n: int) -> dict:
     f_full = e_free(ctx, ctx.p - 1, n)
     f_e_val = e_free(ctx, e, n)
 
+    # sum_{d|e} (mu(p_i d)/phi(p_i d)) c_{p_i d} over (p_i - 1) phi(rad e),
+    # d = 1 included, has the identity's terms negated, with p_i's bit on
+    # top of each mask; theta(p_i e) is (p_i - 1) phi(rad e)/(p_i rad e)
+    identity = _identity_terms(primes_e)
+    excluded_terms = [0] * len(identity) + [-a for a in identity]
     rhs_exact = Fraction(0)
     worst_expansion = Fraction(0)
     for p_i in config.excluded:
         theta_i = Fraction(p_i - 1, p_i)
         term = e_free(ctx, p_i * e, n) - theta_i * f_e_val
         rhs_exact += term
-        # theta(p_i e) = (p_i - 1) phi(rad e)/(p_i rad e) times the excluded
-        # terms over (p_i - 1) phi(rad e)
-        key = (p_i, *primes_e)
-        rhs = _rhs_by_class(_excluded_terms(p_i, primes_e), key)[_class_of(k, key)]
+        key = (*primes_e, p_i)
+        rhs = _rhs_by_class(excluded_terms, key)[_class_of(k, key)]
         expansion = Fraction(rhs, p_i * math.prod(primes_e))
         worst_expansion = max(worst_expansion, abs(term - expansion))
     rhs_exact += config.delta * f_e_val

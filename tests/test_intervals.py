@@ -16,7 +16,7 @@ from math import ceil, floor, gcd, isqrt
 
 import pytest
 
-from gpbound.enclosure import enclose, envelopes, working_precision
+from gpbound.enclosure import CertifiedReal, enclose, envelopes, working_precision
 from gpbound.errors import ParameterError, VerificationFailure
 from gpbound.intervals import (
     IntervalSystem,
@@ -362,6 +362,39 @@ def test_T_envelope_sweep():
     diff = abs(sum_T(2) - 3 * 4 / math.pi**2)
     assert diff == pytest.approx(0.78409, abs=1e-4)
     assert diff <= 2 * math.log(2)
+
+
+def _T_report_per_segment(x_max: int):
+    """verify_T_envelope's report with both ends of every segment [k, k+1)
+    enclosed anew, T(k) from a totient sieve."""
+    phi = list(range(x_max + 1))
+    for q in range(2, x_max + 1):
+        if phi[q] == q:
+            for m in range(q, x_max + 1, q):
+                phi[m] -= phi[m] // q
+    with working_precision():
+        pi2 = CertifiedReal.pi() ** 2
+
+        def candidates():
+            t = 1
+            for k in range(2, x_max):
+                t += phi[k]
+                for x in (k, k + 1):
+                    xe = enclose(x)
+                    yield xe * xe.log() - abs(enclose(t) - 3 * xe**2 / pi2), float(x)
+
+        return _sweep_report("|T - 3X^2/pi^2| <= X log X", (2.0, float(x_max)), candidates())
+
+
+@pytest.mark.parametrize("x_max", [3, 4, 10, 1000, 3000])
+def test_T_envelope_matches_the_per_segment_sweep(x_max):
+    # each integer X is enclosed once, as the right end of [X-1, X) and the
+    # left end of [X, X+1): the report is the one of a sweep that encloses
+    # every end of every segment
+    report = verify_T_envelope(x_max)
+    expected = _T_report_per_segment(x_max)
+    assert report == expected
+    assert report.to_json() == expected.to_json()
 
 
 def test_sweeps_reject_x_max_below_their_least():

@@ -87,9 +87,21 @@ MUTANTS = (
            "not isinstance(e, int) or e <= 0 or (ctx.p - 1) % e", "e <= 0 or (ctx.p - 1) % e"),
     # the exact sieve checks: one transform for every class, one first k each
     Mutant("sieve: transform's c_q(k) = q-1 at q | k raised to q", "src/gpbound/sieve.py",
-           "(q - 1) * x[m | bit]", "q * x[m | bit]"),
+           "a + (q - 1) * b for", "a + q * b for"),
     Mutant("sieve: transform's c_q(k) = -1 at q not | k flipped to +1", "src/gpbound/sieve.py",
-           "x[m] - x[m | bit], ", "x[m] + x[m | bit], "),
+           "[a - b for a, b in", "[a + b for a, b in"),
+    # the weights, placed at their masks: the identity's once, and again
+    # for each excluded prime, at masks with that prime's bit
+    Mutant("sieve: identity weight of d q not divided by q - 1", "src/gpbound/sieve.py",
+           "terms += [-a // (q - 1) for a in terms]", "terms += [-a for a in terms]"),
+    Mutant("sieve: an excluded prime's bit left out of its terms' masks", "src/gpbound/sieve.py",
+           "terms[m | bit] = weight * a", "terms[m] = weight * a"),
+    Mutant("sieve: N taken as P", "src/gpbound/sieve.py",
+           "N = P - sum(P // q for q in config.excluded)", "N = P"),
+    Mutant("sieve: excluded weights' sign flipped", "src/gpbound/sieve.py",
+           "weight = 1 << i, -(P // q)", "weight = 1 << i, P // q"),
+    Mutant("sieve: display (b)'s excluded terms not negated", "src/gpbound/sieve.py",
+           "[0] * len(identity) + [-a for a in identity]", "[0] * len(identity) + identity"),
     Mutant("sieve: lhs put on class 1", "src/gpbound/sieve.py",
            "slacks[0] += ", "slacks[1] += "),
     Mutant("sieve: first k of the full class moved from 0 to P", "src/gpbound/sieve.py",
@@ -109,6 +121,8 @@ MUTANTS = (
            "x_max = _check_x_max(x_max, 2)\n    ph = ", "ph = "),
     Mutant("sweeps: T below its least x_max unguarded", "src/gpbound/intervals.py",
            "x_max = _check_x_max(x_max, 3)", "pass"),
+    Mutant("sweeps: T's left end taken as the segment's right end", "src/gpbound/intervals.py",
+           "left, right = right, ends(k + 1)", "left = right = ends(k + 1)"),
     # certify_bound: the sieve must be evidence for this p or this threshold
     Mutant("certify: any sieve type", "src/gpbound/certify/certifier.py",
            "if not isinstance(sieve, SieveConfig):", "if sieve is None:"),
