@@ -76,11 +76,21 @@ def _block_dlogs(ctx: PrimeContext, start: int, n: int) -> np.ndarray:
     return dlog.take(np.arange(start, start + n), mode="wrap")
 
 
+def _index_dtype(p: int):
+    """int32 where every folded index product j d fits it, int64 above.
+    A folded j is at most (p-1)/2 and a dlog at most p-2, and
+    (p-1)/2 (p-2) < 2^31 holds for every p <= 65537."""
+    return np.int32 if (p - 1) // 2 * (p - 2) < 2**31 else np.int64
+
+
 def _workspace(size: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for tiles of up to `size` entries: the int64 table
-    indices, the complex table (reused for conj(W)), the complex windows
-    (reused for the float powers) and the float norms (viewed as int64 for
-    the index quotients first)."""
+    """Flat buffers for tiles of up to `size` entries: the table indices
+    (int64, viewed as _index_dtype), the complex table (reused for
+    conj(W)), the complex windows (reused for the int64 take indices of an
+    int32 tile, then for the float powers) and the float norms (viewed as
+    _index_dtype for the index quotients first).  _tile_windows lays each
+    tile out x-major, (columns, rows) with the rows contiguous; the norm
+    pass copies the norms back row by row."""
     return tuple(np.empty(size, dtype) for dtype in (np.int64, complex, complex, float))
 
 
@@ -93,9 +103,17 @@ def _tile_windows(
     ctx: PrimeContext, j: np.ndarray, start: int, d: np.ndarray, h: int, work
 ) -> np.ndarray:
     """W(x) = sum_{n=0}^{h-1} chi_j(x+n) for the first len(d) - h + 1
-    columns x = start.., whose dlogs begin d, one row per index in j, by one
-    prefix sum; chi_j(0) = 0 at every multiple of p.  Written into the
-    buffers of a _workspace; the window rows are returned.
+    columns x = start.., whose dlogs begin d, one row per folded index in j
+    (j <= (p-1)/2, see _index_dtype), by one prefix sum; chi_j(0) = 0 at
+    every multiple of p.  Written into the buffers of a _workspace; the
+    windows are returned as (rows, columns), a transposed view.
+
+    The tile is stored x-major, (columns, rows), so each step runs on
+    whole contiguous blocks of all rows at once.  Each row's prefix sum
+    still runs down its columns one add at a time, and each window is the
+    same difference of two prefix sums, so every row equals its one-row
+    tile, and the row-major tile it replaced, bit for bit.  The index
+    products j d mod p-1 are exact in either dtype.
 
     The moment body passes tiles of at most one _RESYNC_BLOCK of x, so the
     accumulation restarts every block and rounding drift stays bounded by
@@ -104,20 +122,30 @@ def _tile_windows(
     p = ctx.p
     k, n = len(j), len(d)
     nb = n - h + 1
-    idx, vals, w = _shaped(work[0], k, n), _shaped(work[1], k, n), _shaped(work[2], k, nb)
-    quot = _shaped(work[3].view(np.int64), k, n)  # the norms buffer is free yet
-    # d, then j times it in place: numpy buffers one operand here, and both
-    # in an outer product (130 KB at p = 1999)
-    np.copyto(idx, d)
-    np.multiply(idx, j[:, None], out=idx)
+    dtype = _index_dtype(p)
+    idx, quot = (_shaped(buf.view(dtype), n, k) for buf in (work[0], work[3]))
+    vals, w = _shaped(work[1], n, k), _shaped(work[2], nb, k)
+    np.copyto(idx, d[:, None])
+    # d times j: numpy buffers a broadcast row of j in a product (32 KiB at
+    # p = 1999) but not in a copy, so a tile of rows fills j in full; one
+    # row's j is a single value, which needs no buffer and no fill
+    if k == 1:
+        np.multiply(idx, j.astype(dtype), out=idx)
+    else:
+        np.copyto(quot, j)
+        np.multiply(idx, quot, out=idx)
     np.floor_divide(idx, p - 1, out=quot)  # idx mod p-1, exactly, faster than remainder
     np.subtract(idx, np.multiply(quot, p - 1, out=quot), out=idx)
+    if dtype is not np.int64:  # take would cast int32 indices into a temporary
+        wide = _shaped(work[2].view(np.int64), n, k)
+        np.copyto(wide, idx)
+        idx = wide
     ctx.root_powers().take(idx, out=vals, mode="clip")  # idx lies in range
-    vals[:, (-start) % p :: p] = 0.0
-    np.cumsum(vals, axis=-1, out=vals)
-    w[:, 0] = vals[:, h - 1]
-    np.subtract(vals[:, h:], vals[:, : nb - 1], out=w[:, 1:])
-    return w
+    vals[(-start) % p :: p] = 0.0
+    np.cumsum(vals, axis=0, out=vals)
+    w[0] = vals[h - 1]
+    np.subtract(vals[h:], vals[: nb - 1], out=w[1:])
+    return w.T
 
 
 def moment_error_bound(p: int, h: int, r: int) -> float:
@@ -191,10 +219,13 @@ def _norm_tiles(ctx: PrimeContext, rows: np.ndarray, h: int, blocks, work, norms
     A tile is max(1, _TILE // n) rows by the n columns of its block, so it
     holds at most _TILE entries, or one row where a row is longer; every
     step writes into the _workspace `work`, so no tile allocates and the
-    buffers stay in cache.  m2 lies in work[3] until the next tile, unless
-    `norms` ((p+1)/2 floats, for one row) is given: then the tiles fill it
-    in turn and stay valid.  The windows' buffer work[2] is free from the
-    yield to the next tile.
+    buffers stay in cache.  The windows come x-major from _tile_windows,
+    and w * conj(w) runs on them in place, elementwise, so each norm is the
+    same product in either layout; one transposed copy then lays m2 out
+    row by row, the order _reduce sums in.  m2 lies in work[3] until the
+    next tile, unless `norms` ((p+1)/2 floats, for one row) is given: then
+    the tiles fill it in turn and stay valid.  The windows' buffer work[2]
+    is free from the yield to the next tile.
     """
     filled = 0
     for b, (start, n) in enumerate(blocks):
@@ -202,9 +233,11 @@ def _norm_tiles(ctx: PrimeContext, rows: np.ndarray, h: int, blocks, work, norms
         chunk = max(1, _TILE // n)
         for lo in range(0, len(rows), chunk):
             w = _tile_windows(ctx, rows[lo : lo + chunk], start, d, h, work)
-            conj = np.conj(w, out=_shaped(work[1], *w.shape))  # the table is spent
+            xw = w.T  # the x-major tile, rows contiguous
+            conj = np.conj(xw, out=_shaped(work[1], *xw.shape))  # the table is spent
+            np.multiply(xw, conj, out=xw)
             m2 = _shaped(work[3] if norms is None else norms[filled:], *w.shape)
-            np.copyto(m2, np.multiply(w, conj, out=w).real)
+            np.copyto(m2, w.real)  # the one transpose: each row contiguous again
             filled += m2.size
             yield b, lo, m2
 
@@ -244,6 +277,10 @@ def _moment_sums(ctx: PrimeContext, js, h: int, r_values) -> dict[int, np.ndarra
     the float pass: the norm pass and the reduction run tile by tile in one
     _workspace, sized for the largest tile and allocated per call; the
     powers go into the windows' buffer, which the norm pass has spent.
+    The tiles are x-major (see _tile_windows) and the reduction reads each
+    row contiguous, in the order it always has, so no value depends on the
+    layout or on the index dtype; the single path runs the same kernel on
+    one-row tiles.
     """
     _check_moment_args(h, r_values)
     p = ctx.p

@@ -143,7 +143,7 @@ def cmd_verify(args) -> int:
             raise argparse.ArgumentTypeError(
                 f"--{name} must be at least {least}, got {sizes[name]}"
             )
-    from . import verify  # loads numpy, which no other subcommand needs
+    from . import verify  # its numpy suites load numpy; `verify sieve` does not
 
     suites = {
         "charsum": lambda: verify.charsum(args.pmax, args.hmax, rmax),

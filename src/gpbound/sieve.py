@@ -109,41 +109,54 @@ class SieveConfig:
     """The sieve behind a certificate: s of the omega primes of p-1 are
     excluded, with density delta, and F = sieve_factor(omega, s, delta).
 
-    Each constructor works from evidence, and __post_init__ checks it, so a
-    direct call cannot get round it:
+    Each constructor works from evidence, and __post_init__ derives or
+    checks it, so a direct call cannot get round it:
     - `build(ctx, e)`, at one prime: e is an even divisor of p-1, and
       omega, the excluded primes and delta come from the proved
-      factorization in ctx;
+      factorization in ctx, in one pass; a field that a direct call
+      passes must agree with them;
     - `worst_case(omega, s)`, over a threshold: no ctx, and delta is at
       most worst_case_delta(omega, s), its least value at any prime.
     """
 
-    omega: int
-    s: int
-    delta: Fraction
+    omega: int | None = None
+    s: int | None = None
+    delta: Fraction | None = None
     ctx: PrimeContext | None = None
     e: int | None = None
-    excluded: tuple[int, ...] = ()
+    excluded: tuple[int, ...] | None = None
 
     @classmethod
     def build(cls, ctx: PrimeContext, e: int) -> "SieveConfig":
-        return cls(ctx=ctx, e=e, **_evidence(ctx, e))
+        return cls(ctx=ctx, e=e)
 
     @classmethod
     def worst_case(cls, omega: int, s: int) -> "SieveConfig":
         return cls(omega=omega, s=s, delta=worst_case_delta(omega, s))
 
     def __post_init__(self):
+        """A field left as None is filled in, once: from one _evidence pass
+        at a prime, or () for the excluded primes of a ctx-less sieve.  A
+        field the caller passed must agree with the evidence."""
         if self.ctx is None:
+            if None in (self.omega, self.s, self.delta):
+                raise ConfigError("a sieve without a prime needs omega, s and delta")
             if self.delta > worst_case_delta(self.omega, self.s):
                 raise ConfigError(
                     f"delta = {self.delta} exceeds the worst case for omega = "
                     f"{self.omega}, s = {self.s}"
                 )
-        elif any(getattr(self, k) != v for k, v in _evidence(self.ctx, self.e).items()):
-            raise ConfigError(
-                f"sieve fields disagree with the factorization of p-1 = {self.ctx.p - 1}"
-            )
+            if self.excluded is None:
+                object.__setattr__(self, "excluded", ())
+            return
+        for k, v in _evidence(self.ctx, self.e).items():
+            given = getattr(self, k)
+            if given is None:
+                object.__setattr__(self, k, v)  # frozen, so set through object
+            elif given != v:
+                raise ConfigError(
+                    f"sieve fields disagree with the factorization of p-1 = {self.ctx.p - 1}"
+                )
 
     @property
     def e_desc(self) -> str:

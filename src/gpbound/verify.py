@@ -10,35 +10,22 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .characters import (
-    character_orders,
-    moment_error_bound,
-    moment_sums_all,
-    stirling_sandwich,
-    weil_bound,
-)
 from .errors import ConsistencyError, GpboundError
-from .intervals import (
-    build_intervals,
-    count_points,
-    envelope_bounds_enclosure,
-    verify_external_inputs,
-    verify_S_envelope,
-    verify_T_envelope,
-)
 from .ntcore import PrimeContext, iter_primes
 from .sieve import admissible_configs, fe_identity_worst_slack, sieve_lower_bound_worst_slack
+
+# numpy, and the characters and intervals modules that load it, are imported
+# inside the suites that use them: `verify sieve` runs without numpy
 
 _GRID_PRIMES = (10007, 65537, 10**6 + 3)
 # weil_bound's float result is a sum of positive terms after at most six
 # roundings, so it exceeds the exact bound by under 4 eps relative; rounding
 # it down by 8 eps also absorbs the rounding of this product and of the sum
 # value + error bound it is compared with
-_BOUND_ROUNDING = 8 * np.finfo(float).eps
+_BOUND_ROUNDING = 8 * sys.float_info.epsilon
 
 
 def charsum(pmax: int, hmax: int, rmax: int) -> dict:
@@ -53,6 +40,10 @@ def charsum(pmax: int, hmax: int, rmax: int) -> dict:
     least: two computed values whose exact moments are equal differ by at
     most twice the error bound, so ties do not break by rounding noise.
     """
+    import numpy as np
+
+    from .characters import character_orders, moment_error_bound, moment_sums_all, weil_bound
+
     worst = None
     violations = 0
     cases = 0
@@ -95,6 +86,8 @@ def charsum(pmax: int, hmax: int, rmax: int) -> dict:
 def interval_grid(grid: int, seed: int) -> dict:
     """The point count N(X) of the interval family between its envelopes,
     on `grid` seeded (p, H, h) triples with X in [2, 50]."""
+    from .intervals import build_intervals, count_points, envelope_bounds_enclosure
+
     violations = 0
     checked = 0
     rng = random.Random(seed)
@@ -122,6 +115,8 @@ def interval_grid(grid: int, seed: int) -> dict:
 
 def intervals(xmax: int, grid: int, seed: int) -> dict:
     """The S and T sweeps, the external estimates up to xmax, and the grid."""
+    from .intervals import verify_external_inputs, verify_S_envelope, verify_T_envelope
+
     sweeps = [verify_S_envelope(), verify_T_envelope(), *verify_external_inputs(xmax)]
     reports = [r.to_json() for r in sweeps]
     reports.append(interval_grid(grid, seed))
@@ -170,6 +165,8 @@ def sieve(pmax: int) -> dict:
 
 def stirling(rmax: int) -> dict:
     """The Stirling sandwich for r = 1..rmax, with its last finite triple."""
+    from .characters import stirling_sandwich
+
     last_finite = None
     ok = True
     checked = 0

@@ -157,19 +157,19 @@ def test_verify_charsum_counts_a_bound_below_its_sum(monkeypatch):
     # a bound a relative 1e-7 below the exact sum of the worst character at
     # (p, h, r) = (7, 2, 1) is a violation: dominance is value + error_bound
     # <= bound, with no relative tolerance
-    from gpbound import verify
+    from gpbound import characters
     from gpbound.characters import moment_sums_all
     from gpbound.ntcore import PrimeContext
 
     worst = float(moment_sums_all(PrimeContext(7), 2, (1,))[1][1:].max())
-    original = verify.weil_bound
+    original = characters.weil_bound
 
     def tight(p, h, r, order_class=None):
         if (p, h, r) == (7, 2, 1):
             return worst * (1 - 1e-7)
         return original(p, h, r, order_class)
 
-    monkeypatch.setattr(verify, "weil_bound", tight)
+    monkeypatch.setattr(characters, "weil_bound", tight)  # verify.charsum imports it per call
     code, out, _ = run_cli("verify", "charsum", "--pmax", "7", "--hmax", "2", "--rmax", "1")
     assert code == 1
     blob = json.loads(out)

@@ -23,7 +23,8 @@ GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "cli.json").read
 
 # Subcommands decided in exact and enclosure arithmetic alone: they must run
 # in an interpreter where numpy cannot be imported.
-NUMPY_FREE = {"gp", "bound", "certify", "optimize", "verify cases", "verify win-chain"}
+NUMPY_FREE = {"gp", "bound", "certify", "optimize", "verify cases", "verify sieve",
+              "verify win-chain"}
 
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys

@@ -117,6 +117,22 @@ def test_config_fields_must_agree_with_the_context(ctx61, field):
         SieveConfig(ctx=ctx61, e=4, **{**fields, field: _FORGED[field]})
 
 
+def test_config_fills_its_fields_from_one_evidence_pass(ctx61, monkeypatch):
+    # build passes only ctx and e; __post_init__ derives the rest in one
+    # pass.  A ctx-less sieve has no evidence, so it must be given them all
+    passes = []
+    evidence = sieve._evidence
+    monkeypatch.setattr(sieve, "_evidence", lambda *args: passes.append(args) or evidence(*args))
+    cfg = SieveConfig.build(ctx61, 4)
+    assert len(passes) == 1
+    assert (cfg.omega, cfg.s, cfg.delta, cfg.excluded) == (3, 2, Fraction(7, 15), (3, 5))
+    assert SieveConfig.worst_case(12, 9).excluded == ()
+    for fields in ({"s": 0, "delta": Fraction(1)}, {"omega": 3, "delta": Fraction(1)},
+                   {"omega": 3, "s": 0}):
+        with pytest.raises(ConfigError, match="needs omega, s and delta"):
+            SieveConfig(**fields)
+
+
 def test_worst_case_config_takes_no_delta_above_the_worst_case():
     cfg = SieveConfig.worst_case(12, 9)
     assert cfg.ctx is None and cfg.delta == worst_case_delta(12, 9) > 0

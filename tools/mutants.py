@@ -54,7 +54,7 @@ class Mutant:
     equivalent: str = ""  # why no input tells it from the real code, if none does
 
 
-_EVIDENCE_ITEMS = "_evidence(self.ctx, self.e).items())"
+_EVIDENCE_CHECK = "elif given != v:"
 
 MUTANTS = (
     # SieveConfig: evidence checked on construction
@@ -63,12 +63,10 @@ MUTANTS = (
     Mutant("config: ctx-less delta against s = 0", "src/gpbound/sieve.py",
            "if self.delta > worst_case_delta(self.omega, self.s):",
            "if self.delta > worst_case_delta(self.omega, 0):"),
-    Mutant("config: ctx fields unchecked", "src/gpbound/sieve.py",
-           "elif any(getattr(self, k) != v for k, v in " + _EVIDENCE_ITEMS + ":",
-           "elif False:"),
+    Mutant("config: ctx fields unchecked", "src/gpbound/sieve.py", _EVIDENCE_CHECK, "elif False:"),
     *(
         Mutant(f"config: ctx {field} unchecked", "src/gpbound/sieve.py",
-               _EVIDENCE_ITEMS, _EVIDENCE_ITEMS[:-1] + f' if k != "{field}")')
+               _EVIDENCE_CHECK, _EVIDENCE_CHECK[:-1] + f' and k != "{field}":')
         for field in ("omega", "s", "delta", "excluded")
     ),
     Mutant("config: e <= 0 accepted", "src/gpbound/sieve.py",
@@ -207,6 +205,13 @@ MUTANTS = (
            "key = (min(chi.j, -chi.j % (p - 1)), h)", "key = (min(chi.j, -chi.j % (p - 1)),)"),
     Mutant("moments: old norms kept through the rebuild", "src/gpbound/characters.py",
            "slot = ctx._norms = None  # free the last norms", "pass  # free the last norms"),
+    # the x-major tiles: int32 index products only where the largest fits,
+    # and each window the difference of prefix sums h rows apart
+    Mutant("tiles: int32 index products widened to the next prime", "src/gpbound/characters.py",
+           "(p - 1) // 2 * (p - 2) < 2**31", "p <= 65539"),
+    Mutant("tiles: window difference shifted by one row", "src/gpbound/characters.py",
+           "np.subtract(vals[h:], vals[: nb - 1], out=w[1:])",
+           "np.subtract(vals[h:], vals[1:nb], out=w[1:])"),
     # the root table: each symmetry maps an entry to its own mirror
     Mutant("roots: swap mirror off by one", "src/gpbound/ntcore.py",
            "xy[q - q // 2 - 1 :: -1, ::-1]", "xy[q - q // 2 : 0 : -1, ::-1]"),
