@@ -42,13 +42,6 @@ class CharacterIndex:
         pm1 = self.ctx.p - 1
         return pm1 // math.gcd(self.j, pm1)
 
-    @property
-    def is_principal(self) -> bool:
-        return self.j == 0
-
-    def conjugate(self) -> "CharacterIndex":
-        return CharacterIndex(self.ctx, (-self.j) % (self.ctx.p - 1))
-
 
 @dataclass(frozen=True)
 class MomentSumResult:
@@ -56,9 +49,6 @@ class MomentSumResult:
 
     value: float
     error_bound: float
-    p: int
-    h: int
-    r: int
 
 
 def character_orders(p: int) -> np.ndarray:
@@ -149,8 +139,8 @@ def _tile_windows(
 
 
 def moment_error_bound(p: int, h: int, r: int) -> float:
-    """Conservative absolute error bound for the tiled moment evaluation,
-    for one character and for every row of the batch alike.  The real
+    """Conservative absolute error bound for the tiled moment evaluation
+    of one row of _moment_sums, whichever entry point asked.  The real
     characters (j = 0 and (p-1)/2) are summed in integers and rounded once,
     so their values err by at most half an ulp; the same bound is reported
     for them, as a conservative one.
@@ -191,6 +181,11 @@ def moment_error_bound(p: int, h: int, r: int) -> float:
 
 
 def _check_moment_args(h: int, r_values) -> None:
+    try:
+        for v in (h, *r_values):
+            operator.index(v)
+    except TypeError:
+        raise DomainError(f"h and r must be integers, got {h!r} and {r_values!r}") from None
     if h < 1 or not r_values or min(r_values) < 1:
         raise DomainError(f"need h >= 1 and r >= 1, got h = {h}, r_values = {r_values}")
 
@@ -212,7 +207,7 @@ def _column_blocks(p: int, h: int) -> list[tuple[int, int]]:
     return [((x0 + o) % p, min(_RESYNC_BLOCK, half - o) + h - 1) for o in offsets]
 
 
-def _norm_tiles(ctx: PrimeContext, rows: np.ndarray, h: int, blocks, work, norms=None):
+def _norm_tiles(ctx: PrimeContext, rows: np.ndarray, h: int, blocks, work):
     """Norm pass: yield (b, lo, m2) for each tile, m2 = |W(x)|^2 of the
     character rows rows[lo : lo + len(m2)] over column block b, contiguous.
 
@@ -223,11 +218,9 @@ def _norm_tiles(ctx: PrimeContext, rows: np.ndarray, h: int, blocks, work, norms
     and w * conj(w) runs on them in place, elementwise, so each norm is the
     same product in either layout; one transposed copy then lays m2 out
     row by row, the order _reduce sums in.  m2 lies in work[3] until the
-    next tile, unless `norms` ((p+1)/2 floats, for one row) is given: then
-    the tiles fill it in turn and stay valid.  The windows' buffer work[2]
-    is free from the yield to the next tile.
+    next tile; the windows' buffer work[2] is free from the yield to the
+    next tile.
     """
-    filled = 0
     for b, (start, n) in enumerate(blocks):
         d = _block_dlogs(ctx, start, n)
         chunk = max(1, _TILE // n)
@@ -236,9 +229,8 @@ def _norm_tiles(ctx: PrimeContext, rows: np.ndarray, h: int, blocks, work, norms
             xw = w.T  # the x-major tile, rows contiguous
             conj = np.conj(xw, out=_shaped(work[1], *xw.shape))  # the table is spent
             np.multiply(xw, conj, out=xw)
-            m2 = _shaped(work[3] if norms is None else norms[filled:], *w.shape)
+            m2 = _shaped(work[3], *w.shape)
             np.copyto(m2, w.real)  # the one transpose: each row contiguous again
-            filled += m2.size
             yield b, lo, m2
 
 
@@ -250,7 +242,7 @@ def _reduce(tiles, n_rows: int, n_blocks: int, r_values, power_buf) -> dict[int,
     0's from x0+1 on, and doubles the sum, which is exact; block 0 then adds
     T(x0) once.  A row's per-block partial sums are reduced in one pairwise
     sum at the end.  Each row's arithmetic is the same in every tile shape,
-    so the single and the batch path agree bit for bit.
+    so a row's sums do not depend on the other rows of its call.
     """
     partial = {r: np.empty((n_rows, n_blocks)) for r in r_values}
     for b, lo, m2 in tiles:
@@ -272,15 +264,14 @@ def _moment_sums(ctx: PrimeContext, js, h: int, r_values) -> dict[int, np.ndarra
     Since W_{chi_-j}(x) = conj(W_{chi_j}(x)), S_j = S_{-j}: each index is
     folded to min(j, -j mod p-1), and each distinct one is computed once.
     The rows of the real characters, 0 and (p-1)/2, take their exact
-    values from _real_histogram, the ones moment_sum_exact returns, so the
-    two paths agree bit for bit at every size.  The other rows go through
-    the float pass: the norm pass and the reduction run tile by tile in one
+    values from _real_histogram.  The other rows go through the float
+    pass: the norm pass and the reduction run tile by tile in one
     _workspace, sized for the largest tile and allocated per call; the
     powers go into the windows' buffer, which the norm pass has spent.
     The tiles are x-major (see _tile_windows) and the reduction reads each
     row contiguous, in the order it always has, so no value depends on the
-    layout or on the index dtype; the single path runs the same kernel on
-    one-row tiles.
+    layout, on the index dtype or on the other rows of the call: a one-row
+    call, as moment_sum_exact makes, gives that row's batch value.
     """
     _check_moment_args(h, r_values)
     p = ctx.p
@@ -289,6 +280,13 @@ def _moment_sums(ctx: PrimeContext, js, h: int, r_values) -> dict[int, np.ndarra
     real = _is_real(p, rows)
     others = rows[~real]
     blocks = _column_blocks(p, h)
+    if len(others):
+        # The long-lived root table is allocated before the short-lived
+        # workspace, so that it can take the free heap space its predecessor
+        # left.  Built at the first tile, a table that no longer fit there
+        # went to a fresh mapping while that space stayed resident: over 40
+        # primes in [1e5, 1e6], six seeds, peak RSS read 55 MiB against 63-70.
+        ctx.root_powers()
     work = _workspace(max(min(max(1, _TILE // n), len(others)) * n for _, n in blocks))
     tiles = _norm_tiles(ctx, others, h, blocks, work)
     floats = _reduce(tiles, len(others), len(blocks), r_values, work[2].view(float))
@@ -300,20 +298,6 @@ def _moment_sums(ctx: PrimeContext, js, h: int, r_values) -> dict[int, np.ndarra
         for r in r_values:
             sums[r][i] = _real_moment(hist, r)
     return {r: s[back] for r, s in sums.items()}
-
-
-def _norm_set(ctx: PrimeContext, j: int, h: int) -> list:
-    """The norm tiles of the one folded index j, kept in (p+1)/2 floats;
-    the workspace that made them is freed on return."""
-    blocks = _column_blocks(ctx.p, h)
-    # The long-lived root table is allocated before the short-lived buffers,
-    # so that it can take the free heap space its predecessor left.  Built
-    # at the first tile, a table that no longer fit there went to a fresh
-    # mapping while that space stayed resident: over 40 primes in
-    # [1e5, 1e6], six seeds, peak RSS read 55 MiB against 63-70.
-    ctx.root_powers()
-    work = _workspace(max(n for _, n in blocks))
-    return list(_norm_tiles(ctx, np.array([j]), h, blocks, work, np.empty((ctx.p + 1) // 2)))
 
 
 def _is_real(p: int, j):
@@ -367,33 +351,23 @@ def _real_moment(hist: tuple[int, np.ndarray], r: int) -> float:
 def moment_sum_exact(chi: CharacterIndex, h: int, r: int) -> MomentSumResult:
     """S_chi(p,h,r) = sum over x in F_p of |sum_{n<h} chi(x+n)|^(2r).
 
-    Exact complete sum in floating point, O(p) via a sliding window; the
-    reported error bound covers table rounding, window drift, and the final
-    reduction.  For a real character (j = 0 or (p-1)/2) the sum is exact:
-    its windows are integers, summed in Python ints from the |W| histogram
-    of _real_histogram and rounded once; the same bound is reported.  The
-    window norms |W(x)|^2 of the last (folded j, h), or a real character's
-    histogram, stay in the context's one slot, so a call at another r, or
-    on the conjugate character, runs only the reduction; the old slot is
-    freed before a new one is built.  Each value equals that of a fresh
-    context bit for bit.
+    One row of _moment_sums: exact complete sum in floating point, O(p) via
+    a sliding window, with moment_error_bound's bound on table rounding,
+    window drift and the final reduction; for a real character (j = 0 or
+    (p-1)/2) the sum is exact, summed in integers and rounded once.  The
+    row runs at r = 1..max(r, 4), and those moments of the last (folded j,
+    h) stay in the context's one slot, so a call at another of those r, or
+    on the conjugate character, makes no windows.  Each value equals that
+    of a fresh context bit for bit.
     """
     _check_moment_args(h, (r,))
     ctx, p = chi.ctx, chi.ctx.p
     key = (min(chi.j, -chi.j % (p - 1)), h)
-    real = _is_real(p, key[0])
-    slot = ctx._norms  # read once, so that a shared context gives one pair
-    if slot is None or slot[0] != key:
-        slot = ctx._norms = None  # free the last norms before building these
-        build = _real_histogram if real else _norm_set
-        slot = ctx._norms = (key, build(ctx, key[0], h))
-    if real:
-        value = _real_moment(slot[1], r)
-    else:
-        tiles = slot[1]
-        power_buf = np.empty(max(m2.size for _, _, m2 in tiles))
-        value = float(_reduce(tiles, 1, len(tiles), (r,), power_buf)[r][0])
-    return MomentSumResult(value, moment_error_bound(p, h, r), p, h, r)
+    slot = ctx._moments  # read once, so that a shared context gives one pair
+    if slot is None or slot[0] != key or r not in slot[1]:
+        sums = _moment_sums(ctx, np.array([key[0]]), h, range(1, max(r, 4) + 1))
+        slot = ctx._moments = (key, {s: float(v[0]) for s, v in sums.items()})
+    return MomentSumResult(slot[1][r], moment_error_bound(p, h, r))
 
 
 def moment_sums_all(ctx: PrimeContext, h: int, r_values: tuple[int, ...]) -> dict[int, np.ndarray]:

@@ -3,9 +3,8 @@
 Primality, factorization, the classical multiplicative functions, and the
 brute-force least-primitive-root oracle.  Everything here is exact integer
 or rational arithmetic, with no floats, except in PrimeContext: its table
-of the (p-1)-th roots of unity is complex, and its `_norms` slot holds the
-float window norms, or a real character's integer histogram, that
-`characters` computes.
+of the (p-1)-th roots of unity is complex, and its `_moments` slot holds
+float moments that only `characters` reads and writes.
 
 Every primality verdict is a proof: is_prime decides below
 MR_DETERMINISTIC_LIMIT (~3.3e24), and past it least_primitive_root proves p
@@ -366,18 +365,13 @@ def _dlog_table(p: int, g: int):
 
 class PrimeContext:
     """An odd prime p with factored p-1, a fixed primitive root, two lazy
-    tables and one slot of window norms.
+    tables and one memo slot.
 
     The tables are the discrete logs (int32, 4 bytes per residue: 3.7 MiB at
     p = 960961) and the (p-1)-th roots of unity (complex, 16 bytes per
     residue, of which cos and sin compute one eighth or one quarter and
-    exact symmetries the rest; see `root_powers`).  The slot `_norms` holds
-    the |W(x)|^2 of the last character and window length that
-    `characters.moment_sum_exact` evaluated, so that its moments at another
-    r, or at the conjugate character, skip the window pass: (p+1)/2 floats,
-    3.7 MiB at p = 960961, and only one set at a time.  For a real
-    character (j = 0 or (p-1)/2) it holds |W(x0)| and the h + 1 counts of
-    |W| instead, from which the moments are summed in integers.
+    exact symmetries the rest; see `root_powers`).  The slot `_moments`
+    belongs to `characters.moment_sum_exact`, which alone knows its format.
     The fixed root is the canonical basis for all character indexing; the
     dlog table is built only on demand and only when p is small enough to
     enumerate (huge-p certification never needs it).  It is built in numpy
@@ -386,9 +380,9 @@ class PrimeContext:
     below (p-1)^2, which fits int64 for p <= DLOG_CAP, and beside the table
     the build holds only one block of _GIANT_ROWS rows of about sqrt(p)
     int64 products and their quotients.  Apart from filling `_dlog`,
-    `_root_powers` and `_norms`, instances are immutable after construction;
-    a reader of `_norms` takes the slot's (key, norms) pair once, so sharing
-    one context gives the same values, at worst with more window passes.
+    `_root_powers` and `_moments`, instances are immutable after
+    construction; a reader of `_moments` takes the slot once, so sharing one
+    context gives the same values, at worst with more window passes.
     """
 
     # Bounds the memory and time of one dlog table; it also keeps every
@@ -408,7 +402,7 @@ class PrimeContext:
         self.generator = least_primitive_root(p, self.pm1_factors, candidate_limit=10**6)
         self._dlog = None
         self._root_powers = None
-        self._norms = None
+        self._moments = None
 
     def dlog_array(self):
         """numpy int32 array d with generator^d[n] = n mod p; d[0] = -1."""

@@ -16,8 +16,9 @@ from gpbound.characters import (
     _TILE,
     CharacterIndex,
     _block_dlogs,
+    _column_blocks,
     _moment_sums,
-    _norm_set,
+    _norm_tiles,
     _reduce,
     _tile_windows,
     _workspace,
@@ -85,9 +86,9 @@ def test_char_multiplicativity(ctx13):
 def test_character_order_and_conjugate(ctx13):
     chi = CharacterIndex(ctx13, 6)
     assert chi.order == 2
-    assert CharacterIndex(ctx13, 0).is_principal
-    assert chi.conjugate().j == 6
-    assert CharacterIndex(ctx13, 1).conjugate().j == 11
+    assert CharacterIndex(ctx13, 0).order == 1
+    # chi_-j = conj(chi_j) has the order of chi_j
+    assert CharacterIndex(ctx13, -1 % 12).order == CharacterIndex(ctx13, 1).order == 12
     orders = character_orders(13)
     assert all((13 - 1) % int(d) == 0 for d in orders)
     assert int(orders[0]) == 1
@@ -221,26 +222,29 @@ def test_real_moments_exact_past_2_53(h, r):
     for k, j in ((0, 0), (2, m)):
         single = moment_sum_exact(CharacterIndex(ctx, j), h, r).value
         assert single == float(real_moment_oracle(p, j, h, (r,))[r]) == batch[k], (j, h, r)
-    tiles = _norm_set(ctx, m, h)
-    floats = _reduce(tiles, 1, len(tiles), (r,), np.empty(max(t[2].size for t in tiles)))
+    # the float pass on the quadratic row: the norm tiles and their reduction
+    blocks = _column_blocks(p, h)
+    work = _workspace(max(n for _, n in blocks))
+    tiles = _norm_tiles(ctx, np.array([m]), h, blocks, work)
+    floats = _reduce(tiles, 1, len(blocks), (r,), work[2].view(float))
     assert (floats[r][0] != single) == (h == 128), (h, r)
 
 
-def test_real_moment_slot_holds_a_histogram():
-    # a real character's slot keeps |W(x0)| and h + 1 counts of |W|, not
-    # the (p+1)/2 float norms (512 KiB at p = 131101)
-    import tracemalloc
-
+def test_moment_slot_holds_only_r_values():
+    # the context's slot keeps ((folded j, h), {r: moment}) for r = 1..4,
+    # or 1..r past 4, and nothing of the window pass: no norms, no
+    # histogram, for a complex and a real character alike; p - 2 is the
+    # conjugate of 1, whose slot already holds r = 5
     p, h = 131101, 16
     ctx = PrimeContext(p)
-    ctx.dlog_array()
-    tracemalloc.start()
-    try:
-        moment_sum_exact(CharacterIndex(ctx, (p - 1) // 2), h, 2)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held <= 64 * (h + 1), held
+    for j, r, top in ((1, 2, 4), (1, 5, 5), (p - 2, 2, 5), (2, 2, 4),
+                      ((p - 1) // 2, 5, 5), (0, 2, 4)):
+        value = moment_sum_exact(CharacterIndex(ctx, j), h, r).value
+        key, moments = ctx._moments
+        assert key == (min(j, p - 1 - j), h), (j, r)
+        assert sorted(moments) == list(range(1, top + 1)), (j, r)
+        assert all(type(v) is float for v in moments.values()), (j, r)
+        assert moments[r] == value, (j, r)
 
 
 def test_window_sums_reflect():
@@ -259,9 +263,8 @@ def test_moment_conjugation_symmetry():
     # W_{chi_-j} = conj(W_{chi_j}), so the body computes each pair once
     ctx = PrimeContext(61)
     for j in [1, 7, 13]:
-        chi = CharacterIndex(ctx, j)
-        a = moment_sum_exact(chi, 4, 2).value
-        b = moment_sum_exact(chi.conjugate(), 4, 2).value
+        a = moment_sum_exact(CharacterIndex(ctx, j), 4, 2).value
+        b = moment_sum_exact(CharacterIndex(ctx, -j % 60), 4, 2).value
         assert a == b
 
 
@@ -300,6 +303,21 @@ def test_moment_rejects_bad_args(ctx13):
     with pytest.raises(DomainError):
         moment_sum_exact(CharacterIndex(ctx13, 1), 2, 0)
     for h, r_values in ((0, (1,)), (2, (0,)), (2, ())):
+        with pytest.raises(DomainError):
+            moment_sums_all(ctx13, h, r_values)
+
+
+def test_moment_sum_exact_rejects_non_integers(ctx13):
+    # checked before the memo is read: a hit on (1, 2) holds r = 1..4 only
+    chi = CharacterIndex(ctx13, 1)
+    moment_sum_exact(chi, 2, 2)
+    for h, r in ((2.0, 2), (2, 2.0), (2, 2.5), ("2", 2), (2, 0), (2, -1)):
+        with pytest.raises(DomainError):
+            moment_sum_exact(chi, h, r)
+
+
+def test_moment_sums_all_rejects_non_integers(ctx13):
+    for h, r_values in ((2.0, (2,)), (2, (2.5,)), (2, (1, 2.0)), (2, 2)):
         with pytest.raises(DomainError):
             moment_sums_all(ctx13, h, r_values)
 
@@ -382,7 +400,7 @@ def test_moment_batch_of_one_row_tiles_matches_single():
             assert batch[r][k] == moment_sum_exact(CharacterIndex(ctx, int(j)), 8, r).value, (r, j)
 
 
-def _row_major_norm_tiles(ctx: PrimeContext, rows: np.ndarray, h: int, blocks, work, norms=None):
+def _row_major_norm_tiles(ctx: PrimeContext, rows: np.ndarray, h: int, blocks, work):
     """The norm pass as it was before the tiles went x-major, kept as the
     reference: (rows, columns) tiles, int64 index products, one prefix sum
     along each row and |W|^2 copied contiguous.  It allocates freely; only
@@ -460,11 +478,12 @@ def test_moment_batch_memory_is_one_tile():
 
 @pytest.mark.parametrize("p", [131101, 960961])
 def test_moment_memo_matches_fresh_context(p):
-    # one context keeps the norms of the last (folded j, h); later calls at
-    # another r, on the conjugate character and after a change of j equal
-    # the values of a fresh context bit for bit
+    # one context keeps the moments of the last (folded j, h); later calls
+    # at another r, on the conjugate character, past r = 4 and after a
+    # change of j equal the values of a fresh context bit for bit
     ctx = PrimeContext(p)
-    calls = [(1, 2), (p - 2, 3), (1, 1), (p - 2, 4), ((p - 1) // 2, 2), ((p - 1) // 2, 3), (1, 4)]
+    calls = [(1, 2), (p - 2, 3), (1, 1), (p - 2, 4), (1, 5), (p - 2, 2),
+             ((p - 1) // 2, 2), ((p - 1) // 2, 3), ((p - 1) // 2, 5), (1, 4)]
     for j, r in calls:
         got = moment_sum_exact(CharacterIndex(ctx, j), 16, r).value
         fresh = moment_sum_exact(CharacterIndex(PrimeContext(p), j), 16, r).value
@@ -472,8 +491,9 @@ def test_moment_memo_matches_fresh_context(p):
 
 
 def test_moment_memo_skips_window_pass(monkeypatch):
-    # a call at another r, or on the conjugate, makes no windows; a change
-    # of h or of j builds the norms again (p = 61 has one column block)
+    # a call at another of r = 1..4, or on the conjugate, makes no windows;
+    # r = 5, a change of h or of j runs the row again (p = 61 has one
+    # column block)
     windows = []
 
     def counted(*args):
@@ -485,30 +505,30 @@ def test_moment_memo_skips_window_pass(monkeypatch):
     chi = CharacterIndex(ctx, 7)
     moment_sum_exact(chi, 4, 2)
     assert len(windows) == 1
-    moment_sum_exact(chi, 4, 3)
-    moment_sum_exact(chi.conjugate(), 4, 1)
+    for r in (1, 2, 3, 4):
+        moment_sum_exact(chi, 4, r)
+    moment_sum_exact(CharacterIndex(ctx, -7 % 60), 4, 1)
     assert len(windows) == 1
-    moment_sum_exact(chi, 5, 3)
+    moment_sum_exact(chi, 4, 5)
     assert len(windows) == 2
-    moment_sum_exact(CharacterIndex(ctx, 8), 5, 3)
+    moment_sum_exact(chi, 5, 3)
     assert len(windows) == 3
+    moment_sum_exact(CharacterIndex(ctx, 8), 5, 3)
+    assert len(windows) == 4
 
 
-def test_moment_memo_memory_is_one_norm_set():
+def test_moment_memo_memory_is_one_workspace():
     # j = 1, 2 and then the quadratic character (p-1)/2, r = 2 then 3,
-    # h = 16.  The old norms are freed before new ones are built, so the
-    # peak is one workspace for a row of 2^16 + 15 columns (3.0 MiB) and one
-    # norm set of (p+1)/2 floats (3.7 MiB), plus a block's wrapped dlogs:
-    # 6.92 MiB measured, where keeping the old norms through the rebuild
-    # from j = 1 to 2 reads 10.6.  The quadratic character's slot is a
-    # histogram of h + 1 counts.
+    # h = 16.  The slot keeps four floats, not the (p+1)/2 float norms
+    # (3.7 MiB), so the peak is one workspace for a row of 2^16 + 15
+    # columns (3.0 MiB) plus a block's wrapped dlogs; the quadratic
+    # character's integer pass allocates no workspace
     import tracemalloc
 
     p = 960961
     ctx = PrimeContext(p)
     ctx.dlog_array(), ctx.root_powers()
     workspace = (_RESYNC_BLOCK + 15) * sum(b.itemsize for b in _workspace(1))
-    norm_set = (p + 1) // 2 * 8
     tracemalloc.start()
     try:
         for j in (1, 2, (p - 1) // 2):
@@ -517,7 +537,7 @@ def test_moment_memo_memory_is_one_norm_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= workspace + norm_set + 2**19, peak / 2**20
+    assert peak <= workspace + 2**19, peak / 2**20
 
 
 def test_char_ops_refuse_unenumerable_context():

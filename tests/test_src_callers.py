@@ -22,8 +22,6 @@ KEPT = {
     "intermediate_identities_check": "the only check of the sieve proof's displays (a) and (b)",
     "principal_moment_exact": "closed form the moment tests compare the window sums against",
     "Factorization.from_json": "reads the p-1 factorization files planned for certify --pm1",
-    "CharacterIndex.conjugate": "accessor of the character's conjugate, pinned by tests",
-    "CharacterIndex.is_principal": "accessor of the principal character, pinned by tests",
     "CertifiedReal.contains": "accessor of enclosure membership, pinned by tests",
 }
 

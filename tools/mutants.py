@@ -14,7 +14,8 @@ stopped, with every process it started, and counts as killed (`timeout`).
 A mutant recorded as equivalent carries the reason no input can tell it
 from the real code; it is run all the same and must survive.
 
-Run from the repository root (about 40 s per mutant):
+Run from the repository root.  The control and each mutant take about
+10 s on a 2-core AMD EPYC host, about 13 minutes for the 74 mutants:
 
     python tools/mutants.py
 
@@ -199,12 +200,12 @@ MUTANTS = (
     Mutant("kernel: a non-real result returned as a point", "src/gpbound/enclosure.py",
            'raise DomainError(f"{op}: no real value on this enclosure") from None',
            "return CertifiedReal(0)"),
-    # the window norms of one character are shared across r, never across
-    # h, and only one set of them is alive at a time
+    # the moments of one character are shared across the r they were run
+    # at, never across h, and never for an r they were not run at
     Mutant("moments: memo key without h", "src/gpbound/characters.py",
            "key = (min(chi.j, -chi.j % (p - 1)), h)", "key = (min(chi.j, -chi.j % (p - 1)),)"),
-    Mutant("moments: old norms kept through the rebuild", "src/gpbound/characters.py",
-           "slot = ctx._norms = None  # free the last norms", "pass  # free the last norms"),
+    Mutant("moments: memo hit without the r check", "src/gpbound/characters.py",
+           "slot[0] != key or r not in slot[1]", "slot[0] != key"),
     # the x-major tiles: int32 index products only where the largest fits,
     # and each window the difference of prefix sums h rows apart
     Mutant("tiles: int32 index products widened to the next prime", "src/gpbound/characters.py",
