@@ -37,8 +37,8 @@ cert = certify_bound(
     Threshold(p_min=10**22, omega=8),
     SieveConfig.worst_case(8, 0),  # the sieve over every p with omega = 8
     2,
-    PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True),  # h = ceil(2 p^(1/4))
-    PowerShape(coef=Fraction(1), expo=Fraction(5, 8)),             # H = p^(5/8)
+    PowerShape(coef=Fraction(2), expo=Fraction(1, 4)),  # h = ceil(2 p^(1/4))
+    PowerShape(coef=Fraction(1), expo=Fraction(5, 8)),  # H = p^(5/8)
 )
 print(json.dumps(cert.to_json(), indent=2))
 

@@ -25,7 +25,7 @@ for target in ("cor2", "lonely"):
     if report.failures:
         print("failures:", report.failures)
     shown = [r for r in report.rows if not r.passed or r.omega in (8, 9, 17, 18, 51)]
-    print("omega\ts\tdelta_lo\tlhs_hi\trhs_lo\tmargin_log10\tverdict")
+    print(report.to_tsv().splitlines()[0])
     for row in shown:
         print(row.tsv())
     print()

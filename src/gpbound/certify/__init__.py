@@ -7,30 +7,23 @@ rigorous even at astronomically large thresholds.
 from ..sieve import SieveConfig, worst_case_delta
 from .bounds import (
     BURGESS_C,
-    BoundComparison,
-    BoundValue,
     bound_sieved,
     bound_log_free,
     burgess_comparison_bound,
     compare_with_burgess,
 )
-from .cases import CaseReport, case_engine
+from .cases import case_engine
 from .search import (
-    OptimizeResult,
-    SoundnessReport,
-    ThresholdOptimizeResult,
     optimize_params,
     optimize_threshold,
     soundness_crosscheck,
 )
 from .certifier import (
-    Certificate,
     PowerShape,
     Threshold,
     certify_bound,
 )
 from .winchain import (
-    ChainReport,
     win_chain_sieved_derive,
     win_chain_derive,
     win_chain_sweep,
@@ -38,17 +31,9 @@ from .winchain import (
 
 __all__ = [
     "BURGESS_C",
-    "BoundComparison",
-    "BoundValue",
-    "CaseReport",
-    "Certificate",
-    "ChainReport",
-    "OptimizeResult",
     "PowerShape",
     "SieveConfig",
-    "SoundnessReport",
     "Threshold",
-    "ThresholdOptimizeResult",
     "bound_sieved",
     "bound_log_free",
     "burgess_comparison_bound",

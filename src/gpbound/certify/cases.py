@@ -223,13 +223,13 @@ class Target:
 
 TARGETS = {
     "cor2": Target(
-        PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True),
+        PowerShape(coef=Fraction(2), expo=Fraction(1, 4)),
         PowerShape(coef=Fraction(1), expo=Fraction(5, 8)),
         p0=10**20, p_base=10**22, stated=Fraction(13), used=Fraction(13),
         side_checks=_cor2_side_checks,
     ),
     "lonely": Target(
-        PowerShape(coef=Fraction(1), expo=Fraction(1, 4), ceil=True),
+        PowerShape(coef=Fraction(1), expo=Fraction(1, 4)),
         PowerShape(coef=Fraction(999, 1000), expo=Fraction(1, 2)),
         p0=10**56, p_base=10**56, stated=Fraction(7), used=Fraction(99, 10),
         side_checks=_lonely_side_checks,

@@ -16,6 +16,7 @@ certainty.  Indeterminate comparisons escalate the working precision
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -93,24 +94,23 @@ class Threshold:
 
 @dataclass(frozen=True)
 class PowerShape:
-    """A parameter of the form coef * p**expo, optionally ceil'd to an integer.
+    """A parameter of the form coef * p**expo.
 
-    For prime p and a non-integer exponent, coef * p**expo is irrational, so
-    the ceiling is strictly above the power value; several strictness
-    arguments below rely on that.
+    The threshold certifier reads the window h as the integer
+    ceil(coef * p**expo) and the bound H as coef * p**expo itself.  For
+    prime p and a non-integer exponent, coef * p**expo is irrational, so
+    the window is strictly above the power value; _hp_check relies on that.
     """
 
     coef: Fraction
     expo: Fraction
-    ceil: bool = False
 
     def lower_at(self, p: int) -> CertifiedReal:
         return self.coef * _p_power(p, self.expo)
 
     def describe(self) -> str:
         c = "" if self.coef == 1 else f"{self.coef}*"
-        s = f"{c}p^({self.expo})"
-        return f"ceil({s})" if self.ceil else s
+        return f"{c}p^({self.expo})"
 
 
 @dataclass
@@ -151,10 +151,11 @@ def certify_bound(p_spec, sieve: SieveConfig, r: int, h, H) -> Certificate:
     is `SieveConfig.build` from that prime's context, h an int, H an exact
     number.
     Threshold mode: p_spec is a Threshold, sieve is
-    `SieveConfig.worst_case` for its omega, and h, H are PowerShapes; the
-    verdict then covers every p >= p_min with the given omega, using
-    worst-case monotonicity in p.
-    A sieve built for another prime or another omega raises DomainError.
+    `SieveConfig.worst_case` for its omega, and h, H are PowerShapes, the
+    window taken as ceil(h) and H as given; the verdict then covers every
+    p >= p_min with the given omega, using worst-case monotonicity in p.
+    r is an int in both modes.  A non-integer r or h raises ParameterError,
+    a sieve built for another prime or another omega DomainError.
     """
     if not isinstance(sieve, SieveConfig):
         raise ConfigError(f"sieve must be a SieveConfig, got {sieve!r}")
@@ -203,9 +204,16 @@ def _verdict_from(checks: list[Check]) -> tuple[str, list[str]]:
     return "certified", []
 
 
+def _integer(name: str, v) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {v!r}") from None
+
+
 def _certify_exact(p, sieve, r, h, H) -> Certificate:
     # preconditions are exact rational comparisons, decidable up front
-    H = Fraction(H)
+    r, h, H = _integer("r", r), _integer("h", h), Fraction(H)
     if r < 1 or h < 2:
         raise ParameterError(f"need r >= 1 and h >= 2, got r={r}, h={h}")
     if H < 2 * h:
@@ -260,9 +268,9 @@ def _hp_check(p0: int, h_shape: PowerShape, H_shape: PowerShape) -> Check:
     two_ch2 = 2 * H_shape.coef**2
     if two_ch2 < h_shape.coef:
         return Check("2H^2 < hp coefficients", True)
-    # equal coefficients: ceil(c p^(a/b)) > c p^(a/b) since the power is
+    # equal coefficients: h = ceil(c p^(a/b)) > c p^(a/b) since the power is
     # irrational for prime p and non-integer exponent
-    if two_ch2 == h_shape.coef and h_shape.ceil and h_shape.expo.denominator > 1:
+    if two_ch2 == h_shape.coef and h_shape.expo.denominator > 1:
         return Check("2H^2 < hp (ceil strictness)", True)
     return Check("2H^2 < hp coefficients", False)
 
@@ -271,7 +279,8 @@ def _hp_check(p0: int, h_shape: PowerShape, H_shape: PowerShape) -> Check:
 class WorstCase:
     """The main inequality over every p >= p0, for shapes h and H at r.
 
-    h lies in [h_lo, h_hi] and H >= H_lo at p0.  Once expo(H) >= expo(h),
+    The window h = ceil(c_h p^e_h) lies in [h_lo, h_hi] = [c_h p0^e_h,
+    c_h p0^e_h + 1] and H = c_H p^e_H >= H_lo at p0.  Once expo(H) >= expo(h),
     X = H/h >= x_lo for every p >= p0, so A(X) >= a and B(X) <= b.  W <= w,
     None when unbounded, with w_note naming its branch; hp is the check of
     2H^2 < hp.  h sqrt(p) / H^2 <= sum c_i p^e_i / c_H^2 over the terms
@@ -294,20 +303,22 @@ class WorstCase:
 def threshold_worst_case(p0: int, h_shape: PowerShape, H_shape: PowerShape, r: int) -> WorstCase:
     """The WorstCase of the shapes at r over p >= p0, in the working precision."""
     h_lo = h_shape.lower_at(p0)
-    h_hi = h_lo + 1 if h_shape.ceil else h_lo
+    h_hi = h_lo + 1
     H_lo = H_shape.lower_at(p0)
     x_lo = H_lo / h_hi
     w, w_note = _w_threshold_sup(p0, h_shape, r, iv.prec)
-    # (c_h p^e_h + [ceil]) sqrt(p) / (c_H^2 p^(2 e_H)), one term per p-power
-    terms = [(h_shape.coef, h_shape.expo + Fraction(1, 2) - 2 * H_shape.expo)]
-    if h_shape.ceil:
-        terms.append((Fraction(1), Fraction(1, 2) - 2 * H_shape.expo))
+    # (c_h p^e_h + 1) sqrt(p) / (c_H^2 p^(2 e_H)), one term per p-power
+    terms = (
+        (h_shape.coef, h_shape.expo + Fraction(1, 2) - 2 * H_shape.expo),
+        (Fraction(1), Fraction(1, 2) - 2 * H_shape.expo),
+    )
     a, b = envelope_a(x_lo), envelope_b_sup(x_lo, h_lo)
     hp = _hp_check(p0, h_shape, H_shape)
-    return WorstCase(p0, h_lo, h_hi, H_lo, x_lo, a, b, w, w_note, hp, tuple(terms))
+    return WorstCase(p0, h_lo, h_hi, H_lo, x_lo, a, b, w, w_note, hp, terms)
 
 
 def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
+    r = _integer("r", r)
     if r < 1:
         raise ParameterError(f"need r >= 1, got r={r}")
     if h_shape.expo < 0 or H_shape.expo < 0:
@@ -320,7 +331,7 @@ def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
         with working_precision(bits):
             wc = threshold_worst_case(p0, h_shape, H_shape, r)
             checks = [
-                Check("h >= 2 at p_min", wc.h_lo.ge(2) if not h_shape.ceil else wc.h_lo.gt(1)),
+                Check("h >= 2 at p_min", wc.h_lo.gt(1)),
                 # H >= 2h for all p >= p0: ratio improves with p iff expo(H) >= expo(h)
                 Check("expo(H) >= expo(h)", H_shape.expo >= h_shape.expo),
                 Check("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),
@@ -347,7 +358,7 @@ def _certify_threshold(th: Threshold, sieve, r, h_shape, H_shape):
             return Certificate(
                 p_spec=th.describe(),
                 r=r,
-                h=h_shape.describe(),
+                h=f"ceil({h_shape.describe()})",
                 H=wc.H_lo,
                 sieve=sieve,
                 lhs=lhs,

@@ -200,9 +200,7 @@ class ThresholdOptimizeResult:
 def _threshold_h_shape(r: int) -> PowerShape:
     """Rational-coefficient version of the window recipe h ~ c p^(1/(2r))."""
     c = window_recipe(1, r)
-    return PowerShape(
-        coef=Fraction(round(c * 10**6), 10**6), expo=Fraction(1, 2 * r), ceil=True
-    )
+    return PowerShape(coef=Fraction(round(c * 10**6), 10**6), expo=Fraction(1, 2 * r))
 
 
 def optimize_threshold(p_min: int, omega: int) -> ThresholdOptimizeResult:

@@ -227,7 +227,7 @@ def test_certificate_json_schema():
 
 
 def _p58_shapes():
-    h = PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True)
+    h = PowerShape(coef=Fraction(2), expo=Fraction(1, 4))
     H = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
     return h, H
 
@@ -256,6 +256,44 @@ def test_exact_lhs_nondecreasing_in_p():
         if prev is not None:
             assert cert.lhs.lo >= prev
         prev = cert.lhs.lo
+
+
+def _p58_window_at_1e22():
+    th = Threshold(10**22, 2)
+    h = PowerShape(coef=Fraction(2), expo=Fraction(1, 4))
+    H = PowerShape(coef=Fraction(99, 100), expo=Fraction(5, 8))
+    return th, SieveConfig.worst_case(2, 0), h, H
+
+
+def test_threshold_window_is_the_ceiling():
+    # a shape names the window's real value; the certificate is the one for
+    # its ceiling: X_min = 0.99 p^(5/8) / (2 p^(1/4) + 1) at p_min, not
+    # 0.99 p^(5/8) / (2 p^(1/4)) = 88024830.80
+    th, sieve, h, H = _p58_window_at_1e22()
+    cert = certify_bound(th, sieve, 2, h, H)
+    assert cert.certified
+    assert cert.h == "ceil(2*p^(1/4))"
+    assert cert.provenance["X_min"] == "88024691.61766876"
+    assert cert.provenance["H_shape"] == "99/100*p^(5/8)"
+
+
+def test_threshold_r_must_be_an_integer():
+    th, sieve, h, H = _p58_window_at_1e22()
+    with pytest.raises(ParameterError, match="r must be an integer"):
+        certify_bound(th, sieve, Fraction(5, 2), h, H)
+
+
+def test_exact_r_and_h_must_be_integers():
+    p = 10**9 + 7
+    sieve = _sieve_at(p)
+    with pytest.raises(ParameterError, match="h must be an integer"):
+        certify_bound(p, sieve, 2, 360.5, 150000)
+    with pytest.raises(ParameterError, match="h must be an integer"):
+        certify_bound(p, sieve, 2, Fraction(721, 2), 150000)
+    with pytest.raises(ParameterError, match="r must be an integer"):
+        certify_bound(p, sieve, 2.5, 360, 150000)
+    # H need not be an integer
+    assert certify_bound(p, sieve, 2, 360, Fraction(300001, 2)).certified
 
 
 def test_threshold_lhs_monotone_in_p():
@@ -316,14 +354,21 @@ def test_precision_escalation_machinery():
 
 
 def test_hp_check_needs_the_ceil_at_equal_exponents():
-    # H = p^(5/8) gives 2H^2 = 2 p^(5/4) = hp exactly for h = 2 p^(1/4); only
-    # the ceil of the irrational power makes the inequality strict
-    H = PowerShape(coef=Fraction(1), expo=Fraction(5, 8))
-    bare = PowerShape(coef=Fraction(2), expo=Fraction(1, 4))
-    ceiled = PowerShape(coef=Fraction(2), expo=Fraction(1, 4), ceil=True)
+    # H = p^(5/8) gives 2H^2 = 2 p^(5/4) = hp exactly at h = 2 p^(1/4); only
+    # the ceil of the irrational power makes the inequality strict.  At an
+    # integer exponent the window h = 2 p^0 = 2 is its own ceil, and
+    # H = p^(1/2) gives 2H^2 = 2p = hp
     with working_precision():
-        assert _hp_check(10**20, bare, H) == Check("2H^2 < hp coefficients", False)
-        assert _hp_check(10**20, ceiled, H) == Check("2H^2 < hp (ceil strictness)", True)
+        assert _hp_check(
+            10**20,
+            PowerShape(coef=Fraction(2), expo=Fraction(1, 4)),
+            PowerShape(coef=Fraction(1), expo=Fraction(5, 8)),
+        ) == Check("2H^2 < hp (ceil strictness)", True)
+        assert _hp_check(
+            10**20,
+            PowerShape(coef=Fraction(2), expo=Fraction(0)),
+            PowerShape(coef=Fraction(1), expo=Fraction(1, 2)),
+        ) == Check("2H^2 < hp coefficients", False)
 
 
 def test_an_indeterminate_check_does_not_pass():
@@ -396,12 +441,13 @@ def test_threshold_rejects_H_exponent_below_h_exponent():
 
 
 def test_threshold_rejects_h_below_2_at_p_min():
-    # h = 1.5 at p_min = 1e40, every check but the main condition passes.
-    # Whenever h(p_min) < 2, W >= (sqrt(2)/e) sqrt(p_min) and the main
-    # coefficient is >= (pi^2/6)(3/2) 2^2, so the condition, which with
-    # 2H^2 < hp needs their product below sqrt(p_min)/2, fails as well; the
-    # guard is pinned by its report
-    h = PowerShape(coef=Fraction(3, 2 * 10**10), expo=Fraction(1, 4))
+    # the shape reads 0.5 at p_min = 1e40, so the window is ceil(0.5) = 1;
+    # every check but the main condition passes.  Whenever h(p_min) < 2,
+    # W >= (sqrt(2)/e) sqrt(p_min) and the main coefficient is >=
+    # (pi^2/6)(3/2) 2^2, so the condition, which with 2H^2 < hp needs their
+    # product below sqrt(p_min)/2, fails as well; the guard is pinned by its
+    # report
+    h = PowerShape(coef=Fraction(1, 2 * 10**10), expo=Fraction(1, 4))
     H = PowerShape(coef=Fraction(1, 2), expo=Fraction(1, 2))
     cert = certify_bound(Threshold(10**40, 2), SieveConfig.worst_case(2, 0), 2, h, H)
     assert cert.verdict == "failed"
@@ -411,7 +457,7 @@ def test_threshold_rejects_h_below_2_at_p_min():
 def test_threshold_rejects_growing_general_branch():
     # h = ceil(p^(1/5)) at r = 2 leaves sqrt(p)/h^2 growing like p^(1/10);
     # certifying it would take W's general branch past the threshold
-    h = PowerShape(coef=Fraction(1), expo=Fraction(1, 5), ceil=True)
+    h = PowerShape(coef=Fraction(1), expo=Fraction(1, 5))
     H = PowerShape(coef=Fraction(1000), expo=Fraction(1, 2))
     cert = certify_bound(Threshold(10**40, 2), SieveConfig.worst_case(2, 0), 2, h, H)
     assert cert.verdict == "failed"
@@ -421,7 +467,7 @@ def test_threshold_rejects_growing_general_branch():
 def test_threshold_rejects_growing_condition():
     # h = ceil(p^(1/4)), H = 1e10 p^(3/10): the condition's left side grows
     # like p^0.15, so holding at p_min proves nothing past it
-    h = PowerShape(coef=Fraction(1), expo=Fraction(1, 4), ceil=True)
+    h = PowerShape(coef=Fraction(1), expo=Fraction(1, 4))
     H = PowerShape(coef=Fraction(10**10), expo=Fraction(3, 10))
     cert = certify_bound(Threshold(10**40, 2), SieveConfig.worst_case(2, 0), 2, h, H)
     assert cert.verdict == "failed"

@@ -15,7 +15,7 @@ A mutant recorded as equivalent carries the reason no input can tell it
 from the real code; it is run all the same and must survive.
 
 Run from the repository root.  The control and each mutant take about
-10 s on a 2-core AMD EPYC host, about 13 minutes for the 74 mutants:
+10 s on a 2-core AMD EPYC host, about 14 minutes for the 81 mutants:
 
     python tools/mutants.py
 
@@ -143,6 +143,24 @@ MUTANTS = (
            "if H < 2 * h:", "if False:"),
     Mutant("exact: 2H^2 < hp unchecked", "src/gpbound/certify/certifier.py",
            "if 2 * H * H >= h * p:", "if False:"),
+    # r and h are integers in both modes
+    Mutant("exact: non-integer r accepted", "src/gpbound/certify/certifier.py",
+           'r, h, H = _integer("r", r), ', "r, h, H = r, "),
+    Mutant("exact: non-integer h accepted", "src/gpbound/certify/certifier.py",
+           '_integer("h", h)', "h"),
+    Mutant("threshold: non-integer r accepted", "src/gpbound/certify/certifier.py",
+           'r = _integer("r", r)\n    if r < 1:', "if r < 1:"),
+    # the window is the ceiling of its shape: h_lo <= h < h_lo + 1
+    Mutant("threshold: window read without its ceiling", "src/gpbound/certify/certifier.py",
+           "h_hi = h_lo + 1", "h_hi = h_lo"),
+    Mutant("threshold: ceil term dropped from the condition",
+           "src/gpbound/certify/certifier.py",
+           "        (Fraction(1), Fraction(1, 2) - 2 * H_shape.expo),\n", ""),
+    Mutant("threshold: h >= 2 read as h > 0", "src/gpbound/certify/certifier.py",
+           'Check("h >= 2 at p_min", wc.h_lo.gt(1))', 'Check("h >= 2 at p_min", wc.h_lo.gt(0))'),
+    # the ceiling is strictly above an irrational power only
+    Mutant("threshold: ceil strictness at an integer exponent", "src/gpbound/certify/certifier.py",
+           "h_shape.expo.denominator > 1:", "h_shape.expo.denominator >= 1:"),
     # the merged threshold check H >= 2h (it was also tested as X >= 2)
     Mutant("threshold: H >= 2h dropped", "src/gpbound/certify/certifier.py",
            'Check("H >= 2h at p_min", wc.H_lo.ge(2 * wc.h_hi)),', ""),
